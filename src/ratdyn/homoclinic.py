@@ -417,10 +417,14 @@ def convergence_report(seq: ExponentSequence, alpha: float = 1.5) -> Convergence
 
     The fit gives chi_n = chi(z0) + log|a| / n + O(|lambda|^-n), so the 1/n
     law predicts n |chi_n - chi(z0)| -> |log|a||.  `c_over_n_holds` is true
-    iff every n |chi_n - chi(z0)| lies within 1% of |log|a|| (plus 1e-12,
-    which absorbs double rounding when the constant is 0, as for z^2).  A
-    seed multiplier off by a factor e^0.01 breaks it; one off by e^0.001
-    does not, since the fit moves with the multiplier.
+    iff both
+    - every n |chi_n - chi(z0)| lies within 1% of |log|a|| (plus 1e-12,
+      which absorbs double rounding when the constant is 0, as for z^2), and
+    - at the largest n, the Richardson value n chi_n - (n-1) chi_(n-1)
+      lies within 10 |lambda|^-(n-1) + 1e-12 of chi(z0).
+    The first rule alone misses a seed multiplier off by e^0.001, since the
+    fit moves with the multiplier; the second does not use the fit and
+    catches it (on the basilica its residual is about 4 |lambda|^-(n-1)).
     `c_over_n_constant` is max n |chi_n - chi(z0)|."""
     if len(seq.entries) < 4:
         raise ValueError("need at least 4 entries for a convergence report")
@@ -440,6 +444,10 @@ def convergence_report(seq: ExponentSequence, alpha: float = 1.5) -> Convergence
     a_hat, b_hat = complex(coef[0]), complex(coef[1])
     C_fit = abs(math.log(abs(a_hat)))
     holds = all(abs(n * d - C_fit) <= 0.01 * C_fit + 1e-12 for n, d in deltas)
+    prev, last = seq.entries[-2], seq.entries[-1]
+    n = last.n
+    richardson = n * last.char_exponent - (n - 1) * prev.char_exponent
+    holds = holds and abs(richardson - chi0) <= 10 * abs(lam) ** -(n - 1) + 1e-12
     resid = [
         abs(e.multiplier - (a_hat * lam**e.n + b_hat)) / abs(lam) ** e.n
         for e in seq.entries

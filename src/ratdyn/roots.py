@@ -6,6 +6,12 @@ through the w = 1/z chart for |z| > 1, so high-degree polynomials are
 evaluated without overflow.  A generic "ratio function" mode lets the
 periodic-point solver run the same iteration against an implicitly evaluated
 polynomial (iterated maps) instead of explicit coefficients.
+
+Each sweep works on the active set of unlocked roots only: a root locks
+once its step falls under the tolerance, and from then on it never moves
+and its ratio is never evaluated again; it only repels the active roots.
+A locked root's correction would be zero anyway and the ratio functions
+are elementwise, so the roots are bit-identical to sweeping every root.
 """
 
 from __future__ import annotations
@@ -20,16 +26,17 @@ from .errors import RootFindingFailed
 _CHUNK = 512
 
 
-def _pairwise_repulsion(z: np.ndarray) -> np.ndarray:
-    """S_i = sum_{j != i} 1/(z_i - z_j), chunked to bound memory."""
-    n = z.size
-    out = np.zeros(n, dtype=complex)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        diff = z[lo:hi, None] - z[None, :]
-        np.fill_diagonal(diff[:, lo:hi], np.inf)
+def _repulsion_rows(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """S_i = sum_{j != i} 1/(z_i - z_j) for i in rows, chunked over rows to
+    bound memory.  Each row is summed over all of z, so S_i does not depend
+    on which other rows are asked for."""
+    out = np.empty(rows.size, dtype=complex)
+    for lo in range(0, rows.size, _CHUNK):
+        r = rows[lo : lo + _CHUNK]
+        diff = z[r, None] - z[None, :]
+        diff[np.arange(r.size), r] = np.inf
         with np.errstate(divide="ignore", invalid="ignore"):
-            out[lo:hi] = (1.0 / diff).sum(axis=1)
+            out[lo : lo + r.size] = (1.0 / diff).sum(axis=1)
     return out
 
 
@@ -81,6 +88,11 @@ def aberth_ratio(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Aberth–Ehrlich iteration from given starts.
 
+    Every sweep calls ratio_fn on the active (unlocked) roots only and
+    repels them against all roots.  A locked root never moves and is never
+    re-evaluated; it only repels.  ratio_fn must act elementwise, since the
+    set of points it sees in one call shrinks as roots lock.
+
     Returns (roots, converged_mask); unconverged entries keep their last
     iterate.  Deterministic for fixed seed/starts.
     """
@@ -91,26 +103,27 @@ def aberth_ratio(
     locked = np.zeros(n, dtype=bool)
     for round_ in range(restarts + 1):
         for _ in range(max_iter):
+            act = np.nonzero(~locked)[0]
+            za = z[act]
             with np.errstate(all="ignore"):
-                N = ratio_fn(z)
+                N = ratio_fn(za)
             # a non-finite ratio means the iterate is lost (underflow basin,
             # pole, ...): it must not lock, and gets redrawn at restart
             bad = ~np.isfinite(N)
             if bad.any():
                 N = np.where(bad, 0.0, N)
-            S = _pairwise_repulsion(z)
+            S = _repulsion_rows(z, act)
             with np.errstate(divide="ignore", invalid="ignore"):
                 corr = N / (1.0 - N * S)
             corr = np.where(np.isfinite(corr), corr, N)
             # clamp: one huge correction must not fling the iterate away
-            lim = 0.5 * (1.0 + np.abs(z))
+            lim = 0.5 * (1.0 + np.abs(za))
             mag = np.abs(corr)
             with np.errstate(invalid="ignore", divide="ignore"):
                 corr = np.where(mag > lim, corr * (lim / np.maximum(mag, 1e-300)), corr)
-            corr = np.where(locked, 0.0, corr)
-            z = z - corr
-            step = np.abs(corr)
-            locked = locked | ((step <= tol * (1.0 + np.abs(z))) & ~bad)
+            za = za - corr
+            z[act] = za
+            locked[act] = (np.abs(corr) <= tol * (1.0 + np.abs(za))) & ~bad
             if locked.all():
                 break
         if locked.all():
@@ -197,7 +210,6 @@ def aberth(
     tol: float = 1e-13,
     max_iter: int = 120,
     seed: int = 0,
-    starts: np.ndarray | None = None,
 ) -> np.ndarray:
     """All complex roots of a coefficient polynomial via Aberth–Ehrlich."""
     c = np.asarray(coeffs_asc, dtype=complex)
@@ -216,8 +228,7 @@ def aberth(
     D = len(c) - 1
     if D == 0:
         return zeros
-    if starts is None:
-        starts = _newton_polygon_starts(c, seed)
+    starts = _newton_polygon_starts(c, seed)
     ratio = newton_ratio_from_coeffs(c)
     roots, ok = aberth_ratio(ratio, starts, tol=tol, max_iter=max_iter, seed=seed)
     if not ok.all():

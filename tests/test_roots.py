@@ -2,7 +2,101 @@ import numpy as np
 import pytest
 
 from ratdyn.errors import RootFindingFailed
-from ratdyn.roots import aberth, batched_roots, newton_ratio_from_coeffs, solve_poly
+from ratdyn.exceptional import LattesSpec, flexible_lattes
+from ratdyn.periodic import _tree_starts, make_period_ratio
+from ratdyn.roots import (
+    aberth,
+    aberth_ratio,
+    batched_roots,
+    newton_ratio_from_coeffs,
+    solve_poly,
+)
+
+
+def _full_sweep_aberth_ratio(ratio_fn, starts, tol=1e-13, max_iter=120, seed=0, restarts=3):
+    """Reference: the Aberth loop that re-evaluates every root on every
+    sweep, locked or not (locked roots get a zero correction)."""
+
+    def pairwise_repulsion(z):
+        n = z.size
+        out = np.zeros(n, dtype=complex)
+        for lo in range(0, n, 512):
+            hi = min(lo + 512, n)
+            diff = z[lo:hi, None] - z[None, :]
+            np.fill_diagonal(diff[:, lo:hi], np.inf)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out[lo:hi] = (1.0 / diff).sum(axis=1)
+        return out
+
+    rng = np.random.default_rng(seed)
+    z = np.array(starts, dtype=complex)
+    n = z.size
+    scale = float(np.median(np.abs(z))) + 1.0
+    locked = np.zeros(n, dtype=bool)
+    for round_ in range(restarts + 1):
+        for _ in range(max_iter):
+            with np.errstate(all="ignore"):
+                N = ratio_fn(z)
+            bad = ~np.isfinite(N)
+            if bad.any():
+                N = np.where(bad, 0.0, N)
+            S = pairwise_repulsion(z)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                corr = N / (1.0 - N * S)
+            corr = np.where(np.isfinite(corr), corr, N)
+            lim = 0.5 * (1.0 + np.abs(z))
+            mag = np.abs(corr)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                corr = np.where(mag > lim, corr * (lim / np.maximum(mag, 1e-300)), corr)
+            corr = np.where(locked, 0.0, corr)
+            z = z - corr
+            step = np.abs(corr)
+            locked = locked | ((step <= tol * (1.0 + np.abs(z))) & ~bad)
+            if locked.all():
+                break
+        if locked.all():
+            break
+        idx = np.nonzero(~locked)[0]
+        redraw = idx[(np.abs(z[idx]) > 1e6 * scale) | (rng.random(idx.size) < 0.5)]
+        if redraw.size:
+            u = rng.random(redraw.size)
+            r = scale * np.sqrt(u / (1.0 - u + 1e-12))
+            z[redraw] = r * np.exp(2j * np.pi * rng.random(redraw.size))
+        rest = np.setdiff1d(idx, redraw)
+        if rest.size:
+            spread = 0.05 / (round_ + 1)
+            z[rest] = z[rest] * (
+                1.0 + spread * (rng.random(rest.size) - 0.5)
+            ) + spread * (rng.random(rest.size) - 0.5)
+    idx = np.nonzero(~locked)[0]
+    if idx.size and idx.size <= max(8, n // 20):
+        zi = z[idx]
+        done = np.zeros(idx.size, dtype=bool)
+        for _ in range(4 * n + 300):
+            with np.errstate(all="ignore"):
+                N = ratio_fn(zi)
+            bad = ~np.isfinite(N)
+            N = np.where(bad, 0.0, N)
+            S = np.zeros(zi.size, dtype=complex)
+            zl = z[locked]
+            for lo in range(0, zl.size, 512):
+                hi = min(lo + 512, zl.size)
+                with np.errstate(all="ignore"):
+                    S += (1.0 / (zi[:, None] - zl[None, lo:hi])).sum(axis=1)
+            with np.errstate(all="ignore"):
+                corr = N / (1.0 - N * S)
+            corr = np.where(np.isfinite(corr), corr, N)
+            lim = 0.5 * (1.0 + np.abs(zi))
+            mag = np.abs(corr)
+            corr = np.where(mag > lim, corr * (lim / np.maximum(mag, 1e-300)), corr)
+            corr = np.where(done, 0.0, corr)
+            zi = zi - corr
+            done = done | ((np.abs(corr) <= tol * (1.0 + np.abs(zi))) & ~bad)
+            if done.all():
+                break
+        z[idx] = zi
+        locked[idx] = done
+    return z, locked
 
 
 def test_solve_quartic():
@@ -29,6 +123,47 @@ def test_aberth_is_deterministic():
     r1 = aberth(c.copy(), seed=42)
     r2 = aberth(c.copy(), seed=42)
     assert np.array_equal(r1, r2)
+
+
+def _lattes_period5_case():
+    f = flexible_lattes(LattesSpec(-1, 0, 2))
+    kw = {"tol": 1e-14, "seed": 7}
+    return make_period_ratio(f, 5), _tree_starts(f, 1024, 7), kw, 1
+
+
+def _random_degree200_case():
+    # starts next to the roots except six far ones: the first round locks
+    # all but those six, so the restarts and the finishing sweep run too
+    # (more ratio calls than the 4 rounds of 3 sweeps)
+    rng = np.random.default_rng(0)
+    c = rng.normal(size=201) + 1j * rng.normal(size=201)
+    starts = np.roots(c[::-1]) * (1 + 1e-6 * (rng.random(200) - 0.5))
+    starts[:6] = 3.0 * np.exp(2j * np.pi * rng.random(6))
+    kw = {"max_iter": 3, "seed": 0}
+    return newton_ratio_from_coeffs(c), starts, kw, 4 * 3 + 1
+
+
+@pytest.mark.parametrize("case", [_lattes_period5_case, _random_degree200_case])
+def test_aberth_ratio_active_set_matches_full_sweep(case):
+    ratio, starts, kw, min_calls = case()
+    sizes = []
+
+    def counted(z):
+        sizes.append(z.size)
+        return ratio(z)
+
+    roots, ok = aberth_ratio(counted, starts, **kw)
+    ref_roots, ref_ok = _full_sweep_aberth_ratio(ratio, starts, **kw)
+    assert np.array_equal(roots.view(float), ref_roots.view(float))
+    assert np.array_equal(ok, ref_ok)
+    assert len(sizes) >= min_calls
+    # only unlocked roots are evaluated: the active set never grows within
+    # a round (the finishing sweep starts a new block at a round boundary)
+    max_iter = kw.get("max_iter", 120)
+    for lo in range(0, len(sizes), max_iter):
+        block = sizes[lo : lo + max_iter]
+        assert all(a >= b for a, b in zip(block, block[1:]))
+    assert sizes[-1] < starts.size
 
 
 def test_newton_ratio_both_charts():
