@@ -1,13 +1,6 @@
-"""Runtime defaults: degree caps, tolerances, thread limits."""
+"""Runtime defaults: degree caps and tolerances."""
 
 from __future__ import annotations
-
-import os
-from dataclasses import dataclass
-
-# Chart switch: work in w = 1/z whenever |z| > 1; threshold 1 balances
-# conditioning of the two charts.
-CHART_SWITCH = 1.0
 
 # Chordal deduplication tolerance (the chordal metric treats Infinity as an
 # ordinary point, so one tolerance covers the whole sphere).
@@ -20,35 +13,3 @@ SOLVER_TOL = 1e-12
 
 # Floor for log ||f'|| when a cloud contains (near-)critical points.
 LOG_NORM_FLOOR = -600.0
-
-
-@dataclass(frozen=True)
-class Caps:
-    numeric: int = NUMERIC_DEGREE_CAP
-    exact: int = EXACT_DEGREE_CAP
-
-
-def max_threads() -> int:
-    """Parallelism limit; RATDYN_THREADS wins, default 1 (deterministic)."""
-    raw = os.environ.get("RATDYN_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def parallel_map(fn, items):
-    """Order-preserving map honoring RATDYN_THREADS.
-
-    Results are collected in input order so reductions stay deterministic
-    regardless of scheduling.
-    """
-    items = list(items)
-    n = max_threads()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))

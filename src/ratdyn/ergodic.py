@@ -269,9 +269,6 @@ class WeakConvergenceReport:
     test_names: list[str]
     rows: list[dict]
 
-    def discrepancies(self, i: int) -> dict:
-        return self.rows[i]
-
 
 def _dictionary(test_degree: int):
     names = []
@@ -398,10 +395,10 @@ def _zdunik_report(
     hits: list[tuple[CycleRecord, float]] = []
     excluded: list[tuple[CycleRecord, float]] = []
 
-    def scan_period(n: int):
-        return cycles_of_period(f, n, tol=tol, seed=seed, cap=cap)[0]
-
-    all_cycles = config.parallel_map(scan_period, range(1, max_period + 1))
+    all_cycles = [
+        cycles_of_period(f, n, tol=tol, seed=seed, cap=cap)[0]
+        for n in range(1, max_period + 1)
+    ]
     for cycles in all_cycles:
         for cyc in cycles:
             if not cyc.repelling:

@@ -28,7 +28,8 @@ from .errors import (
     PeriodCollision,
     RatdynError,
 )
-from .periodic import compose_hom, multiplier
+from .periodic import _divisors, compose_hom, multiplier
+from .polys import peval
 from .roots import solve_poly
 from .scalars import Qi
 from .sphere import (
@@ -283,20 +284,14 @@ def _mp_orbit_exponent(F: RationalMap, w, n: int, dps: int = 40):
             A = [_mp_qi(Qi.coerce(c)) for c in F.num]
             B = [_mp_qi(Qi.coerce(c)) for c in F.den]
 
-        def ev(p, u):
-            acc = mp.mpc(0)
-            for ck in reversed(p):
-                acc = acc * u + ck
-            return acc
-
         dA = [k * A[k] for k in range(1, len(A))]
         dB = [k * B[k] for k in range(1, len(B))]
         z = mp.mpc(w)
         lam = mp.mpc(1)
         log_norm = mp.mpf(0)
         for _ in range(n):
-            a, b = ev(A, z), ev(B, z)
-            da, db = ev(dA, z), ev(dB, z)
+            a, b = peval(A, z), peval(B, z)
+            da, db = peval(dA, z), peval(dB, z)
             deriv = (da * b - a * db) / (b * b)
             lam *= deriv
             log_norm += mp.log(abs(deriv))
@@ -333,7 +328,7 @@ def exponent_sequence(
         lam, chi, resid = _mp_orbit_exponent(F, w_mp, n, dps=60)
         # exact-period check at high precision via proper divisors
         verified = resid < tol
-        for k in _proper_divisors(n):
+        for k in _divisors(n)[:-1]:
             _, _, rk = _mp_orbit_exponent(F, w_mp, k, dps=60)
             if rk < 10 * tol:
                 raise PeriodCollision(
@@ -351,10 +346,6 @@ def exponent_sequence(
             )
         )
     return ExponentSequence(seed=seed, entries=entries)
-
-
-def _proper_divisors(n: int) -> list[int]:
-    return [k for k in range(1, n) if n % k == 0]
 
 
 def _refine_entry(F, seed: HomoclinicSeed, n: int, tol: float):
@@ -405,9 +396,6 @@ class ConvergenceReport:
     c_over_n_holds: bool
     geometric_fit: dict
     sandwich: dict
-
-    def max_delta(self) -> float:
-        return max(d for _n, d in self.deltas) if self.deltas else 0.0
 
 
 def convergence_report(seq: ExponentSequence, alpha: float = 1.5) -> ConvergenceReport:

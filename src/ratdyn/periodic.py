@@ -22,7 +22,7 @@ from .errors import (
     OrbitMismatch,
     RootFindingFailed,
 )
-from .polys import padd, pmul, pscale, pstrip, psub
+from .polys import padd, pmul, ppad, pscale, pstrip, psub
 from .roots import aberth_ratio, batched_roots, solve_poly
 from .scalars import Qi
 from .sphere import (
@@ -32,6 +32,7 @@ from .sphere import (
     chart_step_derivative,
     chordal,
     chordal_xy,
+    hom_eval,
     normalize_xy,
     points_to_xy,
 )
@@ -74,22 +75,18 @@ class PeriodicSolveReport:
 # ----------------------------------------------------------------------
 
 
-def _pad(p, length, zero):
-    return list(p) + [zero] * (length - len(p))
-
-
 def compose_hom(f: RationalMap, n: int):
     """(N, D) with f^n = N/D, via homogeneous substitution (coprime stays
     coprime, so no gcd cleanup is needed).  Exact scalars for exact maps."""
     d = f.degree
     if f.exact:
-        A = _pad(list(f.num), d + 1, Qi(0))
-        B = _pad(list(f.den), d + 1, Qi(0))
+        A = ppad(f.num, d + 1, Qi(0))
+        B = ppad(f.den, d + 1, Qi(0))
         N, D = pstrip(list(f.num)), pstrip(list(f.den))
         zero = Qi(0)
     else:
-        A = _pad([complex(c) for c in f.num], d + 1, 0j)
-        B = _pad([complex(c) for c in f.den], d + 1, 0j)
+        A = ppad([complex(c) for c in f.num], d + 1, 0j)
+        B = ppad([complex(c) for c in f.den], d + 1, 0j)
         N, D = pstrip([complex(c) for c in f.num]), pstrip([complex(c) for c in f.den])
         zero = 0j
     one = Qi(1) if f.exact else 1.0 + 0j
@@ -201,25 +198,8 @@ def make_period_ratio(f: RationalMap, n: int):
     range and cancels in the ratio.  This is the genuine polynomial Newton
     ratio (the pole term of f^n is absorbed), so the simultaneous iteration
     behaves like real Aberth for rational maps too."""
-    d = f.degree
     na = np.asarray(f._nf)
     nb = np.asarray(f._df)
-
-    def hom_and_partials(coeffs, X, Y):
-        # value, d/dX, d/dY of sum coeffs[i] X^i Y^(d-i)
-        val = np.full_like(X, coeffs[d])
-        vx = np.full_like(X, d * coeffs[d])
-        vy = np.zeros_like(X)
-        Yp = np.ones_like(Y)
-        for i in range(d - 1, -1, -1):
-            Yp_next = Yp * Y
-            val = val * X + coeffs[i] * Yp_next
-            if i > 0:
-                # degree d-1 form: exactly d-1 Horner multiplies (i = d-1..1)
-                vx = vx * X + i * coeffs[i] * Yp_next
-            vy = vy * X + (d - i) * coeffs[i] * Yp
-            Yp = Yp_next
-        return val, vx, vy
 
     def ratio(z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -230,8 +210,8 @@ def make_period_ratio(f: RationalMap, n: int):
             dX = np.ones_like(z) / s0
             dY = np.zeros_like(z)
             for _ in range(n):
-                F, Fx, Fy = hom_and_partials(na, X, Y)
-                G, Gx, Gy = hom_and_partials(nb, X, Y)
+                F, Fx, Fy = hom_eval(na, X, Y, partials=True)
+                G, Gx, Gy = hom_eval(nb, X, Y, partials=True)
                 ndX = Fx * dX + Fy * dY
                 ndY = Gx * dX + Gy * dY
                 s = np.maximum(np.maximum(np.abs(F), np.abs(G)), 1e-300)
@@ -246,8 +226,8 @@ def make_period_ratio(f: RationalMap, n: int):
 
 def _fixed_points(f: RationalMap, tol: float = 1e-12) -> list[ProjPoint]:
     d = f.degree
-    A = _pad([complex(c) for c in f.num], d + 1, 0j)
-    B = _pad([complex(c) for c in f.den], d + 1, 0j)
+    A = ppad([complex(c) for c in f.num], d + 1, 0j)
+    B = ppad([complex(c) for c in f.den], d + 1, 0j)
     zB = np.zeros(d + 2, dtype=complex)
     zB[1 : len(B) + 1] = B
     Ap = np.zeros(d + 2, dtype=complex)
@@ -264,8 +244,8 @@ def _fixed_points(f: RationalMap, tol: float = 1e-12) -> list[ProjPoint]:
 def _preimage_xy(f: RationalMap, X: np.ndarray, Y: np.ndarray):
     """All preimages of each target (X_i, Y_i); returns (N, d) pairs."""
     d = f.degree
-    A = _pad([complex(c) for c in f.num], d + 1, 0j)
-    B = _pad([complex(c) for c in f.den], d + 1, 0j)
+    A = ppad([complex(c) for c in f.num], d + 1, 0j)
+    B = ppad([complex(c) for c in f.den], d + 1, 0j)
     A = np.array(A)
     B = np.array(B)
     coeffs = Y[:, None] * A[None, :] - X[:, None] * B[None, :]

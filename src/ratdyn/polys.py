@@ -7,6 +7,10 @@ Three coefficient domains, all as ascending lists [a0, a1, ...]:
 * plain ints for the heavy exact work (subresultant PRS, resultants,
   factorization via sympy),
 * complex floats (handled mostly in :mod:`ratdyn.roots` with numpy).
+
+:func:`peval` is the one Horner loop for dehomogenized polynomials: the
+coefficients and the point may be int, Fraction, Qi, complex (Python or
+numpy) or mpmath scalars, anything whose ``+`` and ``*`` mix with ints.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ def pmul(a, b):
 
 
 def peval(p, x):
+    """p(x) by Horner from the leading coefficient; the zero poly gives 0."""
     acc = 0
     for c in reversed(pstrip(p)):
         acc = acc * x + c
@@ -122,18 +127,14 @@ def pcompose(outer, inner):
     return acc
 
 
+def ppad(p, length: int, zero=0):
+    """p as a list of exactly `length` coefficients, padded with `zero`."""
+    return list(p) + [zero] * (length - len(p))
+
+
 def preverse(p, length: int):
     """Coefficients of z^(length-1) * p(1/z); pads p to `length` first."""
-    q = list(p) + [0] * (length - len(p))
-    return pstrip(list(reversed(q)))
-
-
-def pmonic(p):
-    p = pstrip(p)
-    if not p:
-        return []
-    lead = p[-1]
-    return [c / lead for c in p]
+    return pstrip(list(reversed(ppad(p, length))))
 
 
 # ----------------------------------------------------------------------
@@ -369,10 +370,6 @@ def fractions_to_int_primitive(p):
     ints = [int(c * den) for c in p]
     prim, content = iprimitive(ints)
     return prim, Fraction(content, den)
-
-
-def qi_poly_is_rational(p) -> bool:
-    return all(Qi.coerce(c).is_real() for c in p)
 
 
 def qi_poly_to_fractions(p):

@@ -87,9 +87,3 @@ def _package_version() -> str:
         return version("ratdyn")
     except Exception:
         return "0.1.0"
-
-
-def strip_timing(report: dict) -> dict:
-    out = dict(report)
-    out.pop("timing", None)
-    return out

@@ -136,11 +136,6 @@ class Qi:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-QI_ZERO = Qi(0)
-QI_ONE = Qi(1)
-QI_I = Qi(0, 1)
-
-
 def qi_from_string(text: str) -> Qi:
     """Parse 'p/q' or 'a/b+c/di' style exact scalars (CLI wire format)."""
     t = text.strip().replace(" ", "")

@@ -47,7 +47,9 @@ from .polys import (
     pdeg,
     pderiv,
     pdivmod,
+    peval,
     pmul,
+    ppad,
     pscale,
     pstrip,
     psub,
@@ -55,7 +57,7 @@ from .polys import (
     qi_poly_to_fractions,
 )
 from .scalars import Qi
-from .sphere import INF, ProjPoint, RationalMap, chordal
+from .sphere import INF, ProjPoint, RationalMap, chordal, hom_eval
 
 # ----------------------------------------------------------------------
 # residue field Q[z]/(q)
@@ -74,7 +76,7 @@ class ResidueField:
     def elt(self, coeffs) -> "FieldElt":
         c = [Fraction(x) for x in coeffs]
         _, r = pdivmod(c, list(self.mod))
-        return FieldElt(self, tuple(r + [Fraction(0)] * (self.degree - len(r))))
+        return FieldElt(self, tuple(ppad(r, self.degree, Fraction(0))))
 
     def zero(self):
         return FieldElt(self, tuple([Fraction(0)] * self.degree))
@@ -119,8 +121,7 @@ class FieldElt:
             return FieldElt(self.field, tuple(a * q for a in self.c))
         prod = pmul(list(self.c), list(o.c))
         _, r = pdivmod(prod, list(self.field.mod))
-        r = r + [Fraction(0)] * (self.field.degree - len(r))
-        return FieldElt(self.field, tuple(r))
+        return FieldElt(self.field, tuple(ppad(r, self.field.degree, Fraction(0))))
 
     __rmul__ = __mul__
 
@@ -202,10 +203,6 @@ def _rational_pair(f: RationalMap):
     return Ai, Bi
 
 
-def _hom_pad(p, d, zero):
-    return list(p) + [zero] * (d + 1 - len(p))
-
-
 def multiplier_element(f: RationalMap, n: int, fld: ResidueField) -> FieldElt:
     """Multiplier of the period-n points annihilated by fld's modulus.
 
@@ -217,29 +214,19 @@ def multiplier_element(f: RationalMap, n: int, fld: ResidueField) -> FieldElt:
     A = qi_poly_to_fractions(f.num)
     B = qi_poly_to_fractions(f.den)
     d = f.degree
-    Apad = _hom_pad(A, d, Fraction(0))
-    Bpad = _hom_pad(B, d, Fraction(0))
+    Apad = ppad(A, d + 1, Fraction(0))
+    Bpad = ppad(B, d + 1, Fraction(0))
     W = psub(pmul(pderiv(A), B), pmul(A, pderiv(B)))
-    Wpad = list(W) + [Fraction(0)] * (2 * d - 1 - len(W))
+    Wpad = ppad(W, 2 * d - 1, Fraction(0))
     X, Y = fld.gen(), fld.one()
     acc = fld.one()
     for _ in range(n):
-        acc = acc * _hom_eval_field(Wpad, X, Y, fld)
-        X, Y = _hom_eval_field(Apad, X, Y, fld), _hom_eval_field(Bpad, X, Y, fld)
+        acc = acc * hom_eval(Wpad, X, Y)
+        X, Y = hom_eval(Apad, X, Y), hom_eval(Bpad, X, Y)
     c = Y
     if c.is_zero():
         raise RatdynError("homogeneous orbit did not close projectively")
     return acc * (c * c).inverse()
-
-
-def _hom_eval_field(coeffs, X, Y, fld: ResidueField) -> FieldElt:
-    m = len(coeffs) - 1
-    acc = fld.elt([coeffs[m]])
-    Yp = None
-    for i in range(m - 1, -1, -1):
-        Yp = Y if Yp is None else Yp * Y
-        acc = acc * X + Yp * coeffs[i]
-    return acc
 
 
 # ----------------------------------------------------------------------
@@ -292,10 +279,10 @@ def _certify_integer_multiplier(f: RationalMap, n: int, g: list[int], c: int) ->
     prod W(X_j, Y_j) == c * Y_n^2 in Z[z]/(g) (g monic)."""
     Ai, Bi = _rational_pair(f)
     d = f.degree
-    Apad = _hom_pad(Ai, d, 0)
-    Bpad = _hom_pad(Bi, d, 0)
+    Apad = ppad(Ai, d + 1)
+    Bpad = ppad(Bi, d + 1)
     W = psub(pmul(pderiv(Ai), Bi), pmul(Ai, pderiv(Bi)))
-    Wpad = list(W) + [0] * (2 * d - 1 - len(W))
+    Wpad = ppad(W, 2 * d - 1)
     X, Y = [0, 1], [1]
     acc = [1]
     for _ in range(n):
@@ -321,16 +308,10 @@ def _mp_refine_periodic(f: RationalMap, z0: complex, n: int, dps: int):
     A = [_mp_qi(Qi.coerce(x)) for x in f.num]
     B = [_mp_qi(Qi.coerce(x)) for x in f.den]
     d = f.degree
-    Ap = A + [mp.mpc(0)] * (d + 1 - len(A))
-    Bp = B + [mp.mpc(0)] * (d + 1 - len(B))
+    Ap = ppad(A, d + 1, mp.mpc(0))
+    Bp = ppad(B, d + 1, mp.mpc(0))
     Ar = list(reversed(Ap))
     Br = list(reversed(Bp))
-
-    def polyval(p, u):
-        acc = mp.mpc(0)
-        for ck in reversed(p):
-            acc = acc * u + ck
-        return acc
 
     def dpoly(p):
         return [k * p[k] for k in range(1, len(p))]
@@ -343,11 +324,11 @@ def _mp_refine_periodic(f: RationalMap, z0: complex, n: int, dps: int):
         D = mp.mpc(1) if in_z else -(u * u)
         for _ in range(n):
             if in_z:
-                P, Q = polyval(Ap, u), polyval(Bp, u)
-                dP, dQ = polyval(dAp, u), polyval(dBp, u)
+                P, Q = peval(Ap, u), peval(Bp, u)
+                dP, dQ = peval(dAp, u), peval(dBp, u)
             else:
-                P, Q = polyval(Ar, u), polyval(Br, u)
-                dP, dQ = polyval(dAr, u), polyval(dBr, u)
+                P, Q = peval(Ar, u), peval(Br, u)
+                dP, dQ = peval(dAr, u), peval(dBr, u)
             out_z = abs(P) <= abs(Q)
             if out_z:
                 v = P / Q

@@ -4,6 +4,10 @@ Points live on the sphere as an explicit Finite/Infinity tag pair; all
 numeric kernels work on normalized homogeneous pairs (X, Y) so Infinity is
 an ordinary point.  Maps carry exact Gaussian-rational coefficients when
 possible and always keep complex-float shadows for the numeric paths.
+
+:func:`hom_eval` is the one Horner loop for homogeneous forms: X and Y may
+be numpy complex arrays, Qi or residue-field elements (``spectra.FieldElt``),
+with coefficients that multiply them (numpy complex, Qi, Fraction).
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from .polys import (
     pderiv,
     pexactdiv,
     pgcd,
+    peval,
     pmul,
+    ppad,
     pscale,
     pstrip,
     psub,
@@ -150,15 +156,29 @@ def _mag2_leq_one(z) -> bool:
     return (z.real * z.real + z.imag * z.imag) <= 1.0
 
 
-def hom_eval_scalar(coeffs_pad, X, Y):
-    """Sum c[i] X^i Y^(d-i) for scalars supporting ring ops (Qi/complex/...)."""
-    d = len(coeffs_pad) - 1
-    acc = coeffs_pad[d]
-    Yp = None
+def hom_eval(coeffs, X, Y, partials: bool = False):
+    """Sum c[i] X^i Y^(d-i), d = len(coeffs) - 1, by Horner in X; with
+    ``partials`` the triple (value, d/dX, d/dY).
+
+    Only ``+`` and ``*`` are used (ints enter as factors only), so one loop
+    serves numpy arrays and exact scalars alike.  Float operation order is
+    fixed: Y^k is built by repeated ``* Y`` starting from 1, and each
+    derivative weight multiplies its coefficient before the power of Y.
+    """
+    d = len(coeffs) - 1
+    val, Yp = coeffs[d], 1
+    if partials:
+        vx, vy = d * coeffs[d], 0
     for i in range(d - 1, -1, -1):
-        Yp = Y if Yp is None else Yp * Y
-        acc = acc * X + coeffs_pad[i] * Yp
-    return acc
+        Yn = Yp * Y
+        val = val * X + coeffs[i] * Yn
+        if partials:
+            if i > 0:
+                # degree d-1 form: exactly d-1 Horner multiplies (i = d-1..1)
+                vx = vx * X + i * coeffs[i] * Yn
+            vy = vy * X + (d - i) * coeffs[i] * Yp
+        Yp = Yn
+    return (val, vx, vy) if partials else val
 
 
 # ----------------------------------------------------------------------
@@ -246,9 +266,6 @@ class RationalMap:
         scale = max(np.abs(nf).max(), np.abs(df).max())
         self._nf = nf / scale
         self._df = df / scale
-        # reversed (w = 1/z chart) coefficient arrays, same homogeneous pad
-        self._nf_rev = self._nf[::-1].copy()
-        self._df_rev = self._df[::-1].copy()
         self._wronskian_f = np.polynomial.polynomial.polysub(
             np.polynomial.polynomial.polymul(
                 np.polynomial.polynomial.polyder(self._nf), self._df
@@ -259,20 +276,6 @@ class RationalMap:
         )
 
     # -- exact views ----------------------------------------------------
-    def num_fractions(self):
-        from .polys import qi_poly_to_fractions
-
-        return qi_poly_to_fractions(self.num)
-
-    def den_fractions(self):
-        from .polys import qi_poly_to_fractions
-
-        return qi_poly_to_fractions(self.den)
-
-    @property
-    def is_polynomial(self) -> bool:
-        return pdeg(list(self.den)) == 0
-
     def wronskian_exact(self):
         """num' den - num den' with Qi coefficients (exact maps only)."""
         n, d = list(self.num), list(self.den)
@@ -290,14 +293,12 @@ class RationalMap:
 
     def _evaluate_exact(self, p: ProjPoint) -> ProjPoint:
         d = self.degree
-        numq = list(self.num) + [Qi(0)] * (d + 1 - len(self.num))
-        denq = list(self.den) + [Qi(0)] * (d + 1 - len(self.den))
         if p.is_infinity:
             X, Y = Qi(1), Qi(0)
         else:
             X, Y = Qi.coerce(p.z), Qi(1)
-        F = hom_eval_scalar(numq, X, Y)
-        G = hom_eval_scalar(denq, X, Y)
+        F = hom_eval(ppad(self.num, d + 1, Qi(0)), X, Y)
+        G = hom_eval(ppad(self.den, d + 1, Qi(0)), X, Y)
         if G.is_zero():
             if F.is_zero():
                 raise DegenerateMap("common root met in exact evaluation")
@@ -306,16 +307,7 @@ class RationalMap:
 
     def eval_hom(self, X, Y):
         """Homogeneous step (F(X,Y), G(X,Y)), normalized output."""
-        d = self.degree
-        nf, df = self._nf, self._df
-        accF = np.full_like(X, nf[d])
-        accG = np.full_like(X, df[d])
-        Yp = np.ones_like(Y)
-        for i in range(d - 1, -1, -1):
-            Yp = Yp * Y
-            accF = accF * X + nf[i] * Yp
-            accG = accG * X + df[i] * Yp
-        return normalize_xy(accF, accG)
+        return normalize_xy(hom_eval(self._nf, X, Y), hom_eval(self._df, X, Y))
 
     def iterate_hom(self, X, Y, n: int):
         for _ in range(n):
@@ -327,24 +319,13 @@ class RationalMap:
         """||f'|| in the spherical metric, scale-invariant homogeneous form:
         (|X|^2+|Y|^2) |det J(X,Y)| / (d (|F|^2+|G|^2))."""
         d = self.degree
-        nf, df = self._nf, self._df
-        accF = np.full_like(X, nf[d])
-        accG = np.full_like(X, df[d])
-        Yp = np.ones_like(Y)
-        for i in range(d - 1, -1, -1):
-            Yp = Yp * Y
-            accF = accF * X + nf[i] * Yp
-            accG = accG * X + df[i] * Yp
+        accF = hom_eval(self._nf, X, Y)
+        accG = hom_eval(self._df, X, Y)
         # det J(X, Y) = d * (num' den - num den') homogenized to degree 2d-2
         w = self._wronskian_f
         wpad = np.zeros(2 * d - 1, dtype=complex)
         wpad[: len(w)] = w
-        dd = 2 * d - 2
-        accW = np.full_like(X, wpad[dd])
-        Yp = np.ones_like(Y)
-        for i in range(dd - 1, -1, -1):
-            Yp = Yp * Y
-            accW = accW * X + wpad[i] * Yp
+        accW = hom_eval(wpad, X, Y)
         # det J(X, Y) = d * (homogenized Wronskian); the d cancels against the
         # d in the chart formula, leaving:
         num = (np.abs(X) ** 2 + np.abs(Y) ** 2) * np.abs(accW)
@@ -358,15 +339,11 @@ class RationalMap:
         if not (self.exact and p.is_exact):
             raise TypeError("exact squared norm needs an exact map and point")
         d = self.degree
-        numq = list(self.num) + [Qi(0)] * (d + 1 - len(self.num))
-        denq = list(self.den) + [Qi(0)] * (d + 1 - len(self.den))
         X = Qi(1) if p.is_infinity else Qi.coerce(p.z)
         Y = Qi(0) if p.is_infinity else Qi(1)
-        F = hom_eval_scalar(numq, X, Y)
-        G = hom_eval_scalar(denq, X, Y)
-        w = self.wronskian_exact()
-        wpad = list(w) + [Qi(0)] * (2 * d - 1 - len(w))
-        W = hom_eval_scalar(wpad, X, Y)
+        F = hom_eval(ppad(self.num, d + 1, Qi(0)), X, Y)
+        G = hom_eval(ppad(self.den, d + 1, Qi(0)), X, Y)
+        W = hom_eval(ppad(self.wronskian_exact(), 2 * d - 1, Qi(0)), X, Y)
         n2 = (X.abs2() + Y.abs2()) ** 2 * W.abs2()
         d2 = (F.abs2() + G.abs2()) ** 2
         return n2 / d2
@@ -475,13 +452,13 @@ def conjugate(f: RationalMap, phi: MoebiusMap) -> RationalMap:
     """phi o f o phi^(-1) as a reduced RationalMap of the same degree."""
     d = f.degree
     if f.exact and phi.exact:
-        num = list(f.num) + [Qi(0)] * (d + 1 - len(f.num))
-        den = list(f.den) + [Qi(0)] * (d + 1 - len(f.den))
+        num = ppad(f.num, d + 1, Qi(0))
+        den = ppad(f.den, d + 1, Qi(0))
         a, b, c, dd = phi.a, phi.b, phi.c, phi.d
         zero, one = Qi(0), Qi(1)
     else:
-        num = [complex(c) for c in f.num] + [0j] * (d + 1 - len(f.num))
-        den = [complex(c) for c in f.den] + [0j] * (d + 1 - len(f.den))
+        num = ppad([complex(c) for c in f.num], d + 1, 0j)
+        den = ppad([complex(c) for c in f.den], d + 1, 0j)
         a, b, c, dd = (complex(phi.a), complex(phi.b), complex(phi.c), complex(phi.d))
         zero, one = 0j, 1 + 0j
     # inverse of phi acts on (X, Y) by the adjugate matrix;
@@ -661,10 +638,7 @@ def _try_exact_points(f: RationalMap, pts: list[ProjPoint]):
         if cand is None:
             return None
         # verify exactly: w(cand) == 0
-        acc = Qi(0)
-        for c in reversed(pstrip(w)):
-            acc = acc * cand + Qi.coerce(c)
-        if not acc.is_zero():
+        if peval(w, cand):
             return None
         out.append(ProjPoint.finite(cand))
     return out
@@ -708,8 +682,8 @@ def chart_step_derivative(f: RationalMap, p: ProjPoint, q: ProjPoint):
     exact = f.exact and p.is_exact
     d = f.degree
     if exact:
-        num = list(f.num) + [Qi(0)] * (d + 1 - len(f.num))
-        den = list(f.den) + [Qi(0)] * (d + 1 - len(f.den))
+        num = ppad(f.num, d + 1, Qi(0))
+        den = ppad(f.den, d + 1, Qi(0))
     else:
         num = list(np.asarray(f._nf))
         den = list(np.asarray(f._df))
@@ -719,15 +693,8 @@ def chart_step_derivative(f: RationalMap, p: ProjPoint, q: ProjPoint):
     else:
         P, Q = preverse(num, d + 1), preverse(den, d + 1)
     out_z = _charts_for(q)
-
-    def ev(poly):
-        acc = Qi(0) if exact else 0j
-        for c in reversed(pstrip(poly)):
-            acc = acc * u + c
-        return acc
-
-    Pu, Qu = ev(P), ev(Q)
-    dPu, dQu = ev(pderiv(P)), ev(pderiv(Q))
+    Pu, Qu = peval(P, u), peval(Q, u)
+    dPu, dQu = peval(pderiv(P), u), peval(pderiv(Q), u)
     if out_z:
         return (dPu * Qu - Pu * dQu) / (Qu * Qu)
     return (dQu * Pu - Qu * dPu) / (Pu * Pu)

@@ -1,0 +1,98 @@
+"""Every name the package defines has a caller.
+
+Collects module-level functions, classes and constants plus the non-dunder
+methods of module-level classes in ``src/ratdyn/*.py``, and fails on any
+that is not referenced (read as a name or an attribute) in ``src/ratdyn``
+or ``tests/`` outside its own definition.  Names that ``ratdyn/__init__.py``
+re-exports are public API and exempt, as is the console entry point
+``cli.main``.
+"""
+
+import ast
+import os
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+PKG = os.path.normpath(os.path.join(HERE, "..", "src", "ratdyn"))
+EXEMPT = {("cli", "main")}
+
+
+def _sources():
+    out = {}
+    for folder in (PKG, HERE):
+        for fname in sorted(os.listdir(folder)):
+            if fname.endswith(".py"):
+                path = os.path.join(folder, fname)
+                with open(path, encoding="utf-8") as fh:
+                    out[path] = ast.parse(fh.read(), filename=path)
+    return out
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree):
+    """(qualified name, name, first line, last line) of every collected
+    definition."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name, node.lineno, node.end_lineno
+        elif isinstance(node, ast.ClassDef):
+            yield node.name, node.name, node.lineno, node.end_lineno
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not _is_dunder(item.name):
+                        qual = f"{node.name}.{item.name}"
+                        yield qual, item.name, item.lineno, item.end_lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and not _is_dunder(t.id):
+                    yield t.id, t.id, node.lineno, node.end_lineno
+
+
+def _references(tree):
+    """(name, line) of every name or attribute read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            yield node.attr, node.lineno
+
+
+def _exported():
+    with open(os.path.join(PKG, "__init__.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def uncalled_names():
+    trees = _sources()
+    refs: dict[str, list[tuple[str, int]]] = {}
+    for path, tree in trees.items():
+        for name, line in _references(tree):
+            refs.setdefault(name, []).append((path, line))
+    exported = _exported()
+    out = []
+    for path, tree in trees.items():
+        if os.path.dirname(path) != PKG or path.endswith("__init__.py"):
+            continue
+        module = os.path.basename(path)[:-3]
+        for qual, name, lo, hi in _definitions(tree):
+            if qual in exported or (module, qual) in EXEMPT:
+                continue
+            used = any(
+                not (p == path and lo <= line <= hi) for p, line in refs.get(name, [])
+            )
+            if not used:
+                out.append(f"{module}.{qual}")
+    return sorted(out)
+
+
+def test_every_defined_name_has_a_caller():
+    assert uncalled_names() == []

@@ -20,6 +20,8 @@ from ratdyn import (
     spherical_norm,
 )
 from ratdyn.homoclinic import iterate_map
+from ratdyn.spectra import ResidueField
+from ratdyn.sphere import hom_eval, normalize_xy
 
 Z2 = build_map([0, 0, 1], [1])
 BASILICA = build_map([-1, 0, 1], [1])
@@ -171,3 +173,126 @@ def test_chordal_metric_basics():
     # symmetric, and huge finite points sit close to Infinity
     assert chordal(1e9, INF) < 1e-8
     assert abs(chordal(0.3 + 0.1j, 2.0) - chordal(2.0, 0.3 + 0.1j)) < 1e-16
+
+
+# ----------------------------------------------------------------------
+# the homogeneous Horner kernel against the loops it replaced
+# ----------------------------------------------------------------------
+
+
+def _fused_eval_hom_loop(nf, df, X, Y):
+    # F and G sharing one power of Y, as RationalMap.eval_hom once did
+    d = len(nf) - 1
+    accF = np.full_like(X, nf[d])
+    accG = np.full_like(X, df[d])
+    Yp = np.ones_like(Y)
+    for i in range(d - 1, -1, -1):
+        Yp = Yp * Y
+        accF = accF * X + nf[i] * Yp
+        accG = accG * X + df[i] * Yp
+    return accF, accG
+
+
+def _hom_and_partials_loop(coeffs, X, Y):
+    # value, d/dX, d/dY, as the implicit period ratio once did
+    d = len(coeffs) - 1
+    val = np.full_like(X, coeffs[d])
+    vx = np.full_like(X, d * coeffs[d])
+    vy = np.zeros_like(X)
+    Yp = np.ones_like(Y)
+    for i in range(d - 1, -1, -1):
+        Yp_next = Yp * Y
+        val = val * X + coeffs[i] * Yp_next
+        if i > 0:
+            vx = vx * X + i * coeffs[i] * Yp_next
+        vy = vy * X + (d - i) * coeffs[i] * Yp
+        Yp = Yp_next
+    return val, vx, vy
+
+
+def _scalar_hom_loop(coeffs, X, Y, one_coeff=lambda c: c):
+    # the exact-scalar loop (Qi and residue fields): Y^1 = Y, no 1 * Y
+    d = len(coeffs) - 1
+    acc = one_coeff(coeffs[d])
+    Yp = None
+    for i in range(d - 1, -1, -1):
+        Yp = Y if Yp is None else Yp * Y
+        acc = acc * X + Yp * coeffs[i]
+    return acc
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_hom_eval_is_bitwise_the_replaced_float_loops(d):
+    rng = np.random.default_rng(100 + d)
+    m = 1000
+    X = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    Y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    X[:20], Y[:20] = 1.0, 0.0  # Infinity
+    X[20:40] = 0.0  # the origin, up to scale
+    signed = [0.0, -0.0, 0.5, -0.5]
+    pairs = [complex(a, b) for a in signed for b in signed]
+    X[40 : 40 + len(pairs)] = pairs
+    Y[60 : 60 + len(pairs)] = pairs
+    X, Y = normalize_xy(X, Y)
+    # overflowed orbits reach the period ratio as inf/nan (errors ignored)
+    X[80:84] = [np.inf, complex(np.inf, 1.0), np.nan, 0.5]
+    Y[80:84] = [1.0, 0.5, 1.0, complex(np.inf, 0.0)]
+    nf = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+    df = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+    nf[1], df[0] = 0.0, complex(-0.0, -0.0)  # exact and signed zero coefficients
+    # a real map on real points: every imaginary part is a signed zero
+    rf = rng.standard_normal(d + 1) + 0j
+    Xr, Yr = X.real + 0j, Y.real + 0j
+    Xr.imag = np.where(rng.random(m) < 0.5, -0.0, 0.0)
+    Yr.imag = np.where(rng.random(m) < 0.5, -0.0, 0.0)
+    with np.errstate(all="ignore"):
+        _compare_float_loops(((nf, df), (X, Y)), ((rf, nf), (Xr, Yr)))
+
+
+def _compare_float_loops(*cases):
+    for (a, b), (U, V) in cases:
+        F, G = _fused_eval_hom_loop(a, b, U, V)
+        assert np.array_equal(_bits(hom_eval(a, U, V)), _bits(F))
+        assert np.array_equal(_bits(hom_eval(b, U, V)), _bits(G))
+        for coeffs in (a, b):
+            got = hom_eval(coeffs, U, V, partials=True)
+            want = _hom_and_partials_loop(coeffs, U, V)
+            for g, w in zip(got, want):
+                assert np.array_equal(_bits(g), _bits(w))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_hom_eval_matches_the_replaced_exact_loops(d):
+    rng = np.random.default_rng(200 + d)
+
+    def rand_qi():
+        return Qi(
+            Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6))),
+            Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6))),
+        )
+
+    points = [(rand_qi(), rand_qi()) for _ in range(20)]
+    points += [(Qi(1), Qi(0)), (Qi(0), Qi(1))]
+    for _ in range(5):
+        coeffs = [rand_qi() for _ in range(d + 1)]
+        coeffs[1] = Qi(0)
+        for X, Y in points:
+            val, vx, vy = hom_eval(coeffs, X, Y, partials=True)
+            assert val == _scalar_hom_loop(coeffs, X, Y)
+            assert hom_eval(coeffs, X, Y) == val
+            # Euler's identity for a form of degree d
+            assert X * vx + Y * vy == d * val
+    # Q[z]/(z^3 - z - 1): X = z, Y = 1 - z, Fraction coefficients
+    fld = ResidueField([-1, -1, 0, 1])
+    X, Y = fld.gen(), fld.elt([1, -1])
+    for _ in range(5):
+        coeffs = [
+            Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6)))
+            for _ in range(d + 1)
+        ]
+        want = _scalar_hom_loop(coeffs, X, Y, one_coeff=lambda c: fld.elt([c]))
+        assert hom_eval(coeffs, X, Y) == want
