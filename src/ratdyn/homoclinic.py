@@ -41,7 +41,7 @@ from .sphere import (
     postcritical_truncation,
     spherical_norm,
 )
-from .spectra import _mp_refine_periodic
+from .spectra import _mp_coeffs, _mp_refine_periodic
 
 
 def iterate_map(f: RationalMap, q: int) -> RationalMap:
@@ -276,14 +276,7 @@ def _apply_h(F, chain, y) -> complex:
 def _mp_orbit_exponent(F: RationalMap, w, n: int, dps: int = 40):
     """(multiplier, chi, residual) of the period-n orbit through w, in mp."""
     with mp.workdps(dps):
-        A = [mp.mpc(complex(c)) for c in F.num]
-        B = [mp.mpc(complex(c)) for c in F.den]
-        if F.exact:
-            from .spectra import _mp_qi
-
-            A = [_mp_qi(Qi.coerce(c)) for c in F.num]
-            B = [_mp_qi(Qi.coerce(c)) for c in F.den]
-
+        A, B = _mp_coeffs(F)
         dA = [k * A[k] for k in range(1, len(A))]
         dB = [k * B[k] for k in range(1, len(B))]
         z = mp.mpc(w)

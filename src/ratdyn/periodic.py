@@ -12,17 +12,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import config
 from .errors import (
     DegreeCapExceeded,
+    InexactDivision,
     NotACycle,
     OrbitMismatch,
     RootFindingFailed,
 )
-from .polys import padd, pmul, ppad, pscale, pstrip, psub
+from .polys import (
+    Poly,
+    idivexact,
+    iprimitive,
+    pexactdiv,
+    pmul,
+    ppad,
+    pstrip,
+    psub,
+)
 from .roots import aberth_ratio, batched_roots, solve_poly
 from .scalars import Qi
 from .sphere import (
@@ -77,31 +88,24 @@ class PeriodicSolveReport:
 
 def compose_hom(f: RationalMap, n: int):
     """(N, D) with f^n = N/D, via homogeneous substitution (coprime stays
-    coprime, so no gcd cleanup is needed).  Exact scalars for exact maps."""
+    coprime, so no gcd cleanup is needed).
+
+    Rational maps compose over their primitive integer pair, so N and D are
+    int lists scaled by f.int_scale^((d^n - 1)/(d - 1)) against the
+    composition of f.num/f.den; Q(i) maps compose over Qi and float maps
+    over complex."""
     d = f.degree
-    if f.exact:
-        A = ppad(f.num, d + 1, Qi(0))
-        B = ppad(f.den, d + 1, Qi(0))
-        N, D = pstrip(list(f.num)), pstrip(list(f.den))
-        zero = Qi(0)
+    if f.int_pair is not None:
+        A, B = f.int_pair
+    elif f.exact:
+        A, B = ppad(f.num, d + 1, Qi(0)), ppad(f.den, d + 1, Qi(0))
     else:
         A = ppad([complex(c) for c in f.num], d + 1, 0j)
         B = ppad([complex(c) for c in f.den], d + 1, 0j)
-        N, D = pstrip([complex(c) for c in f.num]), pstrip([complex(c) for c in f.den])
-        zero = 0j
-    one = Qi(1) if f.exact else 1.0 + 0j
+    N, D = Poly(A), Poly(B)
     for _ in range(n - 1):
-        # powers of D: D^0 .. D^d, then Horner in N
-        Dp = [[one]]
-        for _k in range(d):
-            Dp.append(pmul(Dp[-1], D))
-        accN = [A[d]]
-        accD = [B[d]]
-        for i in range(d - 1, -1, -1):
-            accN = padd(pmul(accN, N), pscale(Dp[d - i], A[i]))
-            accD = padd(pmul(accD, N), pscale(Dp[d - i], B[i]))
-        N, D = pstrip(accN), pstrip(accD)
-    return N, D
+        N, D = hom_eval(A, N, D), hom_eval(B, N, D)
+    return N.c, D.c
 
 
 def fixed_point_polynomial(f: RationalMap, n: int, cap: int | None = None):
@@ -113,9 +117,7 @@ def fixed_point_polynomial(f: RationalMap, n: int, cap: int | None = None):
     if f.degree**n + 1 > cap:
         raise DegreeCapExceeded(f"d^n + 1 = {f.degree ** n + 1} exceeds cap {cap}")
     N, D = compose_hom(f, n)
-    zero = Qi(0) if f.exact else 0j
-    zD = [zero] + list(D)
-    return pstrip(psub(zD, N))
+    return pstrip(psub([0] + D, N))
 
 
 def _moebius_mu(n: int) -> int:
@@ -141,30 +143,29 @@ def dynatomic_numerator(f: RationalMap, n: int, cap: int | None = None):
     """Polynomial whose roots are the finite points of exact period n.
 
     Exact maps: Moebius inclusion-exclusion over divisors with exact
-    division (InexactDivision signals a parabolic degeneracy).  Float maps:
-    the same quotient by numeric deflation, trustworthy only at small n.
+    division (InexactDivision signals a parabolic degeneracy); rational
+    maps divide in Z[z] and get the primitive integer polynomial with a
+    positive lead.  Float maps: the same quotient by numeric deflation,
+    trustworthy only at small n.
     """
-    from .polys import pexactdiv
-
     cap = cap if cap is not None else (
         config.EXACT_DEGREE_CAP if f.exact else config.NUMERIC_DEGREE_CAP
     )
     if f.degree**n + 1 > cap:
         raise DegreeCapExceeded(f"d^n + 1 = {f.degree ** n + 1} exceeds cap {cap}")
-    num_parts = []
-    den_parts = []
+    num = den = [1]
     for k in _divisors(n):
         mu = _moebius_mu(n // k)
         if mu == 0:
             continue
         phi_k = fixed_point_polynomial(f, k, cap=max(cap, f.degree**n + 2))
-        (num_parts if mu == 1 else den_parts).append(phi_k)
-    num = [Qi(1)] if f.exact else [1.0 + 0j]
-    for p in num_parts:
-        num = pmul(num, p)
-    den = [Qi(1)] if f.exact else [1.0 + 0j]
-    for p in den_parts:
-        den = pmul(den, p)
+        if mu == 1:
+            num = pmul(num, phi_k)
+        else:
+            den = pmul(den, phi_k)
+    if f.int_pair is not None:
+        # Gauss's lemma: the quotient by a primitive divisor stays in Z[z]
+        return iprimitive(idivexact(num, iprimitive(den)[0]))[0]
     if f.exact:
         return pexactdiv(num, den)
     q, r = np.polynomial.polynomial.polydiv(
@@ -172,8 +173,6 @@ def dynatomic_numerator(f: RationalMap, n: int, cap: int | None = None):
     )
     scale = max(1.0, float(np.abs(np.array(num)).max()))
     if len(r) and float(np.abs(r).max()) > 1e-8 * scale:
-        from .errors import InexactDivision
-
         raise InexactDivision("numeric dynatomic deflation left a large remainder")
     return list(q)
 
@@ -348,6 +347,11 @@ def periodic_points(
     if d**n + 1 <= 48:
         # explicit coefficients are well-conditioned at this size
         poly = fixed_point_polynomial(f, n, cap=cap)
+        if f.int_pair is not None:
+            # undo the integer pair's scale exactly, so the doubles are the
+            # correctly rounded coefficients of f.num/f.den composed
+            scale = f.int_scale ** ((d**n - 1) // (d - 1))
+            poly = [Fraction(c) / scale for c in poly]
         coeffs = np.array([complex(c) for c in poly], dtype=complex)
         roots = np.asarray(solve_poly(coeffs, seed=seed), dtype=complex)
         unconverged = 0

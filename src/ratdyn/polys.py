@@ -2,15 +2,21 @@
 
 Three coefficient domains, all as ascending lists [a0, a1, ...]:
 
-* generic field scalars (Qi or Fraction) for map construction and quotient
-  ring arithmetic,
-* plain ints for the heavy exact work (subresultant PRS, resultants,
-  factorization via sympy),
+* plain ints for all exact work on maps with rational coefficients: a
+  rational map is scaled once to a primitive integer pair
+  (``RationalMap.int_pair``), and composition, dynatomic division,
+  subresultant PRS, resultants and factorization (via sympy) stay in Z[z];
+* Qi for maps with genuine Gaussian-rational coefficients, and Fraction
+  where a field division is unavoidable (residue-field inverses, minimal
+  polynomials, monic normalization of factors);
 * complex floats (handled mostly in :mod:`ratdyn.roots` with numpy).
 
 :func:`peval` is the one Horner loop for dehomogenized polynomials: the
 coefficients and the point may be int, Fraction, Qi, complex (Python or
 numpy) or mpmath scalars, anything whose ``+`` and ``*`` mix with ints.
+:class:`Poly` wraps a coefficient list as a ring element, so that the
+homogeneous Horner loop ``sphere.hom_eval`` can compose and substitute
+polynomials.
 """
 
 from __future__ import annotations
@@ -74,6 +80,28 @@ def peval(p, x):
     for c in reversed(pstrip(p)):
         acc = acc * x + c
     return acc
+
+
+class Poly:
+    """A polynomial as a ring element: ``+`` is :func:`padd`, ``*`` is
+    :func:`pmul`, and a scalar factor ``c`` (on either side) is
+    ``pscale(p, c)``, i.e. ``c * a_i`` coefficient by coefficient.  The
+    coefficients keep their type (int, Qi, complex)."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        self.c = pstrip(c)
+
+    def __add__(self, o):
+        return Poly(padd(self.c, o.c))
+
+    def __mul__(self, o):
+        if isinstance(o, Poly):
+            return Poly(pmul(self.c, o.c))
+        return Poly(pscale(self.c, o))
+
+    __rmul__ = __mul__
 
 
 def pderiv(p):

@@ -53,7 +53,11 @@ class Qi:
         return self.im == 0 and self.re.denominator == 1
 
     # -- arithmetic ----------------------------------------------------
+    # ``+`` and ``*`` leave operands that are not scalars (polynomial ring
+    # elements) to the other operand's reflected method
     def __add__(self, o):
+        if not isinstance(o, _SCALARS):
+            return NotImplemented
         o = Qi.coerce(o)
         return Qi(self.re + o.re, self.im + o.im)
 
@@ -70,6 +74,8 @@ class Qi:
         return Qi(-self.re, -self.im)
 
     def __mul__(self, o):
+        if not isinstance(o, _SCALARS):
+            return NotImplemented
         o = Qi.coerce(o)
         return Qi(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
@@ -134,6 +140,9 @@ class Qi:
             return f"{self.im}i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
+
+
+_SCALARS = (Qi, int, Fraction, float, complex)
 
 
 def qi_from_string(text: str) -> Qi:

@@ -3,17 +3,23 @@
 The multiplier polynomial P_n of a map with rational coefficients is the
 monic rational polynomial whose roots are the multipliers of all exact
 period-n points (each cycle's multiplier appearing n times; the cycle of
-Infinity contributes through an exactly computed extra root).  It is
-assembled factor-by-factor:
+Infinity contributes through an exactly computed extra root).  All exact
+work runs on the map's primitive integer pair (``RationalMap.int_pair``):
+the dynatomic polynomial is a primitive polynomial in Z[z], and P_n is
+assembled from it factor-by-factor:
 
 * an integer fast path splits the dynatomic polynomial along clusters of
   numerically-integer multipliers: cluster roots are refined in high
-  precision, multiplied into a candidate integer factor, and certified by
-  exact division plus a residue identity in Z[z]/(g); everything exact;
+  precision, multiplied into a candidate integer factor g, and certified
+  by exact division plus the residue identity prod W = c Y_n^2 in
+  Z[z]/(g), where every coefficient stays an int;
 * whatever remains is factored over Z (sympy) and each irreducible factor
-  q contributes the minimal polynomial of the multiplier computed in the
-  residue field Q[z]/(q) via the homogeneous orbit, so cycles through
-  poles or Infinity need no special conjugation.
+  q contributes the minimal polynomial of the multiplier
+  prod W * (Y_n^2)^(-1) in the residue field Q[z]/(q).
+
+Both use the one homogeneous orbit loop,
+:meth:`ResidueField.multiplier_orbit`, so cycles through poles or Infinity
+need no special conjugation.
 """
 
 from __future__ import annotations
@@ -54,38 +60,63 @@ from .polys import (
     pstrip,
     psub,
     poly_to_str,
-    qi_poly_to_fractions,
 )
 from .scalars import Qi
 from .sphere import INF, ProjPoint, RationalMap, chordal, hom_eval
 
 # ----------------------------------------------------------------------
-# residue field Q[z]/(q)
+# residue rings Q[z]/(q) and Z[z]/(g)
 # ----------------------------------------------------------------------
 
 
 class ResidueField:
-    """Q[z]/(q) for q irreducible over Q (monic Fraction modulus)."""
+    """Q[z]/(q) for q irreducible over Q, or Z[z]/(g) for a monic integer g.
+
+    The modulus is made monic; when it is then integral, its coefficients
+    and those of every element built from ints stay int.  Reduction is the
+    monic one, so nothing divides except inverse() and minimal_polynomial.
+    """
 
     def __init__(self, modulus):
-        mod = [Fraction(c) for c in pstrip(modulus)]
-        lead = mod[-1]
-        self.mod = tuple(c / lead for c in mod)
+        mod = pstrip(list(modulus))
+        lead = Fraction(mod[-1])
+        monic = [Fraction(c) / lead for c in mod]
+        if all(c.denominator == 1 for c in monic):
+            monic = [c.numerator for c in monic]
+        self.mod = tuple(monic)
         self.degree = len(self.mod) - 1
 
     def elt(self, coeffs) -> "FieldElt":
-        c = [Fraction(x) for x in coeffs]
-        _, r = pdivmod(c, list(self.mod))
-        return FieldElt(self, tuple(ppad(r, self.degree, Fraction(0))))
-
-    def zero(self):
-        return FieldElt(self, tuple([Fraction(0)] * self.degree))
+        """The residue of a polynomial: exactly `degree` coefficients."""
+        out, g, m = list(coeffs), self.mod, self.degree
+        for k in range(len(out) - 1 - m, -1, -1):
+            c = out[k + m]
+            if c:
+                for i in range(m):
+                    out[k + i] -= c * g[i]
+        return FieldElt(self, tuple(ppad(out[:m], m)))
 
     def one(self):
         return self.elt([1])
 
     def gen(self):
         return self.elt([0, 1])
+
+    def multiplier_orbit(self, pair, n: int):
+        """(prod_j W(X_j, Y_j), Y_n^2) along the homogeneous orbit (X_j, Y_j)
+        of (z, 1) under the integer pair (A, B), W = A'B - AB'.
+
+        det J(X, Y) = d W(X, Y) and the Y-chart scalings telescope, so every
+        root of the modulus has multiplier lambda with prod W = lambda Y_n^2,
+        orbits through Infinity and derivative poles included."""
+        A, B = pair
+        d = len(A) - 1
+        W = ppad(psub(pmul(pderiv(A), B), pmul(A, pderiv(B))), 2 * d - 1)
+        X, Y, acc = self.gen(), self.one(), self.one()
+        for _ in range(n):
+            acc = acc * hom_eval(W, X, Y)
+            X, Y = hom_eval(A, X, Y), hom_eval(B, X, Y)
+        return acc, Y * Y
 
 
 class FieldElt:
@@ -100,7 +131,7 @@ class FieldElt:
 
     def __add__(self, o):
         if not isinstance(o, FieldElt):
-            o = self.field.elt([Fraction(o)])
+            o = self.field.elt([o])
         return FieldElt(
             self.field, tuple(a + b for a, b in zip(self.c, o.c))
         )
@@ -112,22 +143,20 @@ class FieldElt:
 
     def __sub__(self, o):
         if not isinstance(o, FieldElt):
-            o = self.field.elt([Fraction(o)])
+            o = self.field.elt([o])
         return self + (-o)
 
     def __mul__(self, o):
         if not isinstance(o, FieldElt):
-            q = Fraction(o)
-            return FieldElt(self.field, tuple(a * q for a in self.c))
-        prod = pmul(list(self.c), list(o.c))
-        _, r = pdivmod(prod, list(self.field.mod))
-        return FieldElt(self.field, tuple(ppad(r, self.field.degree, Fraction(0))))
+            return FieldElt(self.field, tuple(a * o for a in self.c))
+        return self.field.elt(pmul(list(self.c), list(o.c)))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElt":
-        # extended Euclid against the modulus
-        a, b = list(self.field.mod), pstrip(list(self.c))
+        # extended Euclid against the modulus, over Fraction
+        a = [Fraction(c) for c in self.field.mod]
+        b = pstrip([Fraction(c) for c in self.c])
         if not b:
             raise ZeroDivisionError("inverse of zero residue")
         s0, s1 = [], [Fraction(1)]
@@ -173,7 +202,7 @@ def minimal_polynomial(elem: FieldElt) -> list[Fraction]:
         piv = next((i for i, v in enumerate(vec) if v), None)
         if piv is None:
             return _monic_fr(comb)
-        t = vec[piv]
+        t = Fraction(vec[piv])
         rows.append(([v / t for v in vec], [c / t for c in comb]))
         pivots.append(piv)
         power = power * elem
@@ -191,42 +220,14 @@ def _monic_fr(p) -> list[Fraction]:
 # ----------------------------------------------------------------------
 
 
-def _rational_pair(f: RationalMap):
-    """(A, B) integer coefficient lists with f = A/B (common scaling)."""
-    A = qi_poly_to_fractions(f.num)
-    B = qi_poly_to_fractions(f.den)
-    den = 1
-    for c in list(A) + list(B):
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    Ai = [int(c * den) for c in A]
-    Bi = [int(c * den) for c in B]
-    return Ai, Bi
-
-
 def multiplier_element(f: RationalMap, n: int, fld: ResidueField) -> FieldElt:
-    """Multiplier of the period-n points annihilated by fld's modulus.
-
-    Runs the homogeneous orbit (X, Y) from (z, 1) in the residue field and
-    uses lambda = prod det J(X_j, Y_j) / (d^n Y_n^2), with
-    det J(z, 1) = d (A'B - A B'); the Y-chart scalings telescope, so
-    orbits through Infinity and derivative poles need no special handling.
-    """
-    A = qi_poly_to_fractions(f.num)
-    B = qi_poly_to_fractions(f.den)
-    d = f.degree
-    Apad = ppad(A, d + 1, Fraction(0))
-    Bpad = ppad(B, d + 1, Fraction(0))
-    W = psub(pmul(pderiv(A), B), pmul(A, pderiv(B)))
-    Wpad = ppad(W, 2 * d - 1, Fraction(0))
-    X, Y = fld.gen(), fld.one()
-    acc = fld.one()
-    for _ in range(n):
-        acc = acc * hom_eval(Wpad, X, Y)
-        X, Y = hom_eval(Apad, X, Y), hom_eval(Bpad, X, Y)
-    c = Y
-    if c.is_zero():
+    """Multiplier of the period-n points annihilated by fld's modulus:
+    lambda = prod W(X_j, Y_j) / Y_n^2 over the orbit of
+    ResidueField.multiplier_orbit, run on the map's integer pair."""
+    acc, y2 = fld.multiplier_orbit(f.int_pair, n)
+    if y2.is_zero():
         raise RatdynError("homogeneous orbit did not close projectively")
-    return acc * (c * c).inverse()
+    return acc * y2.inverse()
 
 
 # ----------------------------------------------------------------------
@@ -234,67 +235,11 @@ def multiplier_element(f: RationalMap, n: int, fld: ResidueField) -> FieldElt:
 # ----------------------------------------------------------------------
 
 
-def _imulmod(a: list[int], b: list[int], g: list[int]) -> list[int]:
-    """a*b mod g for monic integer g, ascending int lists."""
-    out = pmul(a, b)
-    dg = len(g) - 1
-    while len(out) - 1 >= dg:
-        c = out[-1]
-        if c:
-            k = len(out) - 1 - dg
-            for i in range(dg):
-                out[k + i] -= c * g[i]
-        out.pop()
-        while out and not out[-1]:
-            out.pop()
-    return out
-
-
-def _hom_eval_intmod(coeffs: list[int], X, Y, g) -> list[int]:
-    m = len(coeffs) - 1
-    acc = [coeffs[m]] if coeffs[m] else []
-    Yp = None
-    for i in range(m - 1, -1, -1):
-        Yp = list(Y) if Yp is None else _imulmod(Yp, Y, g)
-        acc = _imulmod(acc, X, g)
-        if coeffs[i]:
-            term = [coeffs[i] * t for t in Yp]
-            acc = _iadd(acc, term)
-    return acc
-
-
-def _iadd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
 def _certify_integer_multiplier(f: RationalMap, n: int, g: list[int], c: int) -> bool:
     """Exact check that every root of g has multiplier exactly c:
     prod W(X_j, Y_j) == c * Y_n^2 in Z[z]/(g) (g monic)."""
-    Ai, Bi = _rational_pair(f)
-    d = f.degree
-    Apad = ppad(Ai, d + 1)
-    Bpad = ppad(Bi, d + 1)
-    W = psub(pmul(pderiv(Ai), Bi), pmul(Ai, pderiv(Bi)))
-    Wpad = ppad(W, 2 * d - 1)
-    X, Y = [0, 1], [1]
-    acc = [1]
-    for _ in range(n):
-        acc = _imulmod(acc, _hom_eval_intmod(Wpad, X, Y, g), g)
-        X, Y = (
-            _hom_eval_intmod(Apad, X, Y, g),
-            _hom_eval_intmod(Bpad, X, Y, g),
-        )
-    rhs = _imulmod(Y, Y, g)
-    rhs = [c * t for t in rhs]
-    diff = _iadd(acc, [-t for t in rhs])
-    return not diff
+    acc, y2 = ResidueField(g).multiplier_orbit(f.int_pair, n)
+    return acc == y2 * c
 
 
 def _mp_qi(c: Qi) -> mp.mpc:
@@ -303,47 +248,55 @@ def _mp_qi(c: Qi) -> mp.mpc:
     return mp.mpc(re, im)
 
 
+def _mp_coeffs(f: RationalMap):
+    """f's homogeneous coefficient lists (A, B), length d+1, as mpc at the
+    working precision: the integer pair when the map is rational."""
+    if f.int_pair is not None:
+        return tuple([mp.mpc(c) for c in p] for p in f.int_pair)
+
+    def conv(x):
+        return _mp_qi(Qi.coerce(x)) if f.exact else mp.mpc(complex(x))
+
+    return tuple([conv(x) for x in ppad(p, f.degree + 1, 0)] for p in (f.num, f.den))
+
+
 def _mp_refine_periodic(f: RationalMap, z0: complex, n: int, dps: int):
     """Newton-refine a period-n point in mpmath, chart-switching at |z|=1."""
-    A = [_mp_qi(Qi.coerce(x)) for x in f.num]
-    B = [_mp_qi(Qi.coerce(x)) for x in f.den]
-    d = f.degree
-    Ap = ppad(A, d + 1, mp.mpc(0))
-    Bp = ppad(B, d + 1, mp.mpc(0))
-    Ar = list(reversed(Ap))
-    Br = list(reversed(Bp))
-
-    def dpoly(p):
-        return [k * p[k] for k in range(1, len(p))]
-
-    dAp, dBp, dAr, dBr = dpoly(Ap), dpoly(Bp), dpoly(Ar), dpoly(Br)
-
-    def ratio(z):
-        in_z = abs(z) <= 1
-        u = z if in_z else 1 / z
-        D = mp.mpc(1) if in_z else -(u * u)
-        for _ in range(n):
-            if in_z:
-                P, Q = peval(Ap, u), peval(Bp, u)
-                dP, dQ = peval(dAp, u), peval(dBp, u)
-            else:
-                P, Q = peval(Ar, u), peval(Br, u)
-                dP, dQ = peval(dAr, u), peval(dBr, u)
-            out_z = abs(P) <= abs(Q)
-            if out_z:
-                v = P / Q
-                s = (dP * Q - P * dQ) / (Q * Q)
-            else:
-                v = Q / P
-                s = (dQ * P - Q * dP) / (P * P)
-            D = D * s
-            u = v
-            in_z = out_z
-        val = u if in_z else 1 / u
-        dval = D if in_z else -D / (u * u)
-        return (val - z) / (dval - 1)
-
     with mp.workdps(dps):
+        Ap, Bp = _mp_coeffs(f)
+        Ar = list(reversed(Ap))
+        Br = list(reversed(Bp))
+
+        def dpoly(p):
+            return [k * p[k] for k in range(1, len(p))]
+
+        dAp, dBp, dAr, dBr = dpoly(Ap), dpoly(Bp), dpoly(Ar), dpoly(Br)
+
+        def ratio(z):
+            in_z = abs(z) <= 1
+            u = z if in_z else 1 / z
+            D = mp.mpc(1) if in_z else -(u * u)
+            for _ in range(n):
+                if in_z:
+                    P, Q = peval(Ap, u), peval(Bp, u)
+                    dP, dQ = peval(dAp, u), peval(dBp, u)
+                else:
+                    P, Q = peval(Ar, u), peval(Br, u)
+                    dP, dQ = peval(dAr, u), peval(dBr, u)
+                out_z = abs(P) <= abs(Q)
+                if out_z:
+                    v = P / Q
+                    s = (dP * Q - P * dQ) / (Q * Q)
+                else:
+                    v = Q / P
+                    s = (dQ * P - Q * dP) / (P * P)
+                D = D * s
+                u = v
+                in_z = out_z
+            val = u if in_z else 1 / u
+            dval = D if in_z else -D / (u * u)
+            return (val - z) / (dval - 1)
+
         z = mp.mpc(z0)
         for _ in range(dps.bit_length() + 8):
             step = ratio(z)
@@ -419,11 +372,8 @@ class PeriodFactors:
 def _ensure_exact_rational(f: RationalMap):
     if not f.exact:
         raise SpectrumNotRational("exact spectra need exact map coefficients")
-    try:
-        qi_poly_to_fractions(f.num)
-        qi_poly_to_fractions(f.den)
-    except ValueError as e:
-        raise SpectrumNotRational(str(e)) from None
+    if f.int_pair is None:
+        raise SpectrumNotRational("polynomial has nonreal Gaussian coefficients")
 
 
 def multiplier_factors(
@@ -441,9 +391,7 @@ def multiplier_factors(
         raise DegreeCapExceeded(
             f"d^n + 1 = {d ** n + 1} exceeds exact cap {cap}"
         )
-    dyn = dynatomic_numerator(f, n, cap=max(cap, d**n + 2))
-    dyn_fr = qi_poly_to_fractions(dyn)
-    dyn_int, _scale = fractions_to_int_primitive(dyn_fr)
+    dyn_int = dynatomic_numerator(f, n, cap=max(cap, d**n + 2))
     factors: dict[tuple[Fraction, ...], int] = {}
 
     def add_factor(fac, mult):
@@ -470,7 +418,7 @@ def multiplier_factors(
         if pdeg(remaining) >= 1:
             _, irr = factor_int_poly(remaining)
             for q_int, mult in irr:
-                fld = ResidueField([Fraction(c) for c in q_int])
+                fld = ResidueField(q_int)
                 lam_elt = multiplier_element(f, n, fld)
                 mu = minimal_polynomial(lam_elt)
                 copies = fld.degree // pdeg(mu)
@@ -860,9 +808,7 @@ def galois_orbit_sets(
     d = f.degree
     if d**n + 1 > cap:
         raise DegreeCapExceeded(f"d^n + 1 = {d ** n + 1} exceeds exact cap {cap}")
-    dyn = dynatomic_numerator(f, n, cap=max(cap, d**n + 2))
-    dyn_fr = qi_poly_to_fractions(dyn)
-    dyn_int, _ = fractions_to_int_primitive(dyn_fr)
+    dyn_int = dynatomic_numerator(f, n, cap=max(cap, d**n + 2))
     groups: list[dict] = []
     if pdeg(dyn_int) >= 1:
         _, irr = factor_int_poly(dyn_int)

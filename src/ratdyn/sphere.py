@@ -6,8 +6,9 @@ an ordinary point.  Maps carry exact Gaussian-rational coefficients when
 possible and always keep complex-float shadows for the numeric paths.
 
 :func:`hom_eval` is the one Horner loop for homogeneous forms: X and Y may
-be numpy complex arrays, Qi or residue-field elements (``spectra.FieldElt``),
-with coefficients that multiply them (numpy complex, Qi, Fraction).
+be numpy complex arrays, Qi, residue-field elements (``spectra.FieldElt``)
+or polynomial ring elements (``polys.Poly``), with coefficients that
+multiply them (int, Fraction, Qi, Python or numpy complex).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 from . import config
 from .errors import DegenerateMap, DegreeTooLow, RootFindingFailed
 from .polys import (
-    padd,
+    Poly,
+    fractions_to_int_primitive,
     pdeg,
     pderiv,
     pexactdiv,
@@ -29,10 +31,10 @@ from .polys import (
     peval,
     pmul,
     ppad,
-    pscale,
     pstrip,
     psub,
     preverse,
+    qi_poly_to_fractions,
 )
 from .scalars import Qi
 
@@ -161,7 +163,11 @@ def hom_eval(coeffs, X, Y, partials: bool = False):
     ``partials`` the triple (value, d/dX, d/dY).
 
     Only ``+`` and ``*`` are used (ints enter as factors only), so one loop
-    serves numpy arrays and exact scalars alike.  Float operation order is
+    serves numpy arrays, exact scalars and ring elements alike: int
+    coefficients over ``FieldElt`` or int ``Poly`` arguments keep every
+    result in Z, and ``Poly`` arguments compose or substitute polynomials
+    (``f^n`` in ``periodic.compose_hom``, Moebius conjugation in
+    :func:`conjugate`).  Float operation order is
     fixed: Y^k is built by repeated ``* Y`` starting from 1, and each
     derivative weight multiplies its coefficient before the power of Y.
     """
@@ -248,7 +254,11 @@ class RationalMap:
 
     ``num``/``den`` are ascending coefficient tuples, exact (Qi) or complex.
     Numeric shadows (numpy arrays padded to homogeneous length d+1) are
-    always available for the float kernels.
+    always available for the float kernels.  A map with rational
+    coefficients also carries ``int_pair``: the primitive integer pair
+    (A, B), padded to length d+1, with A = int_scale * num and
+    B = int_scale * den for a rational ``int_scale``; both are None for
+    Q(i) and float maps.
     """
 
     def __init__(self, num, den, exact: bool, _reduced: bool = True):
@@ -257,6 +267,14 @@ class RationalMap:
         self.exact = exact
         self.degree = max(pdeg(list(num)), pdeg(list(den)))
         d = self.degree
+        self.int_pair = self.int_scale = None
+        if exact and all(Qi.coerce(c).is_real() for c in self.num + self.den):
+            flat, scale = fractions_to_int_primitive(
+                ppad(qi_poly_to_fractions(self.num), d + 1)
+                + qi_poly_to_fractions(self.den)
+            )
+            self.int_pair = (flat[: d + 1], ppad(flat[d + 1 :], d + 1))
+            self.int_scale = 1 / scale
         nf = np.zeros(d + 1, dtype=complex)
         df = np.zeros(d + 1, dtype=complex)
         for i, c in enumerate(num):
@@ -455,31 +473,16 @@ def conjugate(f: RationalMap, phi: MoebiusMap) -> RationalMap:
         num = ppad(f.num, d + 1, Qi(0))
         den = ppad(f.den, d + 1, Qi(0))
         a, b, c, dd = phi.a, phi.b, phi.c, phi.d
-        zero, one = Qi(0), Qi(1)
     else:
         num = ppad([complex(c) for c in f.num], d + 1, 0j)
         den = ppad([complex(c) for c in f.den], d + 1, 0j)
         a, b, c, dd = (complex(phi.a), complex(phi.b), complex(phi.c), complex(phi.d))
-        zero, one = 0j, 1 + 0j
     # inverse of phi acts on (X, Y) by the adjugate matrix;
     # dehomogenized linear forms (X -> z, Y -> 1), ascending
-    U = [-b, dd]  # d*X - b*Y
-    V = [a, -c]  # -c*X + a*Y
-    # powers of the linear forms
-    Upow = [[one]]
-    Vpow = [[one]]
-    for _ in range(d):
-        Upow.append(pmul(Upow[-1], U))
-        Vpow.append(pmul(Vpow[-1], V))
-    Ft = []
-    Gt = []
-    for i in range(d + 1):
-        term = pmul(Upow[i], Vpow[d - i])
-        Ft = padd(Ft, pscale(term, num[i]))
-        Gt = padd(Gt, pscale(term, den[i]))
-    new_num = padd(pscale(Ft, a), pscale(Gt, b))
-    new_den = padd(pscale(Ft, c), pscale(Gt, dd))
-    return build_map(new_num, new_den)
+    U = Poly([-b, dd])  # d*X - b*Y
+    V = Poly([a, -c])  # -c*X + a*Y
+    Ft, Gt = hom_eval(num, U, V), hom_eval(den, U, V)
+    return build_map((a * Ft + b * Gt).c, (c * Ft + dd * Gt).c)
 
 
 def critical_points(

@@ -1,0 +1,332 @@
+"""The integer exact core against test-only copies of the loops it replaced.
+
+A rational map is scaled once to its primitive integer pair; composition,
+dynatomic division and the fast-path certificate then run on ints through
+``sphere.hom_eval``.  The copies below are the composition loop over
+Qi/complex, the certificate's hand-written residue loop and the
+multiplier element over ``Fraction`` coefficients.
+"""
+
+import io
+import json
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from ratdyn import build_map, periodic, spectra
+from ratdyn.cli import run
+from ratdyn.exceptional import (
+    LattesSpec,
+    chebyshev_map,
+    cm_lattes_fixture,
+    flexible_lattes,
+    power_map,
+)
+from ratdyn.periodic import compose_hom, dynatomic_numerator
+from ratdyn.polys import (
+    fractions_to_int_primitive,
+    padd,
+    pderiv,
+    pexactdiv,
+    pmul,
+    ppad,
+    pscale,
+    pstrip,
+    psub,
+    qi_poly_to_fractions,
+)
+from ratdyn.roots import solve_poly
+from ratdyn.scalars import Qi
+from ratdyn.sphere import hom_eval
+from ratdyn.spectra import FieldElt, ResidueField, multiplier_element
+
+RATIONAL_MAPS = {
+    "(z^2-2)/(z^2+3)": (build_map([-2, 0, 1], [3, 0, 1]), 4),
+    "lattes(-1,0,2)": (flexible_lattes(LattesSpec(-1, 0, 2)), 3),
+    "z^2-1/3": (build_map([Fraction(-1, 3), 0, 1], [1]), 4),
+    "T4": (chebyshev_map(4), 3),
+}
+
+
+# ----------------------------------------------------------------------
+# test-only copies of the replaced loops
+# ----------------------------------------------------------------------
+
+
+def _old_compose_hom(f, n):
+    # powers of D, then Horner in N, over Qi (exact maps) or complex
+    d = f.degree
+    if f.exact:
+        A = ppad(f.num, d + 1, Qi(0))
+        B = ppad(f.den, d + 1, Qi(0))
+        N, D = pstrip(list(f.num)), pstrip(list(f.den))
+    else:
+        A = ppad([complex(c) for c in f.num], d + 1, 0j)
+        B = ppad([complex(c) for c in f.den], d + 1, 0j)
+        N, D = pstrip([complex(c) for c in f.num]), pstrip([complex(c) for c in f.den])
+    one = Qi(1) if f.exact else 1.0 + 0j
+    for _ in range(n - 1):
+        Dp = [[one]]
+        for _k in range(d):
+            Dp.append(pmul(Dp[-1], D))
+        accN = [A[d]]
+        accD = [B[d]]
+        for i in range(d - 1, -1, -1):
+            accN = padd(pmul(accN, N), pscale(Dp[d - i], A[i]))
+            accD = padd(pmul(accD, N), pscale(Dp[d - i], B[i]))
+        N, D = pstrip(accN), pstrip(accD)
+    return N, D
+
+
+def _old_rational_pair(f):
+    A = qi_poly_to_fractions(f.num)
+    B = qi_poly_to_fractions(f.den)
+    den = 1
+    for c in list(A) + list(B):
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return [int(c * den) for c in A], [int(c * den) for c in B]
+
+
+def _old_imulmod(a, b, g):
+    out = pmul(a, b)
+    dg = len(g) - 1
+    while len(out) - 1 >= dg:
+        c = out[-1]
+        if c:
+            k = len(out) - 1 - dg
+            for i in range(dg):
+                out[k + i] -= c * g[i]
+        out.pop()
+        while out and not out[-1]:
+            out.pop()
+    return out
+
+
+def _old_hom_eval_intmod(coeffs, X, Y, g):
+    m = len(coeffs) - 1
+    acc = [coeffs[m]] if coeffs[m] else []
+    Yp = None
+    for i in range(m - 1, -1, -1):
+        Yp = list(Y) if Yp is None else _old_imulmod(Yp, Y, g)
+        acc = _old_imulmod(acc, X, g)
+        if coeffs[i]:
+            acc = padd(acc, [coeffs[i] * t for t in Yp])
+    return acc
+
+
+def _old_certificate(f, n, g, c):
+    Ai, Bi = _old_rational_pair(f)
+    d = f.degree
+    Apad, Bpad = ppad(Ai, d + 1), ppad(Bi, d + 1)
+    W = ppad(psub(pmul(pderiv(Ai), Bi), pmul(Ai, pderiv(Bi))), 2 * d - 1)
+    X, Y, acc = [0, 1], [1], [1]
+    for _ in range(n):
+        acc = _old_imulmod(acc, _old_hom_eval_intmod(W, X, Y, g), g)
+        X, Y = _old_hom_eval_intmod(Apad, X, Y, g), _old_hom_eval_intmod(Bpad, X, Y, g)
+    rhs = [c * t for t in _old_imulmod(Y, Y, g)]
+    return not padd(acc, [-t for t in rhs])
+
+
+def _fraction_multiplier_element(f, n, fld):
+    # the orbit over f.num/f.den as Fractions instead of the integer pair
+    d = f.degree
+    A = ppad(qi_poly_to_fractions(f.num), d + 1, Fraction(0))
+    B = ppad(qi_poly_to_fractions(f.den), d + 1, Fraction(0))
+    W = ppad(psub(pmul(pderiv(A), B), pmul(A, pderiv(B))), 2 * d - 1, Fraction(0))
+    X, Y, acc = fld.gen(), fld.one(), fld.one()
+    for _ in range(n):
+        acc = acc * hom_eval(W, X, Y)
+        X, Y = hom_eval(A, X, Y), hom_eval(B, X, Y)
+    return acc * (Y * Y).inverse()
+
+
+# ----------------------------------------------------------------------
+# composition and dynatomic division over the integer pair
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_MAPS))
+def test_integer_composition_is_the_qi_loop_times_the_pair_scale(name):
+    f, top = RATIONAL_MAPS[name]
+    d = f.degree
+    A, B = f.int_pair
+    assert all(type(c) is int for c in A + B)
+    assert np.gcd.reduce([abs(c) for c in A + B if c]) == 1
+    assert [f.int_scale * Qi.coerce(c) for c in ppad(f.num, d + 1, 0)] == A
+    for n in range(1, top + 1):
+        N, D = compose_hom(f, n)
+        assert all(type(c) is int for c in N + D)
+        scale = f.int_scale ** ((d**n - 1) // (d - 1))
+        oN, oD = _old_compose_hom(f, n)
+        assert [scale * c for c in oN] == N
+        assert [scale * c for c in oD] == D
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_MAPS))
+def test_dynatomic_numerator_is_primitive_in_z(name):
+    f, top = RATIONAL_MAPS[name]
+    for n in range(1, top + 1):
+        dyn = dynatomic_numerator(f, n)
+        assert all(type(c) is int for c in dyn) and dyn[-1] > 0
+        # the old route: Qi composition and Moebius division over Qi
+        num, den = [Qi(1)], [Qi(1)]
+        for k in range(1, n + 1):
+            if n % k == 0:
+                N, D = _old_compose_hom(f, k)
+                phi = psub([Qi(0)] + D, N)
+                mu = {1: 1, 2: -1, 3: -1, 4: 0}[n // k]
+                if mu == 1:
+                    num = pmul(num, phi)
+                elif mu == -1:
+                    den = pmul(den, phi)
+        old = pexactdiv(num, den)
+        assert fractions_to_int_primitive(qi_poly_to_fractions(old))[0] == dyn
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_MAPS))
+def test_explicit_solve_sees_the_doubles_of_the_qi_loop(monkeypatch, name):
+    # periodic_points divides the pair's scale back out before rounding
+    f, _ = RATIONAL_MAPS[name]
+    seen = []
+
+    def spy(coeffs, seed=0):
+        seen.append(coeffs)
+        return solve_poly(coeffs, seed=seed)
+
+    monkeypatch.setattr(periodic, "solve_poly", spy)
+    for n in (1, 2):
+        periodic.periodic_points(f, n)
+        oN, oD = _old_compose_hom(f, n)
+        want = [complex(c) for c in pstrip(psub([Qi(0)] + oD, oN))]
+        assert np.array_equal(_bits(seen[-1]), _bits(want))
+
+
+def _bits(p):
+    return np.array(p, dtype=complex).view(np.uint64)
+
+
+def _random_float_maps():
+    rng = np.random.default_rng(7)
+    maps = [cm_lattes_fixture()]
+    while len(maps) < 61:
+        k = len(maps)
+        d = int(rng.integers(2, 5))
+        degs = (d, int(rng.integers(0, d + 1)))[:: 1 if k % 2 else -1]
+        real = k % 3 == 0  # real maps: every imaginary part is a signed zero
+        num, den = (
+            [complex(x) for x in rng.standard_normal(m + 1) + (0 if real else 1j) * rng.standard_normal(m + 1)]
+            for m in degs
+        )
+        if k % 5 == 0 and len(num) > 1:
+            num[0] = complex(-0.0, 0.0)  # an exact, signed zero coefficient
+        maps.append(build_map(num, den, exact=False))
+    return maps
+
+
+def test_float_composition_is_bitwise_the_old_loop():
+    for f in _random_float_maps():
+        for n in (1, 2, 3):
+            new, old = compose_hom(f, n), _old_compose_hom(f, n)
+            for a, b in zip(new, old):
+                assert np.array_equal(_bits(a), _bits(b))
+
+
+def test_gaussian_map_composes_over_qi():
+    f = build_map([Qi(0, 1), 0, 1], [1])  # z^2 + i
+    assert f.exact and f.int_pair is None and f.int_scale is None
+    for n in (1, 2, 3):
+        assert compose_hom(f, n) == _old_compose_hom(f, n)
+
+
+# ----------------------------------------------------------------------
+# the certificate and the multiplier element share one orbit loop
+# ----------------------------------------------------------------------
+
+
+def _fast_path_clusters(monkeypatch, f, periods):
+    calls = []
+    real = spectra._certify_integer_multiplier
+
+    def record(f_, n, g, c):
+        calls.append((n, list(g), c))
+        return real(f_, n, g, c)
+
+    monkeypatch.setattr(spectra, "_certify_integer_multiplier", record)
+    for n in periods:
+        spectra.multiplier_factors(f, n, cap=2000)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize(
+    "f, periods",
+    [(chebyshev_map(4), (1, 2, 3, 4)), (power_map(3, -1), (1, 2, 3, 4))],
+    ids=["T4", "z^-3"],
+)
+def test_certificate_agrees_with_the_old_residue_loop(monkeypatch, f, periods):
+    clusters = _fast_path_clusters(monkeypatch, f, periods)
+    assert len(clusters) >= len(periods)
+    for n, g, c in clusters:
+        new = spectra._certify_integer_multiplier(f, n, g, c)
+        assert new is True and _old_certificate(f, n, g, c) is True
+        assert spectra._certify_integer_multiplier(f, n, g, c + 1) is False
+        assert _old_certificate(f, n, g, c + 1) is False
+
+
+def test_certificate_orbit_stays_in_the_integers(monkeypatch):
+    f = chebyshev_map(4)
+    clusters = _fast_path_clusters(monkeypatch, f, (2, 3))
+    made = []
+    init = FieldElt.__init__
+
+    def spy(self, field, c):
+        made.append(c)
+        init(self, field, c)
+
+    monkeypatch.setattr(FieldElt, "__init__", spy)
+    for n, g, c in clusters:
+        assert spectra._certify_integer_multiplier(f, n, g, c)
+    assert made and all(type(x) is int for c in made for x in c)
+
+
+def test_multiplier_element_is_scale_free():
+    # the integer pair and f.num/f.den give the same field element
+    for name in ("(z^2-2)/(z^2+3)", "z^2-1/3", "lattes(-1,0,2)"):
+        f, _ = RATIONAL_MAPS[name]
+        for n in (1, 2):
+            for q, _m in spectra.factor_int_poly(dynatomic_numerator(f, n))[1]:
+                fld = ResidueField(q)
+                assert multiplier_element(f, n, fld) == _fraction_multiplier_element(f, n, fld)
+
+
+def test_ints_stay_ints_and_only_division_makes_fractions():
+    fld = ResidueField([-1, -1, 0, 1])  # z^3 - z - 1, monic over Z
+    assert all(type(c) is int for c in fld.mod)
+    x = fld.gen()
+    y = 3 * (x * x + x) * x + 2
+    assert all(type(c) is int for c in y.c)
+    inv = y.inverse()
+    assert all(type(c) is Fraction for c in inv.c)
+    assert y * inv == fld.one()
+    half = ResidueField([1, 0, 2])  # 2z^2 + 1: monic only over Q
+    assert half.mod == (Fraction(1, 2), 0, 1)
+    assert half.gen() * half.gen() == half.elt([Fraction(-1, 2)])
+
+
+# ----------------------------------------------------------------------
+# high-precision refinement of a map with non-integer coefficients
+# ----------------------------------------------------------------------
+
+
+def test_homoclinic_refines_at_full_precision_for_rational_coefficients():
+    argv = [
+        "homoclinic", "--map", "z^2-1/3", "--point", "1.2637626158259734",
+        "--q", "1", "--n-min", "9", "--n-max", "12",
+    ]
+    out = io.StringIO()
+    assert run(argv, out=out, err=io.StringIO()) == 0
+    entries = json.loads(out.getvalue())["results"]["entries"]
+    assert [e["n"] for e in entries] == [9, 10, 11, 12]
+    assert all(e["residual"] < 1e-40 for e in entries)

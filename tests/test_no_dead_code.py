@@ -1,4 +1,4 @@
-"""Every name the package defines has a caller.
+"""Every name the package defines has a caller, and every import a use.
 
 Collects module-level functions, classes and constants plus the non-dunder
 methods of module-level classes in ``src/ratdyn/*.py``, and fails on any
@@ -6,6 +6,11 @@ that is not referenced (read as a name or an attribute) in ``src/ratdyn``
 or ``tests/`` outside its own definition.  Names that ``ratdyn/__init__.py``
 re-exports are public API and exempt, as is the console entry point
 ``cli.main``.
+
+A second check fails on any name an ``import`` binds in ``src/ratdyn/*.py``
+or ``tests/*.py`` that its scope (the module, or the function holding the
+import) never reads.  ``ratdyn/__init__.py`` is exempt: its imports are the
+re-exports.
 """
 
 import ast
@@ -96,3 +101,45 @@ def uncalled_names():
 
 def test_every_defined_name_has_a_caller():
     assert uncalled_names() == []
+
+
+def _bound_imports(scope):
+    """(bound name, line) of the imports made directly in a module or
+    function body, nested blocks included, nested functions excluded."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+        todo.extend(ast.iter_child_nodes(node))
+
+
+def unused_imports(trees=None):
+    trees = _sources() if trees is None else trees
+    out = []
+    for path, tree in trees.items():
+        if path == os.path.join(PKG, "__init__.py"):
+            continue
+        scopes = [tree] + [
+            n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for scope in scopes:
+            read = {
+                n.id
+                for n in ast.walk(scope)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+            }
+            for name, line in _bound_imports(scope):
+                if name not in read:
+                    out.append(f"{os.path.relpath(path, os.path.dirname(HERE))}:{line}: {name}")
+    return sorted(out)
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []

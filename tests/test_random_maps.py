@@ -1,6 +1,5 @@
 """Seeded random-map property sweeps across the whole pipeline."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,15 +9,14 @@ from ratdyn import (
     DegreeTooLow,
     MoebiusMap,
     build_map,
-    chordal,
     conjugate,
     critical_points,
     multiplier_polynomial,
     spherical_norm,
 )
 from ratdyn.errors import RatdynError
-from ratdyn.periodic import exact_period_count, periodic_points
-from ratdyn.polys import pdeg, pstrip
+from ratdyn.periodic import periodic_points
+from ratdyn.polys import pstrip
 from ratdyn.spectra import multiplier_factors
 
 
