@@ -418,7 +418,19 @@ def _cmd_spectrum(args, stdin_text=None):
             rows.append(
                 {"period": n, "factor": poly_to_str(list(q), "λ"), "multiplicity": m}
             )
-    return {"map": _map_payload(f), "per_period": per}, rows
+    diagnostics = {
+        str(n): {
+            "routes": [
+                {"factor": poly_to_str(list(q), "λ"), "points": k, "route": route}
+                for q, k, route in pf.routes
+            ],
+            "rejected": [
+                {"multiplier": c, "points": k, "reason": why} for c, k, why in pf.rejected
+            ],
+        }
+        for n, pf in sorted(spec.period_factors.items())
+    }
+    return {"map": _map_payload(f), "per_period": per, "diagnostics": diagnostics}, rows
 
 
 def _cmd_field_check(args, stdin_text=None):

@@ -448,7 +448,13 @@ def multiplier(f: RationalMap, orbit: list[ProjPoint | complex]):
             )
     lam = Qi(1) if exact else 1.0 + 0j
     for i in range(n):
-        lam = lam * chart_step_derivative(f, pts[i], pts[(i + 1) % n])
+        step = chart_step_derivative(f, pts[i], pts[(i + 1) % n])
+        try:
+            lam = lam * step
+        except TypeError:
+            # a float orbit through the exact point Infinity: that step is a
+            # Qi, which takes a float factor only when it is integral
+            lam = complex(lam) * complex(step)
     return lam
 
 

@@ -1,6 +1,6 @@
 """Dense univariate polynomial kit.
 
-Three coefficient domains, all as ascending lists [a0, a1, ...]:
+Four coefficient domains, all ascending [a0, a1, ...]:
 
 * plain ints for all exact work on maps with rational coefficients: a
   rational map is scaled once to a primitive integer pair
@@ -9,7 +9,11 @@ Three coefficient domains, all as ascending lists [a0, a1, ...]:
 * Qi for maps with genuine Gaussian-rational coefficients, and Fraction
   where a field division is unavoidable (residue-field inverses, minimal
   polynomials, monic normalization of factors);
-* complex floats (handled mostly in :mod:`ratdyn.roots` with numpy).
+* complex floats (handled mostly in :mod:`ratdyn.roots` with numpy);
+* residues mod a prime p < 2^30 as numpy int64 arrays, for the modular
+  gcds of the integer fast path: :func:`fp_mul` multiplies by a float FFT
+  on 15-bit limbs, :class:`FpModulus` reduces by Barrett's method and
+  :func:`fp_gcd` is Euclid with one vector update per elimination step.
 
 :func:`peval` is the one Horner loop for dehomogenized polynomials: the
 coefficients and the point may be int, Fraction, Qi, complex (Python or
@@ -22,7 +26,10 @@ polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd as _igcd
+
+import numpy as np
 
 from .errors import InexactDivision
 from .scalars import Qi
@@ -313,43 +320,14 @@ def isquarefree(p) -> bool:
     if pdeg(p) <= 1:
         return True
     dp = pderiv(p)
-    prime = 2147483629
-    for _ in range(8):
+    for prime in islice(word_primes(), 8):
         if p[-1] % prime:
-            g = _gf_gcd([c % prime for c in p], [c % prime for c in dp], prime)
-            if len(g) == 1:
+            if len(fp_gcd(fp_array(p, prime), fp_array(dp, prime), prime)) == 1:
                 return True
             # gcd mod p can only overestimate; a nontrivial modular gcd is
             # inconclusive, try the exact route below
             break
-        prime = _prev_prime(prime)
     return pdeg(igcd_poly(p, dp)) == 0
-
-
-def _prev_prime(p: int) -> int:
-    from sympy import prevprime
-
-    return int(prevprime(p))
-
-
-def _gf_gcd(a, b, p):
-    """Monic gcd mod p (ascending int lists)."""
-    a = pstrip([c % p for c in a])
-    b = pstrip([c % p for c in b])
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        bm = [(c * inv) % p for c in b]
-        r = list(a)
-        for k in range(len(r) - len(bm), -1, -1):
-            c = r[k + len(bm) - 1] % p
-            if c:
-                for i in range(len(bm)):
-                    r[k + i] = (r[k + i] - c * bm[i]) % p
-        a, b = bm, pstrip(r[: len(bm) - 1])
-    if not a:
-        return []
-    inv = pow(a[-1], p - 2, p)
-    return [(c * inv) % p for c in a]
 
 
 def factor_int_poly(p):
@@ -379,6 +357,109 @@ def int_poly_irreducible(p) -> bool:
         return False
     _, pairs = factor_int_poly(p)
     return len(pairs) == 1 and pairs[0][1] == 1 and pdeg(pairs[0][0]) == pdeg(p)
+
+
+# ----------------------------------------------------------------------
+# polynomials over F_p: numpy int64 arrays, p a prime below 2^30
+# ----------------------------------------------------------------------
+
+
+def word_primes():
+    """The primes below 2^30 in descending order (Miller-Rabin with the
+    bases 2, 3, 5, 7, which is deterministic below 3.2e9)."""
+    n = 2**30 - 1
+    while True:
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in (2, 3, 5, 7):
+            x = pow(a, d, n)
+            if x in (1, n - 1):
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                break
+        else:
+            yield n
+        n -= 2
+
+
+def fp_strip(a):
+    nz = np.flatnonzero(a)
+    return a[: nz[-1] + 1] if nz.size else a[:0]
+
+
+def fp_array(p, prime: int):
+    """An integer polynomial reduced mod prime."""
+    return fp_strip(np.array([c % prime for c in p], dtype=np.int64))
+
+
+def fp_mul(a, b, p: int):
+    """a * b over F_p on 15-bit limbs: direct int64 convolutions when a
+    factor is short, else a float FFT.  Each limb convolution has entries
+    below 2 L 2^30 (L = len(a) + len(b) - 1), so up to L = 2^13 the FFT's
+    rounding error stays under 0.01 and np.rint is exact."""
+    if not len(a) or not len(b):
+        return a[:0]
+    if len(a) == 1 or len(b) == 1:
+        (s,), v = (a, b) if len(a) == 1 else (b, a)
+        return v * int(s) % p
+    (a0, a1), (b0, b1) = (a & 0x7FFF, a >> 15), (b & 0x7FFF, b >> 15)
+    if min(len(a), len(b)) <= 64:
+        conv = np.convolve
+        c = np.stack([conv(a0, b0), conv(a0, b1) + conv(a1, b0), conv(a1, b1)]) % p
+    else:
+        L = len(a) + len(b) - 1
+        N = 1 << (L - 1).bit_length()
+        (f0, f1), (g0, g1) = np.fft.rfft([a0, a1], N), np.fft.rfft([b0, b1], N)
+        prods = np.stack([f0 * g0, f0 * g1 + f1 * g0, f1 * g1])
+        c = np.rint(np.fft.irfft(prods, N)[:, :L]).astype(np.int64) % p
+    return (c[0] + (c[1] << 15) + c[2] * (2**30 % p)) % p
+
+
+def fp_gcd(a, b, p: int):
+    """Monic gcd over F_p by Euclid; each elimination step is one vector
+    update, so a gcd of degree-m inputs costs O(m) numpy operations."""
+    a, b = fp_strip(a % p), fp_strip(b % p)
+    while len(b):
+        b = b * pow(int(b[-1]), -1, p) % p
+        r, lb = a.copy(), len(b)
+        for k in range(len(r) - lb, -1, -1):
+            c = int(r[k + lb - 1])
+            if c:
+                r[k : k + lb] = (r[k : k + lb] - c * b) % p
+        a, b = b, fp_strip(r[: lb - 1])
+    return a * pow(int(a[-1]), -1, p) % p if len(a) else a
+
+
+class FpModulus:
+    """Reduction modulo an integer polynomial f over F_p (p must not divide
+    lc f): f made monic mod p, and the inverse power series of its reversal
+    precomputed by Newton iteration, so that a remainder costs two products
+    (Barrett; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9)."""
+
+    def __init__(self, f, p: int):
+        f = fp_array(f, p)
+        self.p, self.m = p, len(f) - 1
+        self.f = f * pow(int(f[-1]), -1, p) % p
+        rev, inv, t = self.f[::-1], np.ones(1, dtype=np.int64), 1
+        while t < self.m - 1:
+            t = min(2 * t, self.m - 1)
+            e = -fp_mul(rev[:t], inv, p)[:t] % p
+            e[0] = (e[0] + 2) % p
+            inv = fp_mul(inv, e, p)[:t]
+        self.rinv = inv
+
+    def reduce(self, a):
+        """a mod f, for len(a) <= max(2m - 1, 2)."""
+        k = len(a) - self.m
+        if k <= 0:
+            return a
+        q = fp_mul(a[::-1][:k], self.rinv[:k], self.p)[:k][::-1]
+        return fp_strip((a[: self.m] - fp_mul(q, self.f, self.p)[: self.m]) % self.p)
 
 
 # ----------------------------------------------------------------------

@@ -5,21 +5,25 @@ monic rational polynomial whose roots are the multipliers of all exact
 period-n points (each cycle's multiplier appearing n times; the cycle of
 Infinity contributes through an exactly computed extra root).  All exact
 work runs on the map's primitive integer pair (``RationalMap.int_pair``):
-the dynatomic polynomial is a primitive polynomial in Z[z], and P_n is
+the dynatomic polynomial dyn is a primitive polynomial in Z[z], and P_n is
 assembled from it factor-by-factor:
 
-* an integer fast path splits the dynatomic polynomial along clusters of
-  numerically-integer multipliers: cluster roots are refined in high
-  precision, multiplied into a candidate integer factor g, and certified
-  by exact division plus the residue identity prod W = c Y_n^2 in
-  Z[z]/(g), where every coefficient stays an int;
+* an integer fast path splits dyn along the integer multipliers c that the
+  numeric cycles propose (in doubles, with how many points carry each).
+  The roots of multiplier c are those of gcd(dyn, prod W - c Y_n^2); it is
+  computed in F_p[z] for word-size primes, lifted to Z by CRT, and
+  certified by exact division plus the residue identity prod W = c Y_n^2
+  in Z[z]/(g) (Q[z]/(g) when dyn is not monic);
 * whatever remains is factored over Z (sympy) and each irreducible factor
   q contributes the minimal polynomial of the multiplier
   prod W * (Y_n^2)^(-1) in the residue field Q[z]/(q).
 
-Both use the one homogeneous orbit loop,
-:meth:`ResidueField.multiplier_orbit`, so cycles through poles or Infinity
-need no special conjugation.
+All three residue rings (Q[z]/(q), Z[z]/(g) and F_p[z]/(dyn)) run the one
+homogeneous orbit loop, :meth:`ResidueField.multiplier_orbit`, so cycles
+through poles or Infinity need no special conjugation.  Each period's
+:class:`PeriodFactors` records which route produced every factor and why
+any proposed cluster was turned down.  mpmath is used only by the flagged
+heuristic PSLQ membership test.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from . import config
@@ -45,21 +48,27 @@ from .periodic import (
     periodic_points,
 )
 from .polys import (
+    FpModulus,
     factor_int_poly,
+    fp_array,
+    fp_gcd,
+    fp_mul,
+    fp_strip,
     fractions_to_int_primitive,
     idivexact,
     int_poly_irreducible,
+    iprimitive,
     isquarefree,
     pdeg,
     pderiv,
     pdivmod,
-    peval,
     pmul,
     ppad,
     pscale,
     pstrip,
     psub,
     poly_to_str,
+    word_primes,
 )
 from .scalars import Qi
 from .sphere import INF, ProjPoint, RationalMap, chordal, hom_eval
@@ -70,7 +79,8 @@ from .sphere import INF, ProjPoint, RationalMap, chordal, hom_eval
 
 
 class ResidueField:
-    """Q[z]/(q) for q irreducible over Q, or Z[z]/(g) for a monic integer g.
+    """Q[z]/(q) for q irreducible over Q, or the ring Q[z]/(g) of an integer
+    g for the fast-path certificate (Z[z]/(g) when g is monic).
 
     The modulus is made monic; when it is then integral, its coefficients
     and those of every element built from ints stay int.  Reduction is the
@@ -231,121 +241,120 @@ def multiplier_element(f: RationalMap, n: int, fld: ResidueField) -> FieldElt:
 
 
 # ----------------------------------------------------------------------
-# integer fast path: split by numerically-integer multipliers
+# integer fast path: split by integer multipliers, modular gcd and CRT
 # ----------------------------------------------------------------------
+
+
+class PrimeResidueRing(ResidueField):
+    """F_p[z]/(g) for a prime p that does not divide lc(g), so that
+    :meth:`ResidueField.multiplier_orbit` runs mod p.  Elements hold numpy
+    int64 residues; products use the FFT and Barrett kernels of polys."""
+
+    def __init__(self, modulus, p: int):
+        self.p = p
+        self.red = FpModulus(modulus, p)
+        self.degree = self.red.m
+
+    def elt(self, coeffs) -> "FpElt":
+        return FpElt(self, self.red.reduce(fp_array(coeffs, self.p)))
+
+
+class FpElt:
+    __slots__ = ("ring", "c")
+
+    def __init__(self, ring: PrimeResidueRing, c):
+        self.ring = ring
+        self.c = c
+
+    def __add__(self, o):
+        a, b = (self.c, o.c) if len(self.c) >= len(o.c) else (o.c, self.c)
+        out = a.copy()
+        out[: len(b)] += b
+        return FpElt(self.ring, fp_strip(out % self.ring.p))
+
+    def __mul__(self, o):
+        ring = self.ring
+        if isinstance(o, FpElt):
+            return FpElt(ring, ring.red.reduce(fp_mul(self.c, o.c, ring.p)))
+        return FpElt(ring, fp_strip(self.c * (o % ring.p) % ring.p))
+
+    __rmul__ = __mul__
 
 
 def _certify_integer_multiplier(f: RationalMap, n: int, g: list[int], c: int) -> bool:
     """Exact check that every root of g has multiplier exactly c:
-    prod W(X_j, Y_j) == c * Y_n^2 in Z[z]/(g) (g monic)."""
+    prod W(X_j, Y_j) == c * Y_n^2 in Q[z]/(g), over Z when g is monic."""
     acc, y2 = ResidueField(g).multiplier_orbit(f.int_pair, n)
     return acc == y2 * c
 
 
-def _mp_qi(c: Qi) -> mp.mpc:
-    re = mp.mpf(c.re.numerator) / mp.mpf(c.re.denominator)
-    im = mp.mpf(c.im.numerator) / mp.mpf(c.im.denominator)
-    return mp.mpc(re, im)
+def _crt_extend(G: list[int], M: int, h, p: int):
+    """(G', M p, stable): the balanced residues mod M p (in (-M p/2, M p/2])
+    that are G mod M and h mod p; stable when h already agreed with G."""
+    inv, Mp = pow(M, -1, p), M * p
+    t = [(int(hi) - g) * inv % p for hi, g in zip(h, G)]
+    G = [g + M * ti for g, ti in zip(G, t)]
+    return [x - Mp if 2 * x > Mp else x for x in G], Mp, not any(t)
 
 
-def _mp_coeffs(f: RationalMap):
-    """f's homogeneous coefficient lists (A, B), length d+1, as mpc at the
-    working precision: the integer pair when the map is rational."""
-    if f.int_pair is not None:
-        return tuple([mp.mpc(c) for c in p] for p in f.int_pair)
+def _modular_split(f: RationalMap, n: int, dyn: list[int], sizes: dict[int, int]):
+    """Split the squarefree primitive dyn along proposed integer multipliers.
 
-    def conv(x):
-        return _mp_qi(Qi.coerce(x)) if f.exact else mp.mpc(complex(x))
+    The roots of dyn with multiplier c are those of g_c = gcd(dyn, prod W -
+    c Y_n^2).  Per prime p, one homogeneous orbit in F_p[z]/(rest) gives
+    both residues and fp_gcd gives g_c mod p, where rest is dyn without the
+    factors certified so far.  Since g_c mod p always divides that gcd, a
+    prime whose gcd degree is deg g_c gives exactly g_c mod p.  The numeric
+    cluster size sizes[c] stands in for deg g_c: a prime whose gcd degree
+    differs from it is skipped, and three such primes end the proposal.
+    The images, scaled to the lead lc(dyn), are combined by CRT until they
+    stop changing or reach the Mignotte bound; the primitive part must then
+    divide rest exactly and pass the residue certificate.
 
-    return tuple([conv(x) for x in ppad(p, f.degree + 1, 0)] for p in (f.num, f.den))
-
-
-def _mp_refine_periodic(f: RationalMap, z0: complex, n: int, dps: int):
-    """Newton-refine a period-n point in mpmath, chart-switching at |z|=1."""
-    with mp.workdps(dps):
-        Ap, Bp = _mp_coeffs(f)
-        Ar = list(reversed(Ap))
-        Br = list(reversed(Bp))
-
-        def dpoly(p):
-            return [k * p[k] for k in range(1, len(p))]
-
-        dAp, dBp, dAr, dBr = dpoly(Ap), dpoly(Bp), dpoly(Ar), dpoly(Br)
-
-        def ratio(z):
-            in_z = abs(z) <= 1
-            u = z if in_z else 1 / z
-            D = mp.mpc(1) if in_z else -(u * u)
-            for _ in range(n):
-                if in_z:
-                    P, Q = peval(Ap, u), peval(Bp, u)
-                    dP, dQ = peval(dAp, u), peval(dBp, u)
-                else:
-                    P, Q = peval(Ar, u), peval(Br, u)
-                    dP, dQ = peval(dAr, u), peval(dBr, u)
-                out_z = abs(P) <= abs(Q)
-                if out_z:
-                    v = P / Q
-                    s = (dP * Q - P * dQ) / (Q * Q)
-                else:
-                    v = Q / P
-                    s = (dQ * P - Q * dP) / (P * P)
-                D = D * s
-                u = v
-                in_z = out_z
-            val = u if in_z else 1 / u
-            dval = D if in_z else -D / (u * u)
-            return (val - z) / (dval - 1)
-
-        z = mp.mpc(z0)
-        for _ in range(dps.bit_length() + 8):
-            step = ratio(z)
-            z = z - step
-            if abs(step) < mp.mpf(10) ** (-dps + 5):
-                break
-        return z
-
-
-def _integer_cluster_factor(
-    f: RationalMap, pts: list[complex], n: int, c: int, prime_poly: list[int]
-) -> list[int] | None:
-    """Exact monic integer factor of prime_poly whose roots are pts, or None.
-
-    Refines pts in mpmath, multiplies out prod (z - p), rounds, and verifies
-    by exact division and the residue certificate for multiplier c.
+    Returns (rest, {c: g_c}, {c: reason}), the reasons naming the proposals
+    that the exact side rejected (von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 5 and 6).
     """
-    size = sum(math.log10(1.0 + abs(p)) for p in pts) + 40
-    dps = max(60, int(size) + 30)
-    with mp.workdps(dps):
-        refined = [_mp_refine_periodic(f, p, n, dps) for p in pts]
-        polys = [[mp.mpc(1), -r] for r in refined]
-        while len(polys) > 1:
-            nxt = []
-            for i in range(0, len(polys) - 1, 2):
-                a, b = polys[i], polys[i + 1]
-                out = [mp.mpc(0)] * (len(a) + len(b) - 1)
-                for ia, ca in enumerate(a):
-                    for ib, cb in enumerate(b):
-                        out[ia + ib] += ca * cb
-                nxt.append(out)
-            if len(polys) % 2:
-                nxt.append(polys[-1])
-            polys = nxt
-        prod = polys[0]
-        g_desc = []
-        for coef in prod:
-            r = mp.nint(coef.real)
-            if abs(coef.real - r) > 0.25 or abs(coef.imag) > 0.25:
-                return None
-            g_desc.append(int(r))
-    g = list(reversed(g_desc))  # ascending, monic
-    try:
-        idivexact(prime_poly, g)
-    except InexactDivision:
-        return None
-    if not _certify_integer_multiplier(f, n, g, c):
-        return None
-    return g
+    lead = dyn[-1]
+    norm_bits = abs(lead).bit_length() + (sum(a * a for a in dyn).bit_length() + 1) // 2 + 1
+    lifts = {c: ([0] * (k + 1), 1, 0) for c, k in sizes.items()}  # (G, M, misses)
+    rest = dyn
+    found: dict[int, list[int]] = {}
+    rejected: dict[int, str] = {}
+    for p in word_primes():
+        if not lifts:
+            break
+        if lead % p == 0:
+            continue
+        ring = PrimeResidueRing(rest, p)
+        acc, y2 = ring.multiplier_orbit(f.int_pair, n)
+        for c, (G, M, misses) in list(lifts.items()):
+            h = fp_gcd(ring.red.f, (acc + y2 * -c).c, p)
+            if len(h) != len(G):
+                lifts[c] = (G, M, misses + 1)
+                if misses + 1 == 3:
+                    del lifts[c]
+                    rejected[c] = ("gcd degree never matched" if M == 1
+                                   else "gcd degree mismatched at 3 primes")
+                continue
+            G, M, stable = _crt_extend(G, M, h * (lead % p) % p, p)
+            lifts[c] = (G, M, misses)
+            at_bound = M.bit_length() > sizes[c] + norm_bits
+            if not (stable or at_bound):
+                continue
+            g = iprimitive(G)[0]
+            try:
+                cofactor = idivexact(rest, g)
+            except InexactDivision:
+                cofactor = None
+            if cofactor is not None and _certify_integer_multiplier(f, n, g, c):
+                rest = cofactor
+                found[c] = g
+                del lifts[c]
+            elif at_bound:
+                del lifts[c]
+                rejected[c] = "certificate failed at Mignotte bound"
+    return rest, found, rejected
 
 
 # ----------------------------------------------------------------------
@@ -355,11 +364,21 @@ def _integer_cluster_factor(
 
 @dataclass
 class PeriodFactors:
-    """Factored multiplier data for one period (point-level multiplicity)."""
+    """Factored multiplier data for one period (point-level multiplicity).
+
+    ``routes`` says how each contribution to ``factors`` was obtained, as
+    (factor, points, route): "fast" for a certified integer-multiplier
+    cluster or the exactly computed Infinity cycle, "generic" for an
+    irreducible dynatomic factor over Z and its minimal polynomial.
+    ``rejected`` lists the numeric proposals the exact side turned down, as
+    (multiplier, points, reason); their points went to the generic route.
+    """
 
     period: int
     factors: list[tuple[tuple[Fraction, ...], int]]
     point_count: int
+    routes: list[tuple[tuple[Fraction, ...], int, str]] = field(default_factory=list)
+    rejected: list[tuple[int | None, int, str]] = field(default_factory=list)
 
     def poly(self) -> list[Fraction]:
         out = [Fraction(1)]
@@ -393,10 +412,14 @@ def multiplier_factors(
         )
     dyn_int = dynatomic_numerator(f, n, cap=max(cap, d**n + 2))
     factors: dict[tuple[Fraction, ...], int] = {}
+    routes: list[tuple[tuple[Fraction, ...], int, str]] = []
+    rejected: list[tuple[int | None, int, str]] = []
 
-    def add_factor(fac, mult):
+    def add_factor(fac, points, route):
         key = tuple(Fraction(c) for c in fac)
+        mult = points // (len(key) - 1)
         factors[key] = factors.get(key, 0) + mult
+        routes.append((key, points, route))
 
     total_points = pdeg(dyn_int) if dyn_int else 0
     inf_period, inf_orbit = infinity_exact_period(f, n)
@@ -404,30 +427,28 @@ def multiplier_factors(
         lam = cycle_multiplier(f, inf_orbit)
         if not isinstance(lam, Qi) or not lam.is_real():
             raise SpectrumNotRational("Infinity-cycle multiplier is not rational")
-        add_factor((-lam.re, Fraction(1)), 1)
+        add_factor((-lam.re, Fraction(1)), 1, "fast")
         total_points += 1
 
     remaining = dyn_int
+    if pdeg(remaining) >= 1 and isquarefree(remaining):
+        remaining = _fast_path_split(
+            f, n, remaining, add_factor, rejected, tol=tol, seed=seed, cap=cap
+        )
     if pdeg(remaining) >= 1:
-        monic_ok = abs(remaining[-1]) == 1
-        squarefree = isquarefree(remaining)
-        if monic_ok and squarefree and pdeg(remaining) > 0:
-            remaining = _fast_path_split(
-                f, n, remaining, add_factor, tol=tol, seed=seed, cap=cap
-            )
-        if pdeg(remaining) >= 1:
-            _, irr = factor_int_poly(remaining)
-            for q_int, mult in irr:
-                fld = ResidueField(q_int)
-                lam_elt = multiplier_element(f, n, fld)
-                mu = minimal_polynomial(lam_elt)
-                copies = fld.degree // pdeg(mu)
-                add_factor(tuple(mu), mult * copies)
+        _, irr = factor_int_poly(remaining)
+        for q_int, mult in irr:
+            fld = ResidueField(q_int)
+            lam_elt = multiplier_element(f, n, fld)
+            mu = minimal_polynomial(lam_elt)
+            add_factor(tuple(mu), mult * fld.degree, "generic")
     period_factors = sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))
     pf = PeriodFactors(
         period=n,
         factors=[(k, v) for k, v in period_factors],
         point_count=total_points,
+        routes=routes,
+        rejected=rejected,
     )
     got = sum(m * (len(k) - 1) for k, m in pf.factors)
     if got != total_points:
@@ -437,26 +458,28 @@ def multiplier_factors(
     return pf
 
 
-def _fast_path_split(f, n, dyn_int, add_factor, tol, seed, cap):
-    """Peel off verified integer-multiplier factors; returns the cofactor.
+def _fast_path_split(f, n, dyn_int, add_factor, rejected, tol, seed, cap):
+    """Peel off certified integer-multiplier factors; returns the cofactor.
 
-    The numeric stage only proposes clusters (a loose residual tolerance is
-    fine: evaluation noise of f^n is amplified by the multipliers); all
-    exactness comes from the division and residue certificates."""
+    The numeric stage only proposes, in doubles, each integer multiplier c
+    and how many finite period-n points carry it (a loose residual
+    tolerance is fine: evaluation noise of f^n is amplified by the
+    multipliers); :func:`_modular_split` finds and certifies the factors."""
+    from .periodic import group_cycles
+
     tol_numeric = max(tol, 1e-9)
     try:
         pts, _rep = periodic_points(
             f, n, tol=tol_numeric, seed=seed,
             cap=max(config.NUMERIC_DEGREE_CAP, cap + 2),
         )
-        from .periodic import group_cycles
-
         # the collision guard stays tight: double-precision roots separate
         # well below the residual tolerance
         cycles = group_cycles(f, pts, n, tol=min(tol, 1e-12))
-    except RatdynError:
+    except RatdynError as exc:
+        rejected.append((None, pdeg(dyn_int), f"numeric stage failed: {exc}"))
         return dyn_int
-    clusters: dict[int, list[complex]] = {}
+    sizes: dict[int, int] = {}
     for cyc in cycles:
         lam = cyc.multiplier
         c = round(lam.real)
@@ -464,20 +487,14 @@ def _fast_path_split(f, n, dyn_int, add_factor, tol, seed, cap):
             1 + abs(lam)
         ):
             continue
-        if any(p.is_infinity for p in cyc.points):
-            continue  # the Infinity cycle is appended exactly elsewhere
-        clusters.setdefault(int(c), []).extend(
-            complex(p.z) for p in cyc.points
-        )
-    remaining = dyn_int
-    for c, pts_c in sorted(clusters.items()):
-        if pdeg(remaining) < 1 or len(pts_c) > pdeg(remaining):
-            break
-        g = _integer_cluster_factor(f, pts_c, n, c, remaining)
-        if g is None:
-            continue
-        add_factor((Fraction(-c), Fraction(1)), pdeg(g))
-        remaining = idivexact(remaining, g)
+        # the Infinity point itself is appended exactly elsewhere
+        finite = sum(not p.is_infinity for p in cyc.points)
+        if finite:
+            sizes[int(c)] = sizes.get(int(c), 0) + finite
+    remaining, found, why = _modular_split(f, n, dyn_int, dict(sorted(sizes.items())))
+    for c, g in sorted(found.items()):
+        add_factor((Fraction(-c), Fraction(1)), pdeg(g), "fast")
+    rejected.extend((c, sizes[c], why[c]) for c in sorted(why))
     return remaining
 
 
@@ -516,15 +533,14 @@ def factor_spectrum(poly) -> list[tuple[tuple[Fraction, ...], int]]:
 @dataclass
 class AlgebraicSpectrum:
     """Per-period multiplier data: monic irreducible rational factors with
-    cycle-level multiplicities; provenance is exact."""
+    cycle-level multiplicities; provenance is exact.  ``period_factors``
+    keeps each period's point-level record with its routes."""
 
     degree: int
     periods: dict[int, list[tuple[tuple[Fraction, ...], int]]] = field(
         default_factory=dict
     )
-    point_factors: dict[int, list[tuple[tuple[Fraction, ...], int]]] = field(
-        default_factory=dict
-    )
+    period_factors: dict[int, PeriodFactors] = field(default_factory=dict)
 
     def cycle_count(self, n: int) -> int:
         return sum(m * (len(q) - 1) for q, m in self.periods.get(n, []))
@@ -560,7 +576,7 @@ def algebraic_spectrum(
                 )
             cycle_level.append((q, m // n))
         spec.periods[n] = cycle_level
-        spec.point_factors[n] = pf.factors
+        spec.period_factors[n] = pf
     return spec
 
 
@@ -681,6 +697,8 @@ def _factor_in_field(q: tuple[Fraction, ...], K: NumberFieldSpec) -> FactorVerdi
 
 
 def _pslq_root_in_field(q, K: NumberFieldSpec, dps: int = 80) -> bool:
+    import mpmath as mp
+
     with mp.workdps(dps):
         kp = [mp.mpf(c) for c in K.poly]
         field_roots = mp.polyroots(list(reversed(kp)), maxsteps=200, extraprec=200)

@@ -107,6 +107,23 @@ def test_spectrum_and_classify_payloads():
     assert json.loads(out)["results"]["class"] == "power"
 
 
+def test_spectrum_reports_routes_under_diagnostics():
+    rc, out, _ = run_cli(["spectrum", "--map", "z^2-1", "--max-period", "3"])
+    assert rc == 0
+    diag = json.loads(out)["results"]["diagnostics"]
+    assert sorted(diag) == ["1", "2", "3"]
+    # period 1: the fixed point Infinity (fast), the two finite fixed points
+    # with multipliers 1 +- sqrt 5 (generic); period 2: the superattracting
+    # cycle {0, -1} (fast); period 3: two cycles with complex multipliers
+    assert diag["1"]["routes"] == [
+        {"factor": "λ", "points": 1, "route": "fast"},
+        {"factor": "λ^2-2λ-4", "points": 2, "route": "generic"},
+    ]
+    assert diag["2"]["routes"] == [{"factor": "λ", "points": 2, "route": "fast"}]
+    assert [r["route"] for r in diag["3"]["routes"]] == ["generic"]
+    assert all(d["rejected"] == [] for d in diag.values())
+
+
 def test_cycles_exact_flag_includes_factors():
     rc, out, _ = run_cli(["cycles", "--map", "z^2", "--period", "2", "--exact"])
     assert rc == 0
@@ -214,3 +231,7 @@ def test_report_schema_document():
     for key, typ in schema["top_level"].items():
         assert key in rep, f"missing report key {key}"
         assert type(rep[key]).__name__ == typ, key
+    _, out, _ = run_cli(["spectrum", "--map", "z^2", "--max-period", "1"])
+    assert sorted(json.loads(out)["results"]) == sorted(
+        schema["results_by_command"]["spectrum"]
+    )

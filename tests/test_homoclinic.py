@@ -1,18 +1,22 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import pytest
 
 from ratdyn import (
     ExponentSequence,
     NotRepelling,
+    RationalMap,
     build_map,
     chordal,
     convergence_report,
     exponent_sequence,
     find_seed,
+    power_map,
 )
 from ratdyn.errors import InPostcriticalSet
+from ratdyn.homoclinic import _mp_orbit_exponent
 
 Z2 = build_map([0, 0, 1], [1])
 BASILICA = build_map([-1, 0, 1], [1])
@@ -127,3 +131,45 @@ def test_convergence_report_needs_four_entries():
     seq = exponent_sequence(BASILICA, seed, n0, n0 + 2)
     with pytest.raises(ValueError):
         convergence_report(seq)
+
+
+# ----------------------------------------------------------------------
+# extended-precision orbits through poles and Infinity
+# ----------------------------------------------------------------------
+
+
+def _conjugated_chebyshev():
+    """z^2 - 2 conjugated by M(z) = (z - b)/(z - a) at 80 digits, where
+    a, b = (-1 +- sqrt 5)/2 is its period-2 cycle (multiplier 4ab = -4):
+    M sends a to Infinity and b to 0, so the conjugate
+    g(w) = ((s - 1) w + 1) / (w ((s + 1) - w)), s = sqrt 5, has the 2-cycle
+    {0, Infinity}.  Its coefficients are mp numbers, kept at full precision."""
+    with mp.workdps(80):
+        s = mp.sqrt(5)
+        a, b = (s - 1) / 2, -(s + 1) / 2
+        g = RationalMap([mp.mpf(1), s - 1], [mp.mpf(0), s + 1, mp.mpf(-1)], exact=False)
+        for z in (mp.mpf("0.3"), mp.mpc("1.7", "-0.4")):  # g M = M f
+            gm = (1 + (s - 1) * ((z - b) / (z - a))) / (
+                ((z - b) / (z - a)) * ((s + 1) - (z - b) / (z - a))
+            )
+            fz = z * z - 2
+            assert abs(gm - (fz - b) / (fz - a)) < mp.mpf(10) ** -70
+    return g
+
+
+def test_mp_orbit_exponent_through_infinity():
+    g = _conjugated_chebyshev()
+    lam, log_norm, residual = _mp_orbit_exponent(g, 0, 2, dps=60)
+    with mp.workdps(60):
+        assert abs(lam + 4) < 1e-40
+        assert abs(log_norm / 2 - mp.log(2)) < 1e-40
+        assert residual < 1e-40
+
+
+def test_mp_orbit_exponent_at_a_pole():
+    # 0 -> Infinity -> 0 is the superattracting 2-cycle of z^-2
+    lam, log_norm, residual = _mp_orbit_exponent(power_map(2, -1), 0, 2)
+    assert lam == 0 and log_norm == -mp.inf and residual == 0
+    # (1 + 2z^2)/z: 0 -> Infinity -> Infinity never returns to 0
+    lam, _, residual = _mp_orbit_exponent(build_map([1, 0, 2], [0, 1]), 0, 2)
+    assert residual == mp.inf

@@ -2,10 +2,13 @@
 
 Collects module-level functions, classes and constants plus the non-dunder
 methods of module-level classes in ``src/ratdyn/*.py``, and fails on any
-that is not referenced (read as a name or an attribute) in ``src/ratdyn``
-or ``tests/`` outside its own definition.  Names that ``ratdyn/__init__.py``
-re-exports are public API and exempt, as is the console entry point
-``cli.main``.
+that is not referenced in ``src/ratdyn`` or ``tests/`` outside its own
+definition.  A function, class or constant is referenced when it is read as
+a name or an attribute; a method only when it is read as an attribute
+(``x.name`` or ``Class.name``), so a local variable or parameter that
+happens to share its name does not count.  Names that
+``ratdyn/__init__.py`` re-exports are public API and exempt, as is the
+console entry point ``cli.main``.
 
 A second check fails on any name an ``import`` binds in ``src/ratdyn/*.py``
 or ``tests/*.py`` that its scope (the module, or the function holding the
@@ -57,12 +60,12 @@ def _definitions(tree):
 
 
 def _references(tree):
-    """(name, line) of every name or attribute read."""
+    """(name, line, is_attribute) of every name or attribute read."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
 
 
 def _exported():
@@ -76,12 +79,12 @@ def _exported():
     }
 
 
-def uncalled_names():
-    trees = _sources()
-    refs: dict[str, list[tuple[str, int]]] = {}
+def uncalled_names(trees=None):
+    trees = _sources() if trees is None else trees
+    refs: dict[str, list[tuple[str, int, bool]]] = {}
     for path, tree in trees.items():
-        for name, line in _references(tree):
-            refs.setdefault(name, []).append((path, line))
+        for name, line, is_attr in _references(tree):
+            refs.setdefault(name, []).append((path, line, is_attr))
     exported = _exported()
     out = []
     for path, tree in trees.items():
@@ -91,8 +94,10 @@ def uncalled_names():
         for qual, name, lo, hi in _definitions(tree):
             if qual in exported or (module, qual) in EXEMPT:
                 continue
+            method = "." in qual
             used = any(
-                not (p == path and lo <= line <= hi) for p, line in refs.get(name, [])
+                not (p == path and lo <= line <= hi) and (is_attr or not method)
+                for p, line, is_attr in refs.get(name, [])
             )
             if not used:
                 out.append(f"{module}.{qual}")
@@ -101,6 +106,32 @@ def uncalled_names():
 
 def test_every_defined_name_has_a_caller():
     assert uncalled_names() == []
+
+
+def test_a_method_is_not_called_by_a_variable_of_its_name():
+    # the shape that once hid an uncalled ResidueField.zero: a parameter
+    # named like the method is read, the method itself never is
+    source = """
+class Ring:
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+
+def pad(p, zero=0):
+    return list(p) + [zero]
+
+
+def unit():
+    return Ring().one()
+
+
+pad([unit()])
+"""
+    trees = {os.path.join(PKG, "scratch_module.py"): ast.parse(source)}
+    assert uncalled_names(trees) == ["scratch_module.Ring.zero"]
 
 
 def _bound_imports(scope):
