@@ -370,6 +370,7 @@ def periodic_points(
     Xn, Yn = f.iterate_hom(X.copy(), Y.copy(), n)
     res = chordal_xy(X, Y, Xn, Yn)
     keep = res <= tol
+    over_tol = int((~keep).sum())
     roots = roots[keep]
     res = res[keep]
     # exact-period filter (semantic)
@@ -409,6 +410,11 @@ def periodic_points(
         residual_max=float(res_kept.max()) if res_kept.size else 0.0,
         unconverged=unconverged,
     )
+    if len(pts) < expected:
+        report.notes = (
+            f"{expected - len(pts)} of {expected} points missing "
+            f"({over_tol} solver roots failed the residual test)"
+        )
     if unconverged > 0 and len(pts) < expected:
         raise RootFindingFailed(
             f"period-{n} solve left {unconverged} starts unconverged "

@@ -4,16 +4,18 @@ Four coefficient domains, all ascending [a0, a1, ...]:
 
 * plain ints for all exact work on maps with rational coefficients: a
   rational map is scaled once to a primitive integer pair
-  (``RationalMap.int_pair``), and composition, dynatomic division,
-  subresultant PRS, resultants and factorization (via sympy) stay in Z[z];
+  (``RationalMap.int_pair``), and composition, dynatomic division, the
+  subresultant gcd and factorization (via sympy) stay in Z[z];
 * Qi for maps with genuine Gaussian-rational coefficients, and Fraction
-  where a field division is unavoidable (residue-field inverses, minimal
-  polynomials, monic normalization of factors);
+  for the monic rational factors that the spectra report;
 * complex floats (handled mostly in :mod:`ratdyn.roots` with numpy);
 * residues mod a prime p < 2^30 as numpy int64 arrays, for the modular
-  gcds of the integer fast path: :func:`fp_mul` multiplies by a float FFT
-  on 15-bit limbs, :class:`FpModulus` reduces by Barrett's method and
-  :func:`fp_gcd` is Euclid with one vector update per elimination step.
+  gcds of the integer fast path and the modular minimal polynomials of the
+  generic route: :func:`fp_mul` multiplies by a float FFT on 15-bit limbs,
+  :class:`FpModulus` reduces by Barrett's method, inverts by the extended
+  Euclid algorithm and finds minimal polynomials by Krylov elimination,
+  and :func:`fp_gcd` is Euclid with one vector update per elimination
+  step.
 
 :func:`peval` is the one Horner loop for dehomogenized polynomials: the
 coefficients and the point may be int, Fraction, Qi, complex (Python or
@@ -268,52 +270,6 @@ def igcd_poly(a, b):
             h = g**delta // h ** (delta - 1)
 
 
-def iresultant(a, b) -> int:
-    """Res(a, b) over Z via the subresultant PRS (Cohen Alg. 3.3.7)."""
-    a, b = pstrip(list(a)), pstrip(list(b))
-    if not a or not b:
-        return 0
-    da, db = pdeg(a), pdeg(b)
-    if da == 0:
-        return a[0] ** db if db else 1
-    if db == 0:
-        return b[0] ** da
-    ac, ca = iprimitive(a)
-    bc, cb = iprimitive(b)
-    a, b = ac, bc
-    s = 1
-    t = ca**db * cb**da
-    if da < db:
-        a, b = b, a
-        if (da * db) % 2:
-            s = -s
-    g, h = 1, 1
-    while True:
-        da, db = pdeg(a), pdeg(b)
-        delta = da - db
-        if (da % 2) and (db % 2):
-            s = -s
-        r = ipseudo_rem(a, b)
-        if not r:
-            return 0
-        denom = g * h**delta
-        a, b = b, [c // denom for c in r]
-        g = a[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = g**delta // h ** (delta - 1)
-        if pdeg(b) == 0:
-            da = pdeg(a)
-            if da == 0:
-                # both constant after reduction; resultant of constants is 1
-                return s * t
-            val = b[0] ** da
-            if da > 1:
-                val //= h ** (da - 1)
-            return s * t * val
-
-
 def isquarefree(p) -> bool:
     """Squarefree test in Z[z], certified by a modular gcd at a good prime."""
     p = pstrip(p)
@@ -460,6 +416,48 @@ class FpModulus:
             return a
         q = fp_mul(a[::-1][:k], self.rinv[:k], self.p)[:k][::-1]
         return fp_strip((a[: self.m] - fp_mul(q, self.f, self.p)[: self.m]) % self.p)
+
+    def inverse(self, a):
+        """a^(-1) mod f by the extended Euclid algorithm, or None when
+        gcd(a, f) is not 1 over F_p.  Each elimination step is one vector
+        update, as in :func:`fp_gcd`."""
+        p = self.p
+        r0, r1 = self.f, fp_strip(a % p)
+        s0, s1 = r1[:0], np.ones(1, dtype=np.int64)
+        while len(r1):
+            inv, r, lb = pow(int(r1[-1]), -1, p), r0.copy(), len(r1)
+            q = np.zeros(len(r) - lb + 1, dtype=np.int64)
+            for k in range(len(r) - lb, -1, -1):
+                c = int(r[k + lb - 1]) * inv % p
+                if c:
+                    q[k] = c
+                    r[k : k + lb] = (r[k : k + lb] - c * r1) % p
+            t = fp_mul(q, s1, p)
+            s = np.zeros(max(len(s0), len(t)), dtype=np.int64)
+            s[: len(s0)] += s0
+            s[: len(t)] -= t
+            r0, r1, s0, s1 = r1, fp_strip(r[: lb - 1]), s1, fp_strip(s % p)
+        return s0 * pow(int(r0[0]), -1, p) % p if len(r0) == 1 else None
+
+    def minimal_polynomial(self, a):
+        """Monic minimal polynomial over F_p of a in F_p[z]/(f), ascending:
+        Krylov elimination on 1, a, a^2, ..., which stops at the first power
+        that depends on the earlier ones.  Each row carries the combination
+        of powers it stands for, so the dependency is read off directly."""
+        p, m = self.p, self.m
+        rows, pivots, power = [], [], np.ones(1, dtype=np.int64)
+        for k in range(m + 1):
+            v = np.zeros(2 * m + 1, dtype=np.int64)
+            v[: len(power)], v[m + k] = power, 1
+            for row, piv in zip(rows, pivots):
+                if v[piv]:
+                    v = (v - int(v[piv]) * row) % p
+            nz = np.flatnonzero(v[:m])
+            if not nz.size:
+                return v[m : m + k + 1]
+            rows.append(v * pow(int(v[nz[0]]), -1, p) % p)
+            pivots.append(nz[0])
+            power = self.reduce(fp_mul(power, a, p))
 
 
 # ----------------------------------------------------------------------

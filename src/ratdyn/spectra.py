@@ -12,13 +12,17 @@ assembled from it factor-by-factor:
   numeric cycles propose (in doubles, with how many points carry each).
   The roots of multiplier c are those of gcd(dyn, prod W - c Y_n^2); it is
   computed in F_p[z] for word-size primes, lifted to Z by CRT, and
-  certified by exact division plus the residue identity prod W = c Y_n^2
-  in Z[z]/(g) (Q[z]/(g) when dyn is not monic);
-* whatever remains is factored over Z (sympy) and each irreducible factor
-  q contributes the minimal polynomial of the multiplier
-  prod W * (Y_n^2)^(-1) in the residue field Q[z]/(q).
+  certified by exact division plus the residue identity
+  L^2 prod W = c Y_n^2 in Z[w]/(g~);
+* whatever remains is factored over Z (sympy), and each irreducible factor
+  q contributes the minimal polynomial of its multiplier lambda, where
+  lambda Y_n^2 = L^2 prod W in Z[w]/(q~).  That polynomial is found modulo
+  word primes (Krylov elimination over F_p), lifted by CRT and rational
+  reconstruction, and certified exactly over Z.
 
-All three residue rings (Q[z]/(q), Z[z]/(g) and F_p[z]/(dyn)) run the one
+Here g~ or q~ = L^(m-1) q(w/L) is the modulus made monic over Z by the
+substitution z = w/L, L its lead, so no exact step divides: every residue
+stays int.  Both residue rings (Z[w]/(q~) and F_p[z]/(dyn)) run the one
 homogeneous orbit loop, :meth:`ResidueField.multiplier_orbit`, so cycles
 through poles or Infinity need no special conjugation.  Each period's
 :class:`PeriodFactors` records which route produced every factor and why
@@ -61,10 +65,8 @@ from .polys import (
     isquarefree,
     pdeg,
     pderiv,
-    pdivmod,
     pmul,
     ppad,
-    pscale,
     pstrip,
     psub,
     poly_to_str,
@@ -74,27 +76,24 @@ from .scalars import Qi
 from .sphere import INF, ProjPoint, RationalMap, chordal, hom_eval
 
 # ----------------------------------------------------------------------
-# residue rings Q[z]/(q) and Z[z]/(g)
+# residue rings Z[w]/(q~) and F_p[z]/(g)
 # ----------------------------------------------------------------------
 
 
 class ResidueField:
-    """Q[z]/(q) for q irreducible over Q, or the ring Q[z]/(g) of an integer
-    g for the fast-path certificate (Z[z]/(g) when g is monic).
+    """Z[w]/(q~) for an integer polynomial q of degree m and lead L, where
+    q~(w) = L^(m-1) q(w/L) is monic over Z and its roots are L times those
+    of q (an order of the number field Q[z]/(q) when q is irreducible).
 
-    The modulus is made monic; when it is then integral, its coefficients
-    and those of every element built from ints stay int.  Reduction is the
-    monic one, so nothing divides except inverse() and minimal_polynomial.
+    Reduction by a monic integer modulus never divides, so elements built
+    from ints stay int: nothing in the exact spectra path needs Fraction.
     """
 
     def __init__(self, modulus):
-        mod = pstrip(list(modulus))
-        lead = Fraction(mod[-1])
-        monic = [Fraction(c) / lead for c in mod]
-        if all(c.denominator == 1 for c in monic):
-            monic = [c.numerator for c in monic]
-        self.mod = tuple(monic)
-        self.degree = len(self.mod) - 1
+        q = pstrip(list(modulus))
+        m, self.lead = len(q) - 1, q[-1]
+        self.mod = tuple(c * self.lead ** (m - 1 - i) for i, c in enumerate(q[:-1])) + (1,)
+        self.degree = m
 
     def elt(self, coeffs) -> "FieldElt":
         """The residue of a polynomial: exactly `degree` coefficients."""
@@ -106,23 +105,22 @@ class ResidueField:
                     out[k + i] -= c * g[i]
         return FieldElt(self, tuple(ppad(out[:m], m)))
 
-    def one(self):
-        return self.elt([1])
-
     def gen(self):
         return self.elt([0, 1])
 
     def multiplier_orbit(self, pair, n: int):
-        """(prod_j W(X_j, Y_j), Y_n^2) along the homogeneous orbit (X_j, Y_j)
-        of (z, 1) under the integer pair (A, B), W = A'B - AB'.
+        """(L^2 prod_j W(X_j, Y_j), Y_n^2) along the homogeneous orbit
+        (X_j, Y_j) of (w, L), i.e. of a root z = w/L of the modulus, under
+        the integer pair (A, B), W = A'B - AB'.
 
         det J(X, Y) = d W(X, Y) and the Y-chart scalings telescope, so every
-        root of the modulus has multiplier lambda with prod W = lambda Y_n^2,
-        orbits through Infinity and derivative poles included."""
+        root of the modulus has multiplier lambda with lambda Y_n^2 = L^2
+        prod W (the start's scale L leaves the factor L^2), orbits through
+        Infinity and derivative poles included."""
         A, B = pair
-        d = len(A) - 1
+        d, L = len(A) - 1, self.lead
         W = ppad(psub(pmul(pderiv(A), B), pmul(A, pderiv(B))), 2 * d - 1)
-        X, Y, acc = self.gen(), self.one(), self.one()
+        X, Y, acc = self.gen(), self.elt([L]), self.elt([L * L])
         for _ in range(n):
             acc = acc * hom_eval(W, X, Y)
             X, Y = hom_eval(A, X, Y), hom_eval(B, X, Y)
@@ -130,6 +128,8 @@ class ResidueField:
 
 
 class FieldElt:
+    """An element of Z[w]/(q~): exactly `degree` int coefficients."""
+
     __slots__ = ("field", "c")
 
     def __init__(self, field: ResidueField, c: tuple):
@@ -137,24 +137,10 @@ class FieldElt:
         self.c = c
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.c)
+        return not any(self.c)
 
     def __add__(self, o):
-        if not isinstance(o, FieldElt):
-            o = self.field.elt([o])
-        return FieldElt(
-            self.field, tuple(a + b for a, b in zip(self.c, o.c))
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElt(self.field, tuple(-a for a in self.c))
-
-    def __sub__(self, o):
-        if not isinstance(o, FieldElt):
-            o = self.field.elt([o])
-        return self + (-o)
+        return FieldElt(self.field, tuple(a + b for a, b in zip(self.c, o.c)))
 
     def __mul__(self, o):
         if not isinstance(o, FieldElt):
@@ -163,81 +149,93 @@ class FieldElt:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "FieldElt":
-        # extended Euclid against the modulus, over Fraction
-        a = [Fraction(c) for c in self.field.mod]
-        b = pstrip([Fraction(c) for c in self.c])
-        if not b:
-            raise ZeroDivisionError("inverse of zero residue")
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            q, r = pdivmod(a, b)
-            if not r:
-                break
-            s0, s1 = s1, psub(s0, pmul(q, s1))
-            a, b = b, r
-        lead = b[-1]
-        if pdeg(b) != 0:
-            raise ZeroDivisionError("element not invertible (modulus reducible?)")
-        inv = pscale(s1, 1 / lead)
-        return self.field.elt(inv)
-
     def __eq__(self, o):
-        if isinstance(o, FieldElt):
-            return self.c == o.c
-        return (self - o).is_zero()
+        return self.c == o.c
 
     def __repr__(self):
         return f"FieldElt({list(self.c)})"
 
 
-def minimal_polynomial(elem: FieldElt) -> list[Fraction]:
-    """Monic minimal polynomial of elem over Q (Krylov linear algebra)."""
-    m = elem.field.degree
-    # rows: reduced vectors of 1, r, r^2, ... with combination bookkeeping
-    rows: list[tuple[list[Fraction], list[Fraction]]] = []
-    pivots: list[int] = []
-    power = elem.field.one()
-    for k in range(m + 1):
-        vec = list(power.c)
-        comb = [Fraction(0)] * (k + 1)
-        comb[k] = Fraction(1)
-        for (rv, rc), piv in zip(rows, pivots):
-            if vec[piv]:
-                t = vec[piv]
-                for i in range(m):
-                    vec[i] -= t * rv[i]
-                for i in range(min(len(comb), len(rc))):
-                    comb[i] -= t * rc[i]
-        piv = next((i for i, v in enumerate(vec) if v), None)
-        if piv is None:
-            return _monic_fr(comb)
-        t = Fraction(vec[piv])
-        rows.append(([v / t for v in vec], [c / t for c in comb]))
-        pivots.append(piv)
-        power = power * elem
-    raise RatdynError("minimal polynomial search exceeded the field degree")
-
-
-def _monic_fr(p) -> list[Fraction]:
-    p = pstrip([Fraction(c) for c in p])
-    lead = p[-1]
-    return [c / lead for c in p]
-
-
 # ----------------------------------------------------------------------
-# multiplier of the generic period-n point in a residue field
+# generic route: the multiplier in Z[w]/(q~), its minimal polynomial mod
+# word primes, CRT, rational reconstruction and an exact certificate
 # ----------------------------------------------------------------------
 
 
-def multiplier_element(f: RationalMap, n: int, fld: ResidueField) -> FieldElt:
-    """Multiplier of the period-n points annihilated by fld's modulus:
-    lambda = prod W(X_j, Y_j) / Y_n^2 over the orbit of
-    ResidueField.multiplier_orbit, run on the map's integer pair."""
-    acc, y2 = fld.multiplier_orbit(f.int_pair, n)
-    if y2.is_zero():
-        raise RatdynError("homogeneous orbit did not close projectively")
-    return acc * y2.inverse()
+def multiplier_element(f: RationalMap, n: int, q) -> tuple[FieldElt, FieldElt]:
+    """The multiplier lambda of the period-n points annihilated by q, as the
+    pair (L^2 prod W, Y_n^2) in Z[w]/(q~) with lambda Y_n^2 = L^2 prod W:
+    ResidueField.multiplier_orbit run on the map's integer pair."""
+    return ResidueField(q).multiplier_orbit(f.int_pair, n)
+
+
+def minimal_polynomial(num: FieldElt, den: FieldElt) -> list[Fraction]:
+    """Monic minimal polynomial over Q of lambda = num/den in Z[w]/(q~),
+    q irreducible, found modulo word primes and certified exactly.
+
+    At each word prime p at which den is a unit mod (q~, p), FpModulus
+    gives lambda mod p and its minimal polynomial mu_p.  Images of the
+    largest degree seen are kept (a larger one restarts the lift) and
+    combined by CRT and rational reconstruction until two more primes leave
+    mu unchanged; mu must then pass :func:`_certified`, else more primes
+    follow (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5;
+    Monagan, ISSAC 2004)."""
+    degree, G, M, mu, agree, failed, misses = -1, [], 1, None, 0, None, 0
+    for p in word_primes():
+        red = FpModulus(num.field.mod, p)
+        inv = red.inverse(fp_array(den.c, p))
+        if inv is None:
+            misses += 1
+            if misses == 20:
+                raise RatdynError("Y_n^2 is not a unit modulo 20 word primes")
+            continue
+        mu_p = red.minimal_polynomial(red.reduce(fp_mul(fp_array(num.c, p), inv, p)))
+        if len(mu_p) - 1 < degree:
+            continue
+        if len(mu_p) - 1 > degree:
+            degree, G, M, mu = len(mu_p) - 1, [0] * len(mu_p), 1, None
+        agree = agree + 1 if mu is not None and _reduces_to(mu, mu_p, p) else 0
+        G, M, _ = _crt_extend(G, M, mu_p, p)
+        if not agree:
+            mu = _rational_reconstruction(G, M)
+        elif agree >= 2 and mu != failed:
+            if _certified(mu, degree, num, den):
+                P, D = mu
+                return [Fraction(c, D) for c in P]
+            failed = mu
+
+
+def _reduces_to(mu, mu_p, p: int) -> bool:
+    """Whether mu = P/D (integer P, D > 0) is mu_p mod p."""
+    P, D = mu
+    return all((c - D * int(h)) % p == 0 for c, h in zip(P, mu_p))
+
+
+def _rational_reconstruction(G: list[int], M: int):
+    """(P, D) with P/D = G mod M coefficientwise, every numerator and
+    denominator at most sqrt(M/2) (Wang's algorithm), or None while some
+    coefficient has no such reconstruction."""
+    bound, out = math.isqrt(M // 2), []
+    for a in G:
+        r0, r1, s0, s1 = M, a % M, 0, 1
+        while r1 > bound:
+            t = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - t * r1, s1, s0 - t * s1
+        if abs(s1) > bound or math.gcd(r1, s1) != 1:
+            return None
+        out.append((r1, s1) if s1 > 0 else (-r1, -s1))
+    D = math.lcm(*(s for _, s in out))
+    return [r * (D // s) for r, s in out], D
+
+
+def _certified(mu, degree: int, num: FieldElt, den: FieldElt) -> bool:
+    """The proof that mu = P/D is the minimal polynomial mu_min of lambda =
+    num/den: P(lambda) = 0, checked as hom_eval(P, num, den) == 0 in
+    Z[w]/(q~), gives mu_min | mu.  At every prime p used, den is a unit, so
+    lambda is integral over Z_(p) and mu_p divides mu_min mod p; hence
+    deg mu == deg mu_p (= degree) <= deg mu_min, and mu = mu_min."""
+    P, _ = mu
+    return len(P) - 1 == degree and hom_eval(P, num, den).is_zero()
 
 
 # ----------------------------------------------------------------------
@@ -246,12 +244,12 @@ def multiplier_element(f: RationalMap, n: int, fld: ResidueField) -> FieldElt:
 
 
 class PrimeResidueRing(ResidueField):
-    """F_p[z]/(g) for a prime p that does not divide lc(g), so that
-    :meth:`ResidueField.multiplier_orbit` runs mod p.  Elements hold numpy
-    int64 residues; products use the FFT and Barrett kernels of polys."""
+    """F_p[z]/(g), p not dividing lc(g), with g made monic mod p (lead 1),
+    so :meth:`ResidueField.multiplier_orbit` runs mod p from (z, 1).
+    Elements hold numpy int64 residues; products use the kernels of polys."""
 
     def __init__(self, modulus, p: int):
-        self.p = p
+        self.p, self.lead = p, 1
         self.red = FpModulus(modulus, p)
         self.degree = self.red.m
 
@@ -283,7 +281,7 @@ class FpElt:
 
 def _certify_integer_multiplier(f: RationalMap, n: int, g: list[int], c: int) -> bool:
     """Exact check that every root of g has multiplier exactly c:
-    prod W(X_j, Y_j) == c * Y_n^2 in Q[z]/(g), over Z when g is monic."""
+    L^2 prod W(X_j, Y_j) == c * Y_n^2 in Z[w]/(g~), all over int."""
     acc, y2 = ResidueField(g).multiplier_orbit(f.int_pair, n)
     return acc == y2 * c
 
@@ -438,10 +436,8 @@ def multiplier_factors(
     if pdeg(remaining) >= 1:
         _, irr = factor_int_poly(remaining)
         for q_int, mult in irr:
-            fld = ResidueField(q_int)
-            lam_elt = multiplier_element(f, n, fld)
-            mu = minimal_polynomial(lam_elt)
-            add_factor(tuple(mu), mult * fld.degree, "generic")
+            mu = minimal_polynomial(*multiplier_element(f, n, q_int))
+            add_factor(mu, mult * pdeg(q_int), "generic")
     period_factors = sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))
     pf = PeriodFactors(
         period=n,

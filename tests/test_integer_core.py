@@ -3,8 +3,8 @@
 A rational map is scaled once to its primitive integer pair; composition,
 dynatomic division and the fast-path certificate then run on ints through
 ``sphere.hom_eval``.  The copies below are the composition loop over
-Qi/complex, the certificate's hand-written residue loop and the
-multiplier element over ``Fraction`` coefficients.
+Qi/complex and the certificate's hand-written residue loop; the multiplier
+element over ``Fraction`` coefficients is ``fraction_reference.py``.
 """
 
 import io
@@ -39,8 +39,9 @@ from ratdyn.polys import (
 )
 from ratdyn.roots import solve_poly
 from ratdyn.scalars import Qi
-from ratdyn.sphere import hom_eval
 from ratdyn.spectra import FieldElt, ResidueField, multiplier_element
+
+import fraction_reference
 
 RATIONAL_MAPS = {
     "(z^2-2)/(z^2+3)": (build_map([-2, 0, 1], [3, 0, 1]), 4),
@@ -129,17 +130,12 @@ def _old_certificate(f, n, g, c):
     return not padd(acc, [-t for t in rhs])
 
 
-def _fraction_multiplier_element(f, n, fld):
-    # the orbit over f.num/f.den as Fractions instead of the integer pair
+def _fraction_pair(f):
+    # f.num/f.den as Fractions instead of the integer pair
     d = f.degree
     A = ppad(qi_poly_to_fractions(f.num), d + 1, Fraction(0))
     B = ppad(qi_poly_to_fractions(f.den), d + 1, Fraction(0))
-    W = ppad(psub(pmul(pderiv(A), B), pmul(A, pderiv(B))), 2 * d - 1, Fraction(0))
-    X, Y, acc = fld.gen(), fld.one(), fld.one()
-    for _ in range(n):
-        acc = acc * hom_eval(W, X, Y)
-        X, Y = hom_eval(A, X, Y), hom_eval(B, X, Y)
-    return acc * (Y * Y).inverse()
+    return A, B
 
 
 # ----------------------------------------------------------------------
@@ -276,43 +272,65 @@ def test_certificate_agrees_with_the_old_residue_loop(monkeypatch, f, periods):
 
 
 def test_certificate_orbit_stays_in_the_integers(monkeypatch):
-    f = chebyshev_map(4)
-    clusters = _fast_path_clusters(monkeypatch, f, (2, 3))
-    made = []
-    init = FieldElt.__init__
+    # the Lattes clusters are not monic: their orbits run in Z[w]/(g~) from
+    # (w, lc g), still over int
+    lattes = flexible_lattes(LattesSpec(-1, 0, 2))
+    for f, periods, leads in ((chebyshev_map(4), (2, 3), [1] * 4),
+                              (lattes, (1, 2, 3), [3, 5, 3, 7])):
+        clusters = _fast_path_clusters(monkeypatch, f, periods)
+        assert [g[-1] for _n, g, _c in clusters] == leads
+        made = []
+        init = FieldElt.__init__
 
-    def spy(self, field, c):
-        made.append(c)
-        init(self, field, c)
+        def spy(self, field, c):
+            made.append(c)
+            init(self, field, c)
 
-    monkeypatch.setattr(FieldElt, "__init__", spy)
-    for n, g, c in clusters:
-        assert spectra._certify_integer_multiplier(f, n, g, c)
-    assert made and all(type(x) is int for c in made for x in c)
+        monkeypatch.setattr(FieldElt, "__init__", spy)
+        for n, g, c in clusters:
+            assert spectra._certify_integer_multiplier(f, n, g, c)
+        monkeypatch.undo()
+        assert made and all(type(x) is int for c in made for x in c)
 
 
 def test_multiplier_element_is_scale_free():
-    # the integer pair and f.num/f.den give the same field element
+    # the orbit of the integer pair in Z[w]/(q~) and that of f.num/f.den in
+    # Q[z]/(q) (test-only, over Fraction) give the same multiplier lambda:
+    # lambda = sum a_i z^i = sum (a_i / L^i) w^i for w = L z, and
+    # lambda Y_n^2 = L^2 prod W in Z[w]/(q~)
     for name in ("(z^2-2)/(z^2+3)", "z^2-1/3", "lattes(-1,0,2)"):
         f, _ = RATIONAL_MAPS[name]
         for n in (1, 2):
             for q, _m in spectra.factor_int_poly(dynatomic_numerator(f, n))[1]:
-                fld = ResidueField(q)
-                assert multiplier_element(f, n, fld) == _fraction_multiplier_element(f, n, fld)
+                num, den = multiplier_element(f, n, q)
+                lam = fraction_reference.multiplier_element(f, n, q, _fraction_pair(f))
+                L = q[-1]
+                wide = fraction_reference.FractionField(num.field.mod)
+                lam_w = wide.elt([a / L**i for i, a in enumerate(lam.c)])
+                assert wide.elt(num.c) == lam_w * wide.elt(den.c)
 
 
-def test_ints_stay_ints_and_only_division_makes_fractions():
-    fld = ResidueField([-1, -1, 0, 1])  # z^3 - z - 1, monic over Z
-    assert all(type(c) is int for c in fld.mod)
-    x = fld.gen()
-    y = 3 * (x * x + x) * x + 2
+def test_every_modulus_is_monic_over_z_and_elements_stay_int():
+    monic = ResidueField([-1, -1, 0, 1])  # z^3 - z - 1: already monic
+    assert monic.mod == (-1, -1, 0, 1) and monic.lead == 1
+    x = monic.gen()
+    y = 3 * (x * x + x) * x + monic.elt([2])
     assert all(type(c) is int for c in y.c)
-    inv = y.inverse()
-    assert all(type(c) is Fraction for c in inv.c)
-    assert y * inv == fld.one()
-    half = ResidueField([1, 0, 2])  # 2z^2 + 1: monic only over Q
-    assert half.mod == (Fraction(1, 2), 0, 1)
-    assert half.gen() * half.gen() == half.elt([Fraction(-1, 2)])
+    assert y == monic.elt([5, 3, 3])  # 3 z^3 + 3 z^2 + 2 = 3 z^2 + 3 z + 5
+    # 6 z^3 - 5 z^2 + 3: w = 6 z is a root of w^3 - 5 w^2 + 108
+    q = [3, 0, -5, 6]
+    fld = ResidueField(q)
+    assert fld.mod == (108, 0, -5, 1) and fld.lead == 6
+    w = fld.gen()
+    assert all(type(c) is int for c in (w * w * w * w).c)
+    assert w * w * w == fld.elt([-108, 0, 5])
+    # every dynatomic factor of a non-monic map, and its orbit pair
+    f, _ = RATIONAL_MAPS["(z^2-2)/(z^2+3)"]
+    for n in (1, 2, 3):
+        for q, _m in spectra.factor_int_poly(dynatomic_numerator(f, n))[1]:
+            num, den = multiplier_element(f, n, q)
+            assert num.field.mod[-1] == 1 and all(type(c) is int for c in num.field.mod)
+            assert all(type(c) is int for c in num.c + den.c)
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,9 @@ multiplier c as gcd(dyn, prod W - c Y_n^2) mod word-size primes, combined
 by CRT and certified exactly.  These tests hold it against independent
 references:
 
-* the generic route alone (sympy factoring, then the multiplier element and
-  its minimal polynomial), on small random integer maps;
+* a test-only generic route over ``Fraction`` (sympy factoring, then the
+  multiplier element and its Krylov minimal polynomial,
+  ``fraction_reference.py``), on small random integer maps;
 * a test-only copy of the mpmath route it replaced (Newton refinement of
   the cluster points and a product tree), on the T3/T4 clusters;
 * exact integer arithmetic and the former pure-Python Euclid, for the
@@ -31,22 +32,11 @@ from ratdyn.periodic import (
     cycles_of_period,
     dynatomic_numerator,
     group_cycles,
-    infinity_exact_period,
-    multiplier as cycle_multiplier,
     periodic_points,
 )
-from ratdyn.polys import (
-    FpModulus,
-    factor_int_poly,
-    fp_array,
-    fp_gcd,
-    fp_mul,
-    idivexact,
-    pdeg,
-    pstrip,
-    word_primes,
-)
-from ratdyn.spectra import ResidueField, minimal_polynomial, multiplier_element
+from ratdyn.polys import FpModulus, fp_array, fp_gcd, fp_mul, idivexact, pstrip, word_primes
+
+from fraction_reference import generic_factors as _generic_factors
 
 P = next(word_primes())
 
@@ -54,28 +44,6 @@ P = next(word_primes())
 # ----------------------------------------------------------------------
 # references
 # ----------------------------------------------------------------------
-
-
-def _generic_factors(f, n):
-    """P_n's factor list from the generic route alone: every irreducible
-    factor of the whole dynatomic polynomial through its residue field."""
-    factors = {}
-
-    def add(fac, mult):
-        key = tuple(fac)
-        factors[key] = factors.get(key, 0) + mult
-
-    inf_period, inf_orbit = infinity_exact_period(f, n)
-    if inf_period == n:
-        lam = cycle_multiplier(f, inf_orbit)
-        add((-lam.re, 1), 1)
-    dyn = dynatomic_numerator(f, n)
-    if pdeg(dyn) >= 1:
-        for q, mult in factor_int_poly(dyn)[1]:
-            fld = ResidueField(q)
-            mu = minimal_polynomial(multiplier_element(f, n, fld))
-            add(mu, mult * fld.degree // pdeg(mu))
-    return sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
 
 def _old_integer_cluster_factor(f, pts, n, c, prime_poly):
