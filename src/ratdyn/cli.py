@@ -25,10 +25,9 @@ from .errors import (
     RatdynError,
 )
 from .polys import (
-    fractions_to_int_primitive,
-    igcd_poly,
     pdeg,
     pexactdiv,
+    pgcd,
     pmul,
     pscale,
     pstrip,
@@ -85,30 +84,14 @@ def _tokenize(text: str, var: str):
 
 
 class _RatFunc:
-    """Rational function over Q as a reduced (num, den) Fraction-poly pair."""
+    """Rational function over Q as a (num, den) Fraction-poly pair, not
+    reduced: :meth:`_ExprParser.parse` cancels the gcd once at the end."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den):
-        self.num = pstrip([Fraction(c) for c in num])
-        self.den = pstrip([Fraction(c) for c in den])
-        if not self.den:
-            raise MapParseError("division by the zero polynomial")
-        self._reduce()
-
-    def _reduce(self):
-        ni, ns = fractions_to_int_primitive(self.num)
-        di, ds = fractions_to_int_primitive(self.den)
-        if not ni:
-            self.num, self.den = [], [Fraction(1)]
-            return
-        g = igcd_poly(ni, di)
-        if pdeg(g) > 0:
-            ni = pexactdiv(ni, g)
-            di = pexactdiv(di, g)
-        scale = ns / ds
-        self.num = pscale([Fraction(c) for c in ni], scale)
-        self.den = [Fraction(c) for c in di]
+        self.num = pstrip(num)
+        self.den = pstrip(den)
 
     def __add__(self, o):
         return _RatFunc(
@@ -165,11 +148,13 @@ class _ExprParser:
         return t
 
     def parse(self) -> _RatFunc:
+        """The expression with num and den coprime."""
         out = self.expr()
         if self.peek() is not None:
             t = self.peek()
             raise MapParseError(f"trailing input {t.value!r}", position=t.pos)
-        return out
+        g = pgcd(out.num, out.den)
+        return _RatFunc(pexactdiv(out.num, g), pexactdiv(out.den, g))
 
     def expr(self) -> _RatFunc:
         t = self.peek()
@@ -335,16 +320,6 @@ def _parse_point(text: str) -> ProjPoint:
 # ----------------------------------------------------------------------
 
 
-def _cycle_payload(cyc):
-    return {
-        "period": cyc.period,
-        "points": [to_jsonable(p) for p in cyc.points],
-        "multiplier": to_jsonable(cyc.multiplier),
-        "char_exponent": to_jsonable(cyc.char_exponent),
-        "repelling": cyc.repelling,
-    }
-
-
 def _map_payload(f: RationalMap):
     def ser(coeffs):
         out = []
@@ -379,7 +354,7 @@ def _cmd_cycles(args, stdin_text=None):
     out = {
         "map": _map_payload(f),
         "period": args.period,
-        "cycles": [_cycle_payload(c) for c in cycles],
+        "cycles": to_jsonable(cycles),
         "solve_report": to_jsonable(rep),
     }
     if args.exact:
@@ -447,7 +422,7 @@ def _cmd_field_check(args, stdin_text=None):
         "membership": {
             "verdict": mv.describe(),
             "all_in_field": mv.all_in_field,
-            "heuristic": mv.heuristic,
+            "heuristic": False,
             "first_violation": None
             if mv.first_violation is None
             else {
@@ -524,17 +499,7 @@ def _cmd_homoclinic(args, stdin_text=None):
     seed_obj = find_seed(f, z0, q=args.q, tol=args.tol)
     seq = exponent_sequence(f, seed_obj, args.n_min, args.n_max, tol=args.tol)
     rep = convergence_report(seq)
-    entries = [
-        {
-            "n": e.n,
-            "point": to_jsonable(e.point),
-            "period_verified": e.period_verified,
-            "multiplier": to_jsonable(e.multiplier),
-            "char_exponent": e.char_exponent,
-            "residual": e.residual,
-        }
-        for e in seq.entries
-    ]
+    entries = to_jsonable(seq.entries)
     return {
         "map": _map_payload(f),
         "seed": {
@@ -575,11 +540,9 @@ def _cmd_zdunik(args, stdin_text=None):
         "map": _map_payload(f),
         "lyapunov": to_jsonable(est),
         "threshold": rep.threshold,
-        "hits": [
-            dict(_cycle_payload(c), margin=m) for c, m in rep.hits
-        ],
+        "hits": [dict(to_jsonable(c), margin=m) for c, m in rep.hits],
         "excluded_postcritical": [
-            dict(_cycle_payload(c), margin=m) for c, m in rep.excluded
+            dict(to_jsonable(c), margin=m) for c, m in rep.excluded
         ],
     }, rows
 

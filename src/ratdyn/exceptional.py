@@ -197,9 +197,11 @@ WEIGHT_CAP = 64  # genuine orbifold weights here are <= 6 or infinity
 
 @dataclass(frozen=True)
 class OrbifoldSignature:
-    """Multiset of ramification weights (ints >= 2, math.inf for cusps)."""
+    """Multiset of ramification weights (ints >= 2, math.inf for cusps);
+    ``points`` pairs each weight with the postcritical point carrying it."""
 
     weights: tuple
+    points: tuple = field(default=(), compare=False, repr=False)
 
     def key(self) -> tuple:
         return tuple(sorted((float(w) for w in self.weights)))
@@ -272,9 +274,9 @@ def orbifold_signature(
     got = _orbifold_weights(f, depth, tol)
     if got is None:
         return None
-    _reps, nu = got
-    weights = tuple(w for w in nu.values() if w > 1)
-    return OrbifoldSignature(weights=weights)
+    reps, nu = got
+    points = tuple((reps[i], w) for i, w in nu.items() if w > 1)
+    return OrbifoldSignature(weights=tuple(w for _, w in points), points=points)
 
 
 def _lcm_w(a, b):
@@ -395,19 +397,10 @@ def classify(
     )
 
 
-def _weight_points(f: RationalMap, weight, depth: int, tol: float):
-    """Postcritical points carrying the given canonical weight."""
-    got = _orbifold_weights(f, depth, tol)
-    if got is None:
-        return []
-    reps, nu = got
-    return [reps[i] for i, w in nu.items() if w == weight]
-
-
 def _fix_or_swap_sign(f: RationalMap, sig, weight, tol: float) -> str:
-    """'+' when f fixes the two weight-`weight` orbifold points, '-' when
-    it swaps them (conjugation-invariant)."""
-    pts = _weight_points(f, weight, depth=48, tol=tol)
+    """'+' when f fixes the two weight-`weight` orbifold points of sig, '-'
+    when it swaps them (conjugation-invariant)."""
+    pts = [p for p, w in sig.points if w == weight]
     if len(pts) != 2:
         return "+"
     a, b = pts

@@ -564,7 +564,14 @@ def cycles_of_period(
     seed: int = 0,
     cap: int | None = None,
 ) -> tuple[list[CycleRecord], PeriodicSolveReport]:
-    """Convenience: solve for exact-period-n points and group them."""
+    """Convenience: solve for exact-period-n points and group them.  When
+    the grouping fails after a short solve, the error carries the solve's
+    note on the missing points."""
     pts, report = periodic_points(f, n, tol=tol, seed=seed, cap=cap)
-    cycles = group_cycles(f, pts, n, tol=tol)
+    try:
+        cycles = group_cycles(f, pts, n, tol=tol)
+    except OrbitMismatch as exc:
+        if not report.notes:
+            raise
+        raise OrbitMismatch(f"{exc}: {report.notes}") from exc
     return cycles, report

@@ -4,8 +4,8 @@ Four coefficient domains, all ascending [a0, a1, ...]:
 
 * plain ints for all exact work on maps with rational coefficients: a
   rational map is scaled once to a primitive integer pair
-  (``RationalMap.int_pair``), and composition, dynatomic division, the
-  subresultant gcd and factorization (via sympy) stay in Z[z];
+  (``RationalMap.int_pair``), and composition, dynatomic division and
+  factorization (via sympy) stay in Z[z];
 * Qi for maps with genuine Gaussian-rational coefficients, and Fraction
   for the monic rational factors that the spectra report;
 * complex floats (handled mostly in :mod:`ratdyn.roots` with numpy);
@@ -226,52 +226,9 @@ def idivexact(a, b):
     return pstrip(q)
 
 
-def ipseudo_rem(a, b):
-    """prem(a, b) = (lc(b)^(deg a - deg b + 1) * a) mod b over Z."""
-    a, b = pstrip(list(a)), pstrip(list(b))
-    da, db = len(a) - 1, len(b) - 1
-    if da < db:
-        raise ValueError("pseudo-remainder needs deg a >= deg b")
-    lb = b[-1]
-    r = list(a)
-    for k in range(da - db, -1, -1):
-        top = r[k + db]
-        r = [lb * c for c in r]
-        if top:
-            for i in range(db):
-                r[k + i] -= top * b[i]
-        r[k + db] = 0
-    return pstrip(r[:db])
-
-
-def igcd_poly(a, b):
-    """gcd in Z[z] via the subresultant PRS; primitive, positive lead."""
-    a, _ = iprimitive(a)
-    b, _ = iprimitive(b)
-    if pdeg(a) < pdeg(b):
-        a, b = b, a
-    if not b:
-        return a
-    g, h = 1, 1
-    while True:
-        delta = pdeg(a) - pdeg(b)
-        r = ipseudo_rem(a, b)
-        if not r:
-            prim, _ = iprimitive(b)
-            return prim
-        if pdeg(r) == 0:
-            return [1]
-        denom = g * h**delta
-        a, b = b, [c // denom for c in r]
-        g = a[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = g**delta // h ** (delta - 1)
-
-
 def isquarefree(p) -> bool:
-    """Squarefree test in Z[z], certified by a modular gcd at a good prime."""
+    """Squarefree test in Z[z]: a trivial gcd(p, p') at a good word prime
+    certifies it; otherwise sympy decides exactly."""
     p = pstrip(p)
     if pdeg(p) <= 1:
         return True
@@ -283,7 +240,13 @@ def isquarefree(p) -> bool:
             # gcd mod p can only overestimate; a nontrivial modular gcd is
             # inconclusive, try the exact route below
             break
-    return pdeg(igcd_poly(p, dp)) == 0
+    return _sympy_int_poly(p).is_sqf
+
+
+def _sympy_int_poly(p):
+    from sympy import Poly, Symbol, ZZ
+
+    return Poly([int(c) for c in reversed(p)], Symbol("z"), domain=ZZ)
 
 
 def factor_int_poly(p):
@@ -292,14 +255,10 @@ def factor_int_poly(p):
     Returns (content, [(factor_ascending_ints, multiplicity), ...]) with
     primitive positive-lead factors.
     """
-    from sympy import Poly, Symbol, ZZ
-
     p = pstrip(list(p))
     if not p:
         return 0, []
-    z = Symbol("z")
-    sp = Poly(list(reversed([int(c) for c in p])), z, domain=ZZ)
-    content, pairs = sp.factor_list()
+    content, pairs = _sympy_int_poly(p).factor_list()
     out = []
     for fac, mult in pairs:
         coeffs = [int(c) for c in reversed(fac.all_coeffs())]

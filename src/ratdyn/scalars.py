@@ -49,9 +49,6 @@ class Qi:
     def is_real(self) -> bool:
         return not self.im
 
-    def is_integer(self) -> bool:
-        return self.im == 0 and self.re.denominator == 1
-
     # -- arithmetic ----------------------------------------------------
     # ``+`` and ``*`` leave operands that are not scalars (polynomial ring
     # elements) to the other operand's reflected method

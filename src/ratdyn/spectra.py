@@ -26,12 +26,16 @@ stays int.  Both residue rings (Z[w]/(q~) and F_p[z]/(dyn)) run the one
 homogeneous orbit loop, :meth:`ResidueField.multiplier_orbit`, so cycles
 through poles or Infinity need no special conjugation.  Each period's
 :class:`PeriodFactors` records which route produced every factor and why
-any proposed cluster was turned down.  mpmath is used only by the flagged
-heuristic PSLQ membership test.
+any proposed cluster was turned down.
+
+Membership of the multipliers in a number field K is exact for every K:
+the discriminant decides over quadratic fields, and sympy's factoring over
+K decides beyond.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -397,7 +401,6 @@ def multiplier_factors(
     f: RationalMap,
     n: int,
     cap: int | None = None,
-    tol: float = config.SOLVER_TOL,
     seed: int = 0,
 ) -> PeriodFactors:
     """Irreducible factorization of the multiplier polynomial P_n over Q."""
@@ -431,7 +434,7 @@ def multiplier_factors(
     remaining = dyn_int
     if pdeg(remaining) >= 1 and isquarefree(remaining):
         remaining = _fast_path_split(
-            f, n, remaining, add_factor, rejected, tol=tol, seed=seed, cap=cap
+            f, n, remaining, add_factor, rejected, seed=seed, cap=cap
         )
     if pdeg(remaining) >= 1:
         _, irr = factor_int_poly(remaining)
@@ -454,7 +457,7 @@ def multiplier_factors(
     return pf
 
 
-def _fast_path_split(f, n, dyn_int, add_factor, rejected, tol, seed, cap):
+def _fast_path_split(f, n, dyn_int, add_factor, rejected, seed, cap):
     """Peel off certified integer-multiplier factors; returns the cofactor.
 
     The numeric stage only proposes, in doubles, each integer multiplier c
@@ -463,15 +466,14 @@ def _fast_path_split(f, n, dyn_int, add_factor, rejected, tol, seed, cap):
     multipliers); :func:`_modular_split` finds and certifies the factors."""
     from .periodic import group_cycles
 
-    tol_numeric = max(tol, 1e-9)
     try:
         pts, _rep = periodic_points(
-            f, n, tol=tol_numeric, seed=seed,
+            f, n, tol=1e-9, seed=seed,
             cap=max(config.NUMERIC_DEGREE_CAP, cap + 2),
         )
         # the collision guard stays tight: double-precision roots separate
         # well below the residual tolerance
-        cycles = group_cycles(f, pts, n, tol=min(tol, 1e-12))
+        cycles = group_cycles(f, pts, n, tol=1e-12)
     except RatdynError as exc:
         rejected.append((None, pdeg(dyn_int), f"numeric stage failed: {exc}"))
         return dyn_int
@@ -498,12 +500,11 @@ def multiplier_polynomial(
     f: RationalMap,
     n: int,
     cap: int | None = None,
-    tol: float = config.SOLVER_TOL,
     seed: int = 0,
 ) -> list[Fraction]:
     """P_n(lambda), monic over Q; roots are the multipliers of exact
     period-n points with multiplicity (one root per point)."""
-    return multiplier_factors(f, n, cap=cap, tol=tol, seed=seed).poly()
+    return multiplier_factors(f, n, cap=cap, seed=seed).poly()
 
 
 def factor_spectrum(poly) -> list[tuple[tuple[Fraction, ...], int]]:
@@ -555,14 +556,13 @@ def algebraic_spectrum(
     f: RationalMap,
     max_period: int,
     cap: int | None = None,
-    tol: float = config.SOLVER_TOL,
     seed: int = 0,
 ) -> AlgebraicSpectrum:
     """Exact spectrum for periods 1..max_period (cycle-level multiplicity:
     each period's point-level multiplicities divide by n)."""
     spec = AlgebraicSpectrum(degree=f.degree)
     for n in range(1, max_period + 1):
-        pf = multiplier_factors(f, n, cap=cap, tol=tol, seed=seed)
+        pf = multiplier_factors(f, n, cap=cap, seed=seed)
         cycle_level = []
         for q, m in pf.factors:
             if m % n != 0:
@@ -605,7 +605,8 @@ def _is_rational_square(x: Fraction) -> bool:
 
 class NumberFieldSpec:
     """Target field K by a monic irreducible integer polynomial; degree 1 is
-    Q, degree 2 has exact fast paths via the squarefree discriminant D."""
+    Q, degree 2 has exact fast paths via the squarefree discriminant D, and
+    larger degrees factor over ``sympy_field``."""
 
     def __init__(self, poly_int):
         p = [int(c) for c in pstrip(list(poly_int))]
@@ -624,6 +625,14 @@ class NumberFieldSpec:
             disc = b * b - 4 * c
             self.D = _squarefree_part(disc)
             self.imaginary_quadratic = disc < 0
+
+    @functools.cached_property
+    def sympy_field(self):
+        """K as sympy's algebraic field Q(theta), theta a root of the
+        defining polynomial."""
+        from sympy import QQ, CRootOf, Poly, Symbol
+
+        return QQ.algebraic_field(CRootOf(Poly(self.poly[::-1], Symbol("x")), 0))
 
     @staticmethod
     def rationals() -> "NumberFieldSpec":
@@ -650,7 +659,6 @@ class FactorVerdict:
     period: int
     factor: tuple[Fraction, ...]
     ok: bool
-    heuristic: bool = False
     reason: str = ""
 
 
@@ -659,97 +667,61 @@ class MembershipVerdict:
     all_in_field: bool
     first_violation: tuple[int, tuple[Fraction, ...]] | None
     per_factor: list[FactorVerdict]
-    heuristic: bool
 
     def describe(self) -> str:
         if self.all_in_field:
-            return "AllInK" + (" (heuristic)" if self.heuristic else "")
+            return "AllInK"
         n, fac = self.first_violation
         return f"FirstViolation(period={n}, factor={poly_to_str(list(fac), 'λ')})"
 
 
 def _factor_in_field(q: tuple[Fraction, ...], K: NumberFieldSpec) -> FactorVerdict:
+    """Whether the irreducible factor q has a root in K: exact for every K.
+    A root in K needs deg q | deg K; over a quadratic field the discriminant
+    decides, over larger fields a linear factor of q over K (sympy)."""
     degq = len(q) - 1
     if degq == 1:
         return FactorVerdict(0, q, True, reason="rational root")
     if degq > K.degree:
         return FactorVerdict(0, q, False, reason="degree exceeds field degree")
-    if K.degree == 2 and degq == 2:
+    if K.degree % degq:
+        return FactorVerdict(0, q, False, reason="degree does not divide field degree")
+    if K.degree == 2:
         b, c = q[1], q[0]
         disc = b * b - 4 * c
         ok = _is_rational_square(disc / K.D)
         return FactorVerdict(
             0, q, ok, reason=f"disc/D = {disc}/{K.D} square test"
         )
-    if K.degree <= 2:
-        return FactorVerdict(0, q, False, reason="degree exceeds field degree")
-    # general field: heuristic lattice-reconstruction check
-    if K.degree % degq != 0:
-        return FactorVerdict(
-            0, q, False, heuristic=True, reason="degree does not divide field degree"
-        )
-    ok = _pslq_root_in_field(q, K)
-    return FactorVerdict(0, q, ok, heuristic=True, reason="pslq reconstruction")
+    return FactorVerdict(0, q, _has_root_in(q, K), reason="linear factor over K")
 
 
-def _pslq_root_in_field(q, K: NumberFieldSpec, dps: int = 80) -> bool:
-    import mpmath as mp
+def _has_root_in(q, K: NumberFieldSpec) -> bool:
+    """Whether q factors over K with a linear factor (sympy's algebraic
+    factoring; Trager, SYMSAC 1976)."""
+    from sympy import QQ, Poly, Symbol
 
-    with mp.workdps(dps):
-        kp = [mp.mpf(c) for c in K.poly]
-        field_roots = mp.polyroots(list(reversed(kp)), maxsteps=200, extraprec=200)
-        qq = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in q]
-        q_roots = mp.polyroots(list(reversed(qq)), maxsteps=200, extraprec=200)
-        for r in q_roots:
-            for theta in field_roots:
-                vec = [mp.mpf(1)]
-                for _ in range(K.degree - 1):
-                    vec.append(vec[-1] * theta)
-                vec.append(r)
-                if any(abs(mp.im(v)) > mp.mpf(10) ** (-dps // 2) for v in vec):
-                    # complex embeddings: use real/imag stacking via pslq on
-                    # the complexes is unsupported; fall back to real parts
-                    continue
-                rel = mp.pslq([mp.re(v) for v in vec], maxcoeff=10**12)
-                if rel and rel[-1] != 0:
-                    # verify the relation to 1e-20 at doubled precision
-                    with mp.workdps(2 * dps):
-                        kp2 = [mp.mpf(c) for c in K.poly]
-                        th2 = mp.polyroots(list(reversed(kp2)))[0]
-                        vv = [mp.mpf(1)]
-                        for _ in range(K.degree - 1):
-                            vv.append(vv[-1] * th2)
-                        qq2 = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in q]
-                        rr = min(
-                            mp.polyroots(list(reversed(qq2))),
-                            key=lambda t: abs(t - r),
-                        )
-                        vv.append(rr)
-                        resid = abs(mp.fsum(a * v for a, v in zip(rel, vv)))
-                        if resid < mp.mpf(10) ** (-20):
-                            return True
-    return False
+    coeffs = [QQ(c.numerator, c.denominator) for c in reversed(q)]
+    _, factors = Poly(coeffs, Symbol("lam"), domain=K.sympy_field).factor_list()
+    return any(fac.degree() == 1 for fac, _ in factors)
 
 
 def membership(spectrum: AlgebraicSpectrum, K: NumberFieldSpec) -> MembershipVerdict:
-    """AllInK iff every irreducible factor has a root in K (exact for
-    deg K <= 2; heuristic, and flagged as such, beyond)."""
+    """AllInK iff every irreducible factor has a root in K (exact for every
+    K)."""
     per = []
-    heuristic = False
     first = None
     for n in sorted(spectrum.periods):
         for q, _m in spectrum.periods[n]:
             v = _factor_in_field(q, K)
             v.period = n
             per.append(v)
-            heuristic = heuristic or v.heuristic
             if not v.ok and first is None:
                 first = (n, q)
     return MembershipVerdict(
         all_in_field=first is None,
         first_violation=first,
         per_factor=per,
-        heuristic=heuristic,
     )
 
 
@@ -807,7 +779,6 @@ def galois_orbit_sets(
     f: RationalMap,
     n: int,
     cap: int | None = None,
-    tol: float = config.SOLVER_TOL,
     seed: int = 0,
 ) -> list[GaloisPeriodicSet]:
     """Partition the exact-period-n points into Galois-stable sets.

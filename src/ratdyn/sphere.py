@@ -261,7 +261,7 @@ class RationalMap:
     Q(i) and float maps.
     """
 
-    def __init__(self, num, den, exact: bool, _reduced: bool = True):
+    def __init__(self, num, den, exact: bool):
         self.num = tuple(num)
         self.den = tuple(den)
         self.exact = exact

@@ -2,8 +2,12 @@ import io
 import json
 import math
 import os
+from fractions import Fraction
 
-from ratdyn.cli import parse_field, parse_map, run
+import pytest
+
+from ratdyn.cli import _parse_point, parse_field, parse_map, run
+from ratdyn.errors import DegreeTooLow
 
 
 def run_cli(argv, stdin_text=None):
@@ -50,6 +54,18 @@ def test_field_check_example():
     assert json.loads(out)["results"]["membership"]["all_in_field"]
 
 
+def test_field_check_is_exact_in_a_quartic_field():
+    # the roots 1 +- sqrt(2) and 1 +- i lie in Q[x]/(x^4+1):
+    # sqrt(2) = x - x^3 and i = x^2
+    for spec in ("z^2-1/4", "z^2+1/2"):
+        rc, out, _ = run_cli(
+            ["field-check", "--map", spec, "--max-period", "1", "--field", "poly:x^4+1"]
+        )
+        assert rc == 0
+        m = json.loads(out)["results"]["membership"]
+        assert m["verdict"] == "AllInK" and m["heuristic"] is False
+
+
 def test_expression_parser_handles_lattes_text():
     f = parse_map("(z^2+1)^2/(4*(z^3-z))")
     assert f.degree == 4 and f.exact
@@ -64,6 +80,19 @@ def test_expression_parser_rationals_and_signs():
     assert g.degree == 2
     h = parse_map("chebyshev:3:-")
     assert h.evaluate(2).to_complex() == -2
+
+
+def test_the_parser_cancels_common_factors_once_at_the_end():
+    with pytest.raises(DegreeTooLow):
+        parse_map("z/z")
+    with pytest.raises(DegreeTooLow):
+        parse_map("(z^2-1)/(z-1)")
+    f = parse_map("z^2*(z-3)/(z-3)")
+    assert [str(c) for c in f.num] == ["0", "0", "1"] and [str(c) for c in f.den] == ["1"]
+    g = parse_map("(z^3-z)/(2*z^2-2*z)+(z-1)^2")  # (z+1)/2 + (z-1)^2
+    assert [str(c) for c in g.num] == ["3/2", "-3/2", "1"] and [str(c) for c in g.den] == ["1"]
+    assert parse_field("poly:(x^4+2*x)/x").poly == (2, 0, 0, 1)
+    assert _parse_point("(z-1)/(2*z-2)").z.re == Fraction(1, 2)
 
 
 def test_parse_errors_exit_2():
@@ -83,6 +112,16 @@ def test_cap_exceeded_exit_4():
     )
     assert rc == 4
     assert json.loads(err)["error"]["code"] == "degree-cap"
+
+
+def test_a_failed_grouping_reports_the_missing_points():
+    rc, _, err = run_cli(["cycles", "--map=-2*z^3+4*z^2+2*z-1", "--period", "3"])
+    assert rc == 3
+    diag = json.loads(err)["error"]
+    assert diag["code"] == "orbit-mismatch"
+    assert diag["message"].startswith("16 points cannot split into period-3 orbits")
+    assert "8 of 24 points missing (" in diag["message"]
+    assert "solver roots failed the residual test" in diag["message"]
 
 
 def test_numeric_failure_exit_3():

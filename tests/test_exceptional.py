@@ -17,6 +17,7 @@ from ratdyn import (
     classify,
     cm_lattes_fixture,
     conjugate,
+    exceptional,
     flexible_lattes,
     orbifold_signature,
     power_map,
@@ -191,6 +192,20 @@ def test_classify_signs():
     assert classify(power_map(2, -1)).sign == "-"
     assert classify(chebyshev_map(3, 1)).sign == "+"
     assert classify(chebyshev_map(3, -1)).sign == "-"
+
+
+def test_classify_computes_the_orbifold_weights_once(monkeypatch):
+    calls = []
+    real = exceptional._orbifold_weights
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exceptional, "_orbifold_weights", spy)
+    assert classify(power_map(2, -1)).sign == "-"
+    assert classify(chebyshev_map(3, -1)).sign == "-"
+    assert len(calls) == 2
 
 
 def test_classify_lattes_and_rigid():

@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from sympy import ZZ, Poly, Symbol
 
 from ratdyn import algebraic_spectrum, build_map, spectra
 from ratdyn.periodic import dynatomic_numerator
@@ -21,6 +22,7 @@ from ratdyn.polys import (
     factor_int_poly,
     fp_array,
     fp_mul,
+    isquarefree,
     pmul,
     word_primes,
 )
@@ -234,3 +236,17 @@ def test_generic_spectra_match_the_bench_reference(name, f, top):
     want = workloads.load_reference("full")["spectra_generic"][name]["periods"]
     spec = algebraic_spectrum(f, top, cap=2000)
     assert workloads.fingerprint(spec) == want
+
+
+@pytest.mark.parametrize("name, f, _top", BENCH_MAPS)
+def test_isquarefree_agrees_with_sympy(name, f, _top):
+    # squarefree dynatomic polynomials take the modular certificate; times
+    # the square of a factor, they take the exact fallback
+    z = Symbol("z")
+    for n in range(1, 5):
+        dyn = dynatomic_numerator(f, n)
+        _, irr = factor_int_poly(dyn)
+        cases = [(dyn, True)] + [(pmul(dyn, pmul(q, q)), False) for q, _ in irr]
+        for p, want in cases:
+            assert Poly(p[::-1], z, domain=ZZ).is_sqf == want
+            assert isquarefree(p) == want, (name, n)

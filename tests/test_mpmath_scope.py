@@ -1,0 +1,49 @@
+"""mpmath serves only the homoclinic verification: every other module of
+the package has an exact or double-precision route.
+
+The check reads the source of ``src/ratdyn/*.py``, not ``sys.modules``,
+because sympy imports mpmath itself.
+"""
+
+import ast
+import os
+
+PKG = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "src", "ratdyn"))
+ALLOWED = {"homoclinic"}
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def mpmath_importers(sources=None):
+    if sources is None:
+        sources = {}
+        for fname in sorted(os.listdir(PKG)):
+            if fname.endswith(".py"):
+                with open(os.path.join(PKG, fname), encoding="utf-8") as fh:
+                    sources[fname[:-3]] = fh.read()
+    return sorted(
+        module
+        for module, text in sources.items()
+        if module not in ALLOWED
+        and any(name.split(".")[0] == "mpmath" for name in _imported_modules(ast.parse(text)))
+    )
+
+
+def test_only_homoclinic_imports_mpmath():
+    assert mpmath_importers() == []
+
+
+def test_an_import_inside_a_function_is_found():
+    sources = {
+        "scratch": "def f():\n    import mpmath as mp\n    return mp.mpf(1)\n",
+        "other": "from mpmath.libmp import mpf_add\n",
+        "clean": "import math\nfrom .polys import peval\n",
+        "homoclinic": "import mpmath as mp\n",
+    }
+    assert mpmath_importers(sources) == ["other", "scratch"]

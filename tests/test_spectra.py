@@ -26,10 +26,20 @@ from ratdyn.polys import (
     pstrip,
     qi_poly_to_fractions,
 )
-from ratdyn.spectra import ResidueField, minimal_polynomial, multiplier_factors
+from ratdyn.spectra import (
+    ResidueField,
+    _factor_in_field,
+    _has_root_in,
+    minimal_polynomial,
+    multiplier_factors,
+)
 
 Z2 = build_map([0, 0, 1], [1])
 BASILICA = build_map([-1, 0, 1], [1])
+
+
+def fr(*coeffs):
+    return tuple(Fraction(c) for c in coeffs)
 
 
 def fac_strs(pf):
@@ -170,16 +180,43 @@ def test_membership_monotone_under_field_extension():
 
 
 def test_membership_general_field_heuristic_path():
-    # lambda^3 - 2 has a root in Q(cbrt(2)); flagged heuristic
+    # the route for deg K >= 3 is exact: lambda^3 - 2 has the root cbrt(2)
+    # in Q(cbrt(2)), and the verdict is a plain AllInK
     K = NumberFieldSpec([-2, 0, 0, 1])
     spec = algebraic_spectrum(Z2, 1)
     spec.periods[1] = spec.periods[1] + [((Fraction(-2), Fraction(0), Fraction(0), Fraction(1)), 1)]
     mv = membership(spec, K)
-    assert mv.heuristic
+    assert mv.describe() == "AllInK"
     assert mv.all_in_field
+    verdicts = {
+        poly_to_str(list(q), "λ"): _factor_in_field(q, K)
+        for q in (fr(-2, 0, 0, 1), fr(-4, 0, 0, 1), fr(-5, 0, 0, 1), fr(1, 1, 1))
+    }
+    assert {name: v.ok for name, v in verdicts.items()} == {
+        "λ^3-2": True, "λ^3-4": True, "λ^3-5": False, "λ^2+λ+1": False,
+    }
+    assert verdicts["λ^2+λ+1"].reason == "degree does not divide field degree"
+    assert verdicts["λ^3-5"].reason == "linear factor over K"
     K5 = NumberFieldSpec([-5, 0, 0, 1])
     mv2 = membership(spec, K5)
     assert not mv2.all_in_field
+
+
+def test_quadratic_discriminant_path_agrees_with_factoring_over_k():
+    # the two exact routes: disc/D square test, and a linear factor over K
+    seen = set()
+    for D in (-7, -3, -1, 2, 5):
+        K = NumberFieldSpec.quadratic(D)
+        for b in range(-6, 7):
+            for c in range(-6, 7):
+                disc = b * b - 4 * c
+                if disc >= 0 and math.isqrt(disc) ** 2 == disc:
+                    continue  # reducible over Q: not a spectrum factor
+                q = fr(c, b, 1)
+                ok = _factor_in_field(q, K).ok
+                assert ok == _has_root_in(q, K), (D, q)
+                seen.add(ok)
+    assert seen == {True, False}
 
 
 def test_integrality_examples():
