@@ -497,6 +497,12 @@ def _cmd_homoclinic(args, stdin_text=None):
     f = parse_map(args.map, stdin_text)
     z0 = _parse_point(args.point)
     seed_obj = find_seed(f, z0, q=args.q, tol=args.tol)
+    if args.n_min < 2 * seed_obj.l + 1 or args.n_max - args.n_min < 3:
+        raise MapParseError(
+            f"--n-min {args.n_min} --n-max {args.n_max}: the sequence needs "
+            f"n >= 2l + 1 = {2 * seed_obj.l + 1} and the convergence report "
+            "at least 4 entries"
+        )
     seq = exponent_sequence(f, seed_obj, args.n_min, args.n_max, tol=args.tol)
     rep = convergence_report(seq)
     entries = to_jsonable(seq.entries)

@@ -29,6 +29,7 @@ from .sphere import (
     normalize_xy,
     points_to_xy,
     postcritical_truncation,
+    sphere_points,
 )
 
 # ----------------------------------------------------------------------
@@ -59,15 +60,6 @@ class PointCloud:
         X, Y = points_to_xy(points)
         w = np.full(len(points), 1.0 / len(points))
         return PointCloud(X, Y, w, provenance or {})
-
-    def chordal_coordinates(self) -> np.ndarray:
-        """Stereographic sphere coordinates (x1, x2, x3), shape (N, 3)."""
-        s = np.abs(self.X) ** 2 + np.abs(self.Y) ** 2
-        xy = self.X * np.conj(self.Y)
-        return np.stack(
-            [2 * xy.real / s, 2 * xy.imag / s, (np.abs(self.X) ** 2 - np.abs(self.Y) ** 2) / s],
-            axis=1,
-        )
 
     def pushforward(self, f: RationalMap) -> "PointCloud":
         Xn, Yn = f.eval_hom(self.X.copy(), self.Y.copy())
@@ -297,7 +289,7 @@ def weak_convergence_report(
     names, exps = _dictionary(test_degree)
 
     def mono_values(cloud: PointCloud):
-        coords = cloud.chordal_coordinates()
+        coords = sphere_points(cloud.X, cloud.Y)
         cols = []
         for a, b, c in exps:
             cols.append(

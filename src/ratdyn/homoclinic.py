@@ -81,13 +81,7 @@ class HomoclinicSeed:
 
 def _preimages_of(F: RationalMap, w: complex) -> np.ndarray:
     """All finite preimages of w under F."""
-    d = F.degree
-    A = np.zeros(d + 1, dtype=complex)
-    B = np.zeros(d + 1, dtype=complex)
-    for i, c in enumerate(F.num):
-        A[i] = complex(c)
-    for i, c in enumerate(F.den):
-        B[i] = complex(c)
+    A, B = F._coeffs_c
     coeffs = A - w * B
     nz = np.nonzero(np.abs(coeffs) > 1e-14 * max(1.0, np.abs(coeffs).max()))[0]
     if nz.size == 0:

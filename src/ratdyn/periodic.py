@@ -34,7 +34,7 @@ from .polys import (
     pstrip,
     psub,
 )
-from .roots import aberth_ratio, batched_roots, solve_poly
+from .roots import aberth_ratio, batched_roots, newton_polish, solve_poly
 from .scalars import Qi
 from .sphere import (
     INF,
@@ -44,8 +44,10 @@ from .sphere import (
     chordal,
     chordal_xy,
     hom_eval,
+    near_pairs,
     normalize_xy,
     points_to_xy,
+    sphere_points,
 )
 
 # ----------------------------------------------------------------------
@@ -224,14 +226,8 @@ def make_period_ratio(f: RationalMap, n: int):
 
 
 def _fixed_points(f: RationalMap, tol: float = 1e-12) -> list[ProjPoint]:
-    d = f.degree
-    A = ppad([complex(c) for c in f.num], d + 1, 0j)
-    B = ppad([complex(c) for c in f.den], d + 1, 0j)
-    zB = np.zeros(d + 2, dtype=complex)
-    zB[1 : len(B) + 1] = B
-    Ap = np.zeros(d + 2, dtype=complex)
-    Ap[: len(A)] = A
-    poly = zB - Ap
+    A, B = f._coeffs_c
+    poly = np.concatenate([[0j], B]) - np.concatenate([A, [0j]])
     pts = [ProjPoint.finite(complex(r)) for r in solve_poly(poly)]
     # Infinity is fixed iff deg(z B - A) < d + 1
     fx, fy = f.eval_hom(np.array([1.0 + 0j]), np.array([0j]))
@@ -242,11 +238,7 @@ def _fixed_points(f: RationalMap, tol: float = 1e-12) -> list[ProjPoint]:
 
 def _preimage_xy(f: RationalMap, X: np.ndarray, Y: np.ndarray):
     """All preimages of each target (X_i, Y_i); returns (N, d) pairs."""
-    d = f.degree
-    A = ppad([complex(c) for c in f.num], d + 1, 0j)
-    B = ppad([complex(c) for c in f.den], d + 1, 0j)
-    A = np.array(A)
-    B = np.array(B)
+    A, B = f._coeffs_c
     coeffs = Y[:, None] * A[None, :] - X[:, None] * B[None, :]
     roots = batched_roots(coeffs)
     Xo = np.where(np.isinf(roots), 1.0 + 0j, roots)
@@ -323,6 +315,33 @@ def infinity_exact_period(f: RationalMap, n_cap: int) -> tuple[int | None, list[
     return None, []
 
 
+def _dedup_roots(roots: np.ndarray, cluster_r: float) -> list[complex]:
+    """Greedy clustering, largest |z| first: a free root takes the free
+    roots within cluster_r (1 + |z|) of it, and their mean stands for each.
+    Lone roots (no neighbour that close) skip the loop."""
+    P = sphere_points(*normalize_xy(roots.copy(), np.ones_like(roots)))
+    # |z_j - z_i| <= 2 r (1 + |z_i|) gives chordal <= 2 sqrt(2) r < 3 r; the
+    # factor 2 keeps every clustered root out of `solo` despite rounding
+    i, j = near_pairs(P, P, 3 * cluster_r)
+    hit = np.abs(roots[j] - roots[i]) <= 2 * cluster_r * (1 + np.abs(roots[i]))
+    hit &= i != j
+    solo = np.ones(roots.size, dtype=bool)
+    solo[i[hit]] = solo[j[hit]] = False
+    crowd = np.nonzero(~solo)[0]
+    lone = np.mean(roots[:, None], axis=1)  # one-point means: -0.0 becomes 0.0
+    used = np.zeros(roots.size, dtype=bool)
+    out: list[complex] = []
+    for k in np.argsort(-np.abs(roots)):
+        if solo[k]:
+            out.append(complex(lone[k]))
+        elif not used[k]:
+            close = np.abs(roots[crowd] - roots[k]) <= cluster_r * (1 + np.abs(roots[k]))
+            close = crowd[close & ~used[crowd]]
+            used[close] = True
+            out += [complex(np.mean(roots[close]))] * close.size
+    return out
+
+
 def periodic_points(
     f: RationalMap,
     n: int,
@@ -362,8 +381,6 @@ def periodic_points(
         roots, ok = aberth_ratio(ratio, starts, tol=1e-14, seed=seed)
         unconverged = int((~ok).sum())
         roots = roots[ok]
-    from .roots import newton_polish
-
     roots = newton_polish(ratio, roots, iters=2)
     # residuals in the chordal metric
     X, Y = normalize_xy(roots.copy(), np.ones_like(roots))
@@ -387,19 +404,7 @@ def periodic_points(
     # deduplicate (Aberth repulsion keeps simple roots apart, so clusters
     # only form at genuinely multiple roots; radius stays well below any
     # simple-root separation)
-    cluster_r = max(10 * tol, 1e-10)
-    pts: list[ProjPoint] = []
-    used = np.zeros(roots.size, dtype=bool)
-    order = np.argsort(-np.abs(roots))
-    for i in order:
-        if used[i]:
-            continue
-        close = np.abs(roots - roots[i]) <= cluster_r * (1 + np.abs(roots[i]))
-        close &= ~used
-        used |= close
-        rep = complex(np.mean(roots[close]))
-        for _ in range(int(close.sum())):
-            pts.append(ProjPoint.finite(rep))
+    pts = [ProjPoint.finite(z) for z in _dedup_roots(roots, max(10 * tol, 1e-10))]
     if inf_period == n:
         pts.append(INF)
     expected = exact_period_count(d, n)
@@ -452,6 +457,12 @@ def multiplier(f: RationalMap, orbit: list[ProjPoint | complex]):
             raise NotACycle(
                 f"orbit breaks at index {i}: f(p_i) is {chordal(q, target):.3g} away"
             )
+    return _chain_multiplier(f, pts, exact)
+
+
+def _chain_multiplier(f: RationalMap, pts: list[ProjPoint], exact: bool):
+    """Product of the chart-step derivatives along the ordered orbit."""
+    n = len(pts)
     lam = Qi(1) if exact else 1.0 + 0j
     for i in range(n):
         step = chart_step_derivative(f, pts[i], pts[(i + 1) % n])
@@ -483,7 +494,8 @@ def group_cycles(
     """Partition exact-period-n points into orbits and fill multiplier data.
 
     Refuses to guess when distinct points are closer than 10 tol
-    (parabolic collisions) and raises OrbitMismatch instead.
+    (parabolic collisions) and raises OrbitMismatch instead.  Distances are
+    taken between near pairs only (:func:`sphere.near_pairs`), not all m^2.
     """
     pts = list(points)
     m = len(pts)
@@ -493,34 +505,35 @@ def group_cycles(
         raise OrbitMismatch(f"{m} points cannot split into period-{n} orbits")
     sep = 10 * tol
     X, Y = points_to_xy(pts)
-    chunk = 512
-    # pairwise separation check, chunked
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        D = chordal_xy(X[lo:hi, None], Y[lo:hi, None], X[None, :], Y[None, :])
-        for r in range(hi - lo):
-            D[r, lo + r] = np.inf
-        if D.min() < sep:
-            raise OrbitMismatch(
-                f"two input points are closer than 10*tol = {sep:g}; "
-                "refusing to merge (parabolic collision?)"
-            )
-    # successor permutation: nearest input point to each image
+    P = sphere_points(X, Y)
+    # pairwise separation check, on the near pairs only
+    i, j = near_pairs(P, P, sep)
+    if (chordal_xy(X[i], Y[i], X[j], Y[j])[i != j] < sep).any():
+        raise OrbitMismatch(
+            f"two input points are closer than 10*tol = {sep:g}; "
+            "refusing to merge (parabolic collision?)"
+        )
+    # successor permutation: nearest input point to each image (lowest on
+    # ties).  An image with none within match_tol (all, if a point is not
+    # finite) takes the dense rows of its 512-chunk, whose farthest it names
     match_tol = max(100 * tol, 1e-8)
     Xi, Yi = f.eval_hom(X.copy(), Y.copy())
-    succ = np.empty(m, dtype=int)
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        D = chordal_xy(Xi[lo:hi, None], Yi[lo:hi, None], X[None, :], Y[None, :])
-        j = np.argmin(D, axis=1)
-        dd = D[np.arange(hi - lo), j]
+    i, j = near_pairs(sphere_points(Xi, Yi), P, match_tol)
+    d = chordal_xy(Xi[i], Yi[i], X[j], Y[j])
+    o = np.lexsort((j, d, i))
+    o = o[np.diff(i[o], prepend=-1) != 0]
+    succ, dist = np.zeros(m, dtype=int), np.full(m, np.inf)
+    succ[i[o]], dist[i[o]] = j[o], d[o]
+    for lo in sorted(set(np.nonzero(~(dist <= match_tol) | ~np.isfinite(P).all())[0] // 512)):
+        rows = slice(512 * lo, 512 * lo + 512)
+        D = chordal_xy(Xi[rows, None], Yi[rows, None], X[None, :], Y[None, :])
+        succ[rows] = np.argmin(D, axis=1)
+        dist[rows] = dd = D[np.arange(len(D)), succ[rows]]
         if dd.max() > match_tol:
-            k = int(np.argmax(dd))
             raise OrbitMismatch(
-                f"forward image of point {lo + k} is {dd[k]:.3g} away from "
-                "every input point"
+                f"forward image of point {rows.start + int(np.argmax(dd))} is "
+                f"{dd.max():.3g} away from every input point"
             )
-        succ[lo:hi] = j
     if len(set(succ.tolist())) != m:
         raise OrbitMismatch("forward map is not a permutation of the input set")
     visited = np.zeros(m, dtype=bool)
@@ -542,7 +555,15 @@ def group_cycles(
                 f"found an orbit of length {len(orbit_idx)} among period-{n} points"
             )
         orbit = [pts[i] for i in orbit_idx]
-        lam = multiplier(f, orbit)
+        if f.exact and all(p.is_exact for p in orbit):
+            lam = multiplier(f, orbit)
+        else:
+            # multiplier()'s float cycle check, on the successor distances
+            gaps = dist[orbit_idx]
+            if (gaps > 1e-6).any():
+                k = int(np.argmax(gaps > 1e-6))
+                raise NotACycle(f"orbit breaks at index {k}: f(p_i) is {gaps[k]:.3g} away")
+            lam = _chain_multiplier(f, orbit, False)
         lam_c = complex(lam) if isinstance(lam, Qi) else lam
         chi = characteristic_exponent(lam, n)
         cycles.append(

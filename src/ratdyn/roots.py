@@ -24,19 +24,25 @@ import numpy as np
 from .errors import RootFindingFailed
 
 _CHUNK = 512
+_BLOCK = 1 << 16  # complex entries (1 MiB) of the repulsion block buffer
 
 
 def _repulsion_rows(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """S_i = sum_{j != i} 1/(z_i - z_j) for i in rows, chunked over rows to
-    bound memory.  Each row is summed over all of z, so S_i does not depend
-    on which other rows are asked for."""
+    """S_i = sum_{j != i} 1/(z_i - z_j) for i in rows, a few rows at a time in
+    one buffer of _BLOCK entries.  Each row is (1.0 / (z_i - z)).sum() with
+    z_i - z_i = inf, so S_i does not depend on the other rows asked for."""
+    n = z.size
+    k = max(1, _BLOCK // max(n, 1))
+    buf = np.empty(min(k, rows.size) * n, dtype=complex)
     out = np.empty(rows.size, dtype=complex)
-    for lo in range(0, rows.size, _CHUNK):
-        r = rows[lo : lo + _CHUNK]
-        diff = z[r, None] - z[None, :]
-        diff[np.arange(r.size), r] = np.inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[lo : lo + r.size] = (1.0 / diff).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, rows.size, k):
+            r = rows[lo : lo + k]
+            b = buf[: r.size * n].reshape(r.size, n)
+            np.subtract(z[r, None], z, out=b)
+            b[np.arange(r.size), r] = np.inf
+            np.divide(1.0, b, out=b)
+            b.sum(axis=1, out=out[lo : lo + r.size])
     return out
 
 

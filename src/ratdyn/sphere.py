@@ -123,6 +123,41 @@ def chordal_xy(X1, Y1, X2, Y2):
     return num / den
 
 
+def sphere_points(X, Y):
+    """Unit vectors in R^3 of normalized homogeneous points (stereographic
+    lift); the Euclidean distance of two is twice their chordal distance."""
+    n2 = np.abs(X) ** 2 + np.abs(Y) ** 2
+    w = X * np.conj(Y)
+    P = np.stack([2 * w.real, 2 * w.imag, np.abs(X) ** 2 - np.abs(Y) ** 2], axis=1)
+    return P / n2[:, None]
+
+
+def near_pairs(Q, P, t: float):
+    """Candidate index pairs (i, j), rows of two sphere_points arrays, that
+    include every pair within chordal distance t.  Cell search (Bentley &
+    Friedman 1979): such a pair differs by under 2t (plus rounding) in each
+    coordinate, so with cells of side h >= 4t it lies in adjacent cells;
+    h >= 1e-5 keeps the int64 keys of the 27 neighbours of each cell of
+    [-1, 1]^3 distinct.  Non-finite rows are binned at the origin."""
+    h = max(4.0 * t, 1e-5)
+    B = 2 * int(1.0 / h) + 7
+
+    def keys(A):
+        c = np.floor(np.nan_to_num(A) / h).astype(np.int64) + B // 2
+        return (c[:, 0] * B + c[:, 1]) * B + c[:, 2]
+
+    kp = keys(P)
+    order = np.argsort(kp)
+    kp = kp[order]
+    e = np.arange(27)
+    k = (keys(Q)[:, None] + ((e // 9 - 1) * B + e // 3 % 3 - 1) * B + e % 3 - 1).ravel()
+    lo = np.searchsorted(kp, k, "left")
+    cnt = np.searchsorted(kp, k, "right") - lo
+    first = np.cumsum(cnt) - cnt
+    i = np.repeat(np.arange(k.size) // 27, cnt)
+    return i, order[np.repeat(lo - first, cnt) + np.arange(cnt.sum())]
+
+
 def points_to_xy(points: Sequence[ProjPoint]):
     X = np.empty(len(points), dtype=complex)
     Y = np.empty(len(points), dtype=complex)
@@ -281,9 +316,11 @@ class RationalMap:
             nf[i] = complex(c)
         for i, c in enumerate(den):
             df[i] = complex(c)
+        self._coeffs_c = (nf, df)  # complex num, den padded to d + 1
         scale = max(np.abs(nf).max(), np.abs(df).max())
         self._nf = nf / scale
         self._df = df / scale
+        self._charts = {}  # chart_step_derivative's polynomials, filled on use
         self._wronskian_f = np.polynomial.polynomial.polysub(
             np.polynomial.polynomial.polymul(
                 np.polynomial.polynomial.polyder(self._nf), self._df
@@ -681,23 +718,25 @@ def _chart_value(p: ProjPoint, exact: bool):
 def chart_step_derivative(f: RationalMap, p: ProjPoint, q: ProjPoint):
     """Derivative of chart_out o f o chart_in^(-1) at p, where each point
     uses the z chart iff |z| <= 1.  Multiplying these along a cycle gives
-    the multiplier (chart corrections telescope)."""
+    the multiplier (chart corrections telescope).  The chart polynomials
+    and their derivatives are built once per map, exactness and chart."""
     exact = f.exact and p.is_exact
-    d = f.degree
-    if exact:
-        num = ppad(f.num, d + 1, Qi(0))
-        den = ppad(f.den, d + 1, Qi(0))
-    else:
-        num = list(np.asarray(f._nf))
-        den = list(np.asarray(f._df))
     u, in_z = _chart_value(p, exact)
-    if in_z:
-        P, Q = pstrip(num), pstrip(den)
-    else:
-        P, Q = preverse(num, d + 1), preverse(den, d + 1)
+    if (exact, in_z) not in f._charts:
+        d = f.degree
+        if exact:
+            num, den = ppad(f.num, d + 1, Qi(0)), ppad(f.den, d + 1, Qi(0))
+        else:
+            num, den = list(f._nf), list(f._df)
+        if in_z:
+            P, Q = pstrip(num), pstrip(den)
+        else:
+            P, Q = preverse(num, d + 1), preverse(den, d + 1)
+        f._charts[exact, in_z] = (P, Q, pderiv(P), pderiv(Q))
+    P, Q, dP, dQ = f._charts[exact, in_z]
     out_z = _charts_for(q)
     Pu, Qu = peval(P, u), peval(Q, u)
-    dPu, dQu = peval(pderiv(P), u), peval(pderiv(Q), u)
+    dPu, dQu = peval(dP, u), peval(dQ, u)
     if out_z:
         return (dPu * Qu - Pu * dQu) / (Qu * Qu)
     return (dQu * Pu - Qu * dPu) / (Pu * Pu)

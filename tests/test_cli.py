@@ -242,6 +242,22 @@ def test_homoclinic_subcommand():
     assert res["convergence"]["c_over_n_holds"] is True
 
 
+@pytest.mark.parametrize("n_min,n_max", [("9", "11"), ("1", "6")])
+def test_homoclinic_range_errors_exit_2(n_min, n_max):
+    # both ranges once escaped as a ValueError traceback with exit 1: three
+    # entries are too few for the convergence report, and n = 1 lies below
+    # 2l + 1 = 9 for this seed
+    rc, out, err = run_cli(
+        [
+            "homoclinic", "--map", "z^2-1", "--point", "1.618033988749895",
+            "--q", "1", "--n-min", n_min, "--n-max", n_max,
+        ]
+    )
+    assert (rc, out) == (2, "")
+    message = json.loads(err)["error"]["message"]
+    assert "2l + 1 = 9" in message and "at least 4 entries" in message
+
+
 def test_thread_env_var_keeps_results_identical(monkeypatch):
     args = ["zdunik", "--map", "z^2-1", "--max-period", "3", "--samples", "1500"]
     _, base, _ = run_cli(args)

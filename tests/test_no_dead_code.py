@@ -6,7 +6,11 @@ that is not referenced in ``src/ratdyn`` or ``tests/`` outside its own
 definition.  A function, class or constant is referenced when it is read as
 a name or an attribute; a method only when it is read as an attribute
 (``x.name`` or ``Class.name``), so a local variable or parameter that
-happens to share its name does not count.  Names that
+happens to share its name does not count.  For a method whose name a
+builtin or numpy type also has (``take``, ``count``, ``conj``, ...), a read
+on a receiver that is plainly such a value does not count either: a
+literal, a call of a builtin type (``float(x).is_integer()``) or an
+expression rooted at ``np``/``numpy``.  Names that
 ``ratdyn/__init__.py`` re-exports are public API and exempt, as is the
 console entry point ``cli.main``.
 
@@ -19,9 +23,19 @@ re-exports.
 import ast
 import os
 
+import numpy as np
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 PKG = os.path.normpath(os.path.join(HERE, "..", "src", "ratdyn"))
 EXEMPT = {("cli", "main")}
+BUILTIN_TYPES = (int, float, complex, str, bytes, list, tuple, dict, set, frozenset)
+SHARED_METHODS = frozenset(
+    name
+    for typ in BUILTIN_TYPES + (np.ndarray, np.generic)
+    for name in dir(typ)
+    if not name.startswith("_")
+)
+LITERALS = (ast.Constant, ast.JoinedStr, ast.List, ast.Tuple, ast.Dict, ast.Set)
 
 
 def _sources():
@@ -59,13 +73,27 @@ def _definitions(tree):
                     yield t.id, t.id, node.lineno, node.end_lineno
 
 
+def _builtin_receiver(node) -> bool:
+    """A literal, a call of a builtin type, or an expression rooted at np."""
+    if isinstance(node, LITERALS):
+        return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if node.func.id in {t.__name__ for t in BUILTIN_TYPES}:
+            return True
+    while isinstance(node, (ast.Attribute, ast.Call, ast.Subscript)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return isinstance(node, ast.Name) and node.id in ("np", "numpy")
+
+
 def _references(tree):
-    """(name, line, is_attribute) of every name or attribute read."""
+    """(name, line, kind) of every name or attribute read; kind is "name",
+    "attr", or "builtin" for an attribute read on a builtin receiver."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            yield node.id, node.lineno, False
+            yield node.id, node.lineno, "name"
         elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-            yield node.attr, node.lineno, True
+            kind = "builtin" if _builtin_receiver(node.value) else "attr"
+            yield node.attr, node.lineno, kind
 
 
 def _exported():
@@ -81,10 +109,10 @@ def _exported():
 
 def uncalled_names(trees=None):
     trees = _sources() if trees is None else trees
-    refs: dict[str, list[tuple[str, int, bool]]] = {}
+    refs: dict[str, list[tuple[str, int, str]]] = {}
     for path, tree in trees.items():
-        for name, line, is_attr in _references(tree):
-            refs.setdefault(name, []).append((path, line, is_attr))
+        for name, line, kind in _references(tree):
+            refs.setdefault(name, []).append((path, line, kind))
     exported = _exported()
     out = []
     for path, tree in trees.items():
@@ -94,10 +122,15 @@ def uncalled_names(trees=None):
         for qual, name, lo, hi in _definitions(tree):
             if qual in exported or (module, qual) in EXEMPT:
                 continue
-            method = "." in qual
+            if "." not in qual:
+                counts = {"name", "attr", "builtin"}
+            elif name in SHARED_METHODS:
+                counts = {"attr"}
+            else:
+                counts = {"attr", "builtin"}
             used = any(
-                not (p == path and lo <= line <= hi) and (is_attr or not method)
-                for p, line, is_attr in refs.get(name, [])
+                not (p == path and lo <= line <= hi) and kind in counts
+                for p, line, kind in refs.get(name, [])
             )
             if not used:
                 out.append(f"{module}.{qual}")
@@ -132,6 +165,46 @@ pad([unit()])
 """
     trees = {os.path.join(PKG, "scratch_module.py"): ast.parse(source)}
     assert uncalled_names(trees) == ["scratch_module.Ring.zero"]
+
+
+def test_a_builtin_method_of_the_same_name_is_not_a_call():
+    # the shape that once hid an uncalled Qi.is_integer: float(x).is_integer()
+    # read the builtin method; literals and numpy receivers are alike
+    source = """
+import numpy as np
+
+
+class Num:
+    def is_integer(self):
+        return True
+
+    def take(self, k):
+        return k
+
+    def count(self):
+        return 0
+
+    def conj(self):
+        return self
+
+    def scaled(self):
+        return self
+
+
+float(0.5).is_integer()
+np.asarray([1, 2]).take(0)
+"abc".count("a")
+(1j).conj()
+Num().conj()
+num = Num()
+num.scaled()
+"""
+    trees = {os.path.join(PKG, "scratch_module.py"): ast.parse(source)}
+    assert uncalled_names(trees) == [
+        "scratch_module.Num.count",
+        "scratch_module.Num.is_integer",
+        "scratch_module.Num.take",
+    ]
 
 
 def _bound_imports(scope):

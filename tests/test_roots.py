@@ -1,3 +1,6 @@
+import tracemalloc
+
+import dense_reference
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from ratdyn.errors import RootFindingFailed
 from ratdyn.exceptional import LattesSpec, flexible_lattes
 from ratdyn.periodic import _tree_starts, make_period_ratio
 from ratdyn.roots import (
+    _repulsion_rows,
     aberth,
     aberth_ratio,
     batched_roots,
@@ -164,6 +168,34 @@ def test_aberth_ratio_active_set_matches_full_sweep(case):
         block = sizes[lo : lo + max_iter]
         assert all(a >= b for a, b in zip(block, block[1:]))
     assert sizes[-1] < starts.size
+
+
+@pytest.mark.parametrize("n,count", [(300, 1), (300, 7), (300, 17), (300, 255), (4101, 17), (4101, 4096)])
+def test_repulsion_rows_is_the_dense_formula_to_the_bit(n, count):
+    # unsorted rows, not a multiple of the rows per block; z holds inf and
+    # duplicates, and the rows include them
+    rng = np.random.default_rng(count)
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    z[[5, 9]] = z[2]
+    z[11] = np.inf
+    rows = np.concatenate([[11, 5, 2], rng.permutation(np.arange(12, n))])[:count]
+    got = _repulsion_rows(z, rows)
+    with np.errstate(invalid="ignore"):
+        want = dense_reference.repulsion_rows(z, rows)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_repulsion_rows_allocates_one_block():
+    # the dense formula's 512 x n temporaries took 2 x 32 MiB at n = 4096
+    z = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    rows = np.arange(4096)
+    tracemalloc.start()
+    try:
+        _repulsion_rows(z, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_newton_ratio_both_charts():
