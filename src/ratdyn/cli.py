@@ -399,9 +399,6 @@ def _cmd_spectrum(args, stdin_text=None):
                 {"factor": poly_to_str(list(q), "λ"), "points": k, "route": route}
                 for q, k, route in pf.routes
             ],
-            "rejected": [
-                {"multiplier": c, "points": k, "reason": why} for c, k, why in pf.rejected
-            ],
         }
         for n, pf in sorted(spec.period_factors.items())
     }

@@ -231,7 +231,7 @@ def _fixed_points(f: RationalMap, tol: float = 1e-12) -> list[ProjPoint]:
     pts = [ProjPoint.finite(complex(r)) for r in solve_poly(poly)]
     # Infinity is fixed iff deg(z B - A) < d + 1
     fx, fy = f.eval_hom(np.array([1.0 + 0j]), np.array([0j]))
-    if abs(fy[0]) < 1e-12 * max(1.0, abs(fx[0])):
+    if abs(fy[0]) < tol * max(1.0, abs(fx[0])):
         pts.append(INF)
     return pts
 

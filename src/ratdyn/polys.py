@@ -4,14 +4,16 @@ Four coefficient domains, all ascending [a0, a1, ...]:
 
 * plain ints for all exact work on maps with rational coefficients: a
   rational map is scaled once to a primitive integer pair
-  (``RationalMap.int_pair``), and composition, dynatomic division and
-  factorization (via sympy) stay in Z[z];
+  (``RationalMap.int_pair``), and composition, dynatomic division,
+  squarefree decomposition and factorization (via sympy) stay in Z[z];
+  :func:`ipmul` multiplies long integer polynomials by Kronecker
+  substitution;
 * Qi for maps with genuine Gaussian-rational coefficients, and Fraction
   for the monic rational factors that the spectra report;
 * complex floats (handled mostly in :mod:`ratdyn.roots` with numpy);
 * residues mod a prime p < 2^30 as numpy int64 arrays, for the modular
-  gcds of the integer fast path and the modular minimal polynomials of the
-  generic route: :func:`fp_mul` multiplies by a float FFT on 15-bit limbs,
+  minimal polynomials and point counts of the exact spectra:
+  :func:`fp_mul` multiplies by a float FFT on 15-bit limbs,
   :class:`FpModulus` reduces by Barrett's method, inverts by the extended
   Euclid algorithm and finds minimal polynomials by Krylov elimination,
   and :func:`fp_gcd` is Euclid with one vector update per elimination
@@ -226,6 +228,31 @@ def idivexact(a, b):
     return pstrip(q)
 
 
+def ipmul(a, b):
+    """a * b in Z[z] by Kronecker substitution: each factor is packed into
+    one int with a slot of 8 k bits per coefficient, the two are multiplied
+    once (Karatsuba inside CPython), and the signed slots are read back.  A
+    slot holds twice the coefficient bound len * max|a_i| * max|b_j|, so the
+    offset 2^(8k-1) in every slot makes each slot a plain base-2^(8k) digit.
+    Short factors take the schoolbook :func:`pmul`."""
+    a, b = pstrip(a), pstrip(b)
+    if min(len(a), len(b)) < 16:
+        return pmul(a, b)
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    k, n = bound.bit_length() // 8 + 1, len(a) + len(b) - 1
+    zero = bytes(k)
+
+    def pack(p):
+        pos = b"".join(c.to_bytes(k, "little") if c > 0 else zero for c in p)
+        neg = b"".join((-c).to_bytes(k, "little") if c < 0 else zero for c in p)
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    half = 1 << (8 * k - 1)
+    offset = int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")
+    raw = (pack(a) * pack(b) + offset).to_bytes(n * k, "little")
+    return pstrip([int.from_bytes(raw[i : i + k], "little") - half for i in range(0, n * k, k)])
+
+
 def isquarefree(p) -> bool:
     """Squarefree test in Z[z]: a trivial gcd(p, p') at a good word prime
     certifies it; otherwise sympy decides exactly."""
@@ -241,6 +268,16 @@ def isquarefree(p) -> bool:
             # inconclusive, try the exact route below
             break
     return _sympy_int_poly(p).is_sqf
+
+
+def squarefree_decomposition(p):
+    """[(s_k, k), ...] with p = c * prod s_k^k over Z, the s_k squarefree,
+    pairwise coprime, primitive with positive lead: p itself when
+    :func:`isquarefree` certifies it, else sympy's decomposition."""
+    if isquarefree(p):
+        return [(iprimitive(p)[0], 1)]
+    _, pairs = _sympy_int_poly(pstrip(p)).sqf_list()
+    return [([int(c) for c in reversed(s.all_coeffs())], int(k)) for s, k in pairs]
 
 
 def _sympy_int_poly(p):

@@ -5,28 +5,29 @@ monic rational polynomial whose roots are the multipliers of all exact
 period-n points (each cycle's multiplier appearing n times; the cycle of
 Infinity contributes through an exactly computed extra root).  All exact
 work runs on the map's primitive integer pair (``RationalMap.int_pair``):
-the dynatomic polynomial dyn is a primitive polynomial in Z[z], and P_n is
-assembled from it factor-by-factor:
+the dynatomic polynomial dyn is a primitive polynomial in Z[z], and P_n
+comes from one route, with no factoring in z and no numerics.  For each
+part s of the squarefree decomposition dyn = prod s_k^k:
 
-* an integer fast path splits dyn along the integer multipliers c that the
-  numeric cycles propose (in doubles, with how many points carry each).
-  The roots of multiplier c are those of gcd(dyn, prod W - c Y_n^2); it is
-  computed in F_p[z] for word-size primes, lifted to Z by CRT, and
-  certified by exact division plus the residue identity
-  L^2 prod W = c Y_n^2 in Z[w]/(g~);
-* whatever remains is factored over Z (sympy), and each irreducible factor
-  q contributes the minimal polynomial of its multiplier lambda, where
-  lambda Y_n^2 = L^2 prod W in Z[w]/(q~).  That polynomial is found modulo
-  word primes (Krylov elimination over F_p), lifted by CRT and rational
-  reconstruction, and certified exactly over Z.
+* the multiplier lambda of the roots of s is one element of the algebra
+  Z[w]/(s~), lambda Y_n^2 = L^2 prod W along the homogeneous orbit;
+* its minimal polynomial mu over Q (the product of the distinct
+  irreducible multiplier polynomials, of degree at most deg s / n) is found
+  modulo word primes (Krylov elimination over F_p), lifted by CRT and
+  rational reconstruction, and certified exactly: mu(lambda) = 0 in
+  Z[w]/(s~);
+* mu is factored over Q (sympy), and one word prime counts the roots of s
+  behind each factor mu_i by a gcd in F_p[z]; the prime is accepted only
+  when the counts sum to deg s, which proves every count.  The counts are
+  then scaled by the exponent k.
 
-Here g~ or q~ = L^(m-1) q(w/L) is the modulus made monic over Z by the
+Here s~ = L^(m-1) s(w/L) is the modulus made monic over Z by the
 substitution z = w/L, L its lead, so no exact step divides: every residue
-stays int.  Both residue rings (Z[w]/(q~) and F_p[z]/(dyn)) run the one
+stays int.  Both residue rings (Z[w]/(s~) and F_p[z]/(s)) run the one
 homogeneous orbit loop, :meth:`ResidueField.multiplier_orbit`, so cycles
 through poles or Infinity need no special conjugation.  Each period's
-:class:`PeriodFactors` records which route produced every factor and why
-any proposed cluster was turned down.
+:class:`PeriodFactors` records the route of every factor ("infinity" or
+"algebra") and how many points it carries.
 
 Membership of the multipliers in a number field K is exact for every K:
 the discriminant decides over quadratic fields, and sympy's factoring over
@@ -53,7 +54,6 @@ from .periodic import (
     dynatomic_numerator,
     infinity_exact_period,
     multiplier as cycle_multiplier,
-    periodic_points,
 )
 from .polys import (
     FpModulus,
@@ -63,10 +63,8 @@ from .polys import (
     fp_mul,
     fp_strip,
     fractions_to_int_primitive,
-    idivexact,
     int_poly_irreducible,
-    iprimitive,
-    isquarefree,
+    ipmul,
     pdeg,
     pderiv,
     pmul,
@@ -74,6 +72,7 @@ from .polys import (
     pstrip,
     psub,
     poly_to_str,
+    squarefree_decomposition,
     word_primes,
 )
 from .scalars import Qi
@@ -105,8 +104,7 @@ class ResidueField:
         for k in range(len(out) - 1 - m, -1, -1):
             c = out[k + m]
             if c:
-                for i in range(m):
-                    out[k + i] -= c * g[i]
+                out[k : k + m] = [x - c * y for x, y in zip(out[k : k + m], g)]
         return FieldElt(self, tuple(ppad(out[:m], m)))
 
     def gen(self):
@@ -149,7 +147,7 @@ class FieldElt:
     def __mul__(self, o):
         if not isinstance(o, FieldElt):
             return FieldElt(self.field, tuple(a * o for a in self.c))
-        return self.field.elt(pmul(list(self.c), list(o.c)))
+        return self.field.elt(ipmul(self.c, o.c))
 
     __rmul__ = __mul__
 
@@ -161,8 +159,8 @@ class FieldElt:
 
 
 # ----------------------------------------------------------------------
-# generic route: the multiplier in Z[w]/(q~), its minimal polynomial mod
-# word primes, CRT, rational reconstruction and an exact certificate
+# the multiplier in Z[w]/(q~) and its minimal polynomial: word primes,
+# CRT, rational reconstruction and an exact certificate
 # ----------------------------------------------------------------------
 
 
@@ -175,7 +173,9 @@ def multiplier_element(f: RationalMap, n: int, q) -> tuple[FieldElt, FieldElt]:
 
 def minimal_polynomial(num: FieldElt, den: FieldElt) -> list[Fraction]:
     """Monic minimal polynomial over Q of lambda = num/den in Z[w]/(q~),
-    q irreducible, found modulo word primes and certified exactly.
+    found modulo word primes and certified exactly.  q need not be
+    irreducible: on a squarefree q the result is the product of the
+    distinct minimal polynomials of lambda at the roots of q.
 
     At each word prime p at which den is a unit mod (q~, p), FpModulus
     gives lambda mod p and its minimal polynomial mu_p.  Images of the
@@ -215,6 +215,15 @@ def _reduces_to(mu, mu_p, p: int) -> bool:
     return all((c - D * int(h)) % p == 0 for c, h in zip(P, mu_p))
 
 
+def _crt_extend(G: list[int], M: int, h, p: int):
+    """(G', M p, stable): the balanced residues mod M p (in (-M p/2, M p/2])
+    that are G mod M and h mod p; stable when h already agreed with G."""
+    inv, Mp = pow(M, -1, p), M * p
+    t = [(int(hi) - g) * inv % p for hi, g in zip(h, G)]
+    G = [g + M * ti for g, ti in zip(G, t)]
+    return [x - Mp if 2 * x > Mp else x for x in G], Mp, not any(t)
+
+
 def _rational_reconstruction(G: list[int], M: int):
     """(P, D) with P/D = G mod M coefficientwise, every numerator and
     denominator at most sqrt(M/2) (Wang's algorithm), or None while some
@@ -236,14 +245,17 @@ def _certified(mu, degree: int, num: FieldElt, den: FieldElt) -> bool:
     """The proof that mu = P/D is the minimal polynomial mu_min of lambda =
     num/den: P(lambda) = 0, checked as hom_eval(P, num, den) == 0 in
     Z[w]/(q~), gives mu_min | mu.  At every prime p used, den is a unit, so
-    lambda is integral over Z_(p) and mu_p divides mu_min mod p; hence
-    deg mu == deg mu_p (= degree) <= deg mu_min, and mu = mu_min."""
+    lambda lies in Z_(p)[w]/(q~), a free Z_(p)-module of finite rank: it is
+    integral over Z_(p), and mu_min, a monic factor over Q of its monic
+    characteristic polynomial, has coefficients in Z_(p) (Gauss's lemma).
+    So mu_p divides mu_min mod p; hence deg mu == deg mu_p (= degree) <=
+    deg mu_min, and mu = mu_min.  Nothing here needs q irreducible."""
     P, _ = mu
     return len(P) - 1 == degree and hom_eval(P, num, den).is_zero()
 
 
 # ----------------------------------------------------------------------
-# integer fast path: split by integer multipliers, modular gcd and CRT
+# points per factor: one gcd in F_p[z]/(s) for each factor of mu
 # ----------------------------------------------------------------------
 
 
@@ -283,80 +295,33 @@ class FpElt:
     __rmul__ = __mul__
 
 
-def _certify_integer_multiplier(f: RationalMap, n: int, g: list[int], c: int) -> bool:
-    """Exact check that every root of g has multiplier exactly c:
-    L^2 prod W(X_j, Y_j) == c * Y_n^2 in Z[w]/(g~), all over int."""
-    acc, y2 = ResidueField(g).multiplier_orbit(f.int_pair, n)
-    return acc == y2 * c
+def _point_counts(f: RationalMap, n: int, s: list[int], qs: list[list[int]]) -> list[int]:
+    """How many roots of the squarefree s have their multiplier among the
+    roots of each q in qs, the distinct irreducible factors (primitive, over
+    Z) of the certified minimal polynomial of lambda in Z[w]/(s~).
 
-
-def _crt_extend(G: list[int], M: int, h, p: int):
-    """(G', M p, stable): the balanced residues mod M p (in (-M p/2, M p/2])
-    that are G mod M and h mod p; stable when h already agreed with G."""
-    inv, Mp = pow(M, -1, p), M * p
-    t = [(int(hi) - g) * inv % p for hi, g in zip(h, G)]
-    G = [g + M * ti for g, ti in zip(G, t)]
-    return [x - Mp if 2 * x > Mp else x for x in G], Mp, not any(t)
-
-
-def _modular_split(f: RationalMap, n: int, dyn: list[int], sizes: dict[int, int]):
-    """Split the squarefree primitive dyn along proposed integer multipliers.
-
-    The roots of dyn with multiplier c are those of g_c = gcd(dyn, prod W -
-    c Y_n^2).  Per prime p, one homogeneous orbit in F_p[z]/(rest) gives
-    both residues and fp_gcd gives g_c mod p, where rest is dyn without the
-    factors certified so far.  Since g_c mod p always divides that gcd, a
-    prime whose gcd degree is deg g_c gives exactly g_c mod p.  The numeric
-    cluster size sizes[c] stands in for deg g_c: a prime whose gcd degree
-    differs from it is skipped, and three such primes end the proposal.
-    The images, scaled to the lead lc(dyn), are combined by CRT until they
-    stop changing or reach the Mignotte bound; the primitive part must then
-    divide rest exactly and pass the residue certificate.
-
-    Returns (rest, {c: g_c}, {c: reason}), the reasons naming the proposals
-    that the exact side rejected (von zur Gathen & Gerhard, Modern Computer
-    Algebra, ch. 5 and 6).
-    """
-    lead = dyn[-1]
-    norm_bits = abs(lead).bit_length() + (sum(a * a for a in dyn).bit_length() + 1) // 2 + 1
-    lifts = {c: ([0] * (k + 1), 1, 0) for c, k in sizes.items()}  # (G, M, misses)
-    rest = dyn
-    found: dict[int, list[int]] = {}
-    rejected: dict[int, str] = {}
+    Every root's multiplier is a root of exactly one q, so the counts k_q
+    sum to deg s.  At a prime p not dividing lc(s), the roots counted by k_q
+    are those of a primitive factor of s that divides Hom(q)(prod W, Y_n^2)
+    in Z[z], so k_q <= deg gcd(s, Hom(q)(prod W, Y_n^2)) mod p: one
+    homogeneous orbit in F_p[z]/(s) gives every such gcd.  A prime at which
+    the gcd degrees sum to deg s therefore gives every k_q; a prime where
+    distinct multipliers meet mod p over-counts and is skipped."""
+    m = pdeg(s)
+    if len(qs) == 1:
+        return [m]
+    skipped = 0
     for p in word_primes():
-        if not lifts:
-            break
-        if lead % p == 0:
+        if s[-1] % p == 0:
             continue
-        ring = PrimeResidueRing(rest, p)
+        ring = PrimeResidueRing(s, p)
         acc, y2 = ring.multiplier_orbit(f.int_pair, n)
-        for c, (G, M, misses) in list(lifts.items()):
-            h = fp_gcd(ring.red.f, (acc + y2 * -c).c, p)
-            if len(h) != len(G):
-                lifts[c] = (G, M, misses + 1)
-                if misses + 1 == 3:
-                    del lifts[c]
-                    rejected[c] = ("gcd degree never matched" if M == 1
-                                   else "gcd degree mismatched at 3 primes")
-                continue
-            G, M, stable = _crt_extend(G, M, h * (lead % p) % p, p)
-            lifts[c] = (G, M, misses)
-            at_bound = M.bit_length() > sizes[c] + norm_bits
-            if not (stable or at_bound):
-                continue
-            g = iprimitive(G)[0]
-            try:
-                cofactor = idivexact(rest, g)
-            except InexactDivision:
-                cofactor = None
-            if cofactor is not None and _certify_integer_multiplier(f, n, g, c):
-                rest = cofactor
-                found[c] = g
-                del lifts[c]
-            elif at_bound:
-                del lifts[c]
-                rejected[c] = "certificate failed at Mignotte bound"
-    return rest, found, rejected
+        counts = [len(fp_gcd(ring.red.f, hom_eval(q, acc, y2).c, p)) - 1 for q in qs]
+        if sum(counts) == m:
+            return counts
+        skipped += 1
+        if skipped == 20:
+            raise RatdynError("point counts over-counted at 20 word primes")
 
 
 # ----------------------------------------------------------------------
@@ -368,19 +333,16 @@ def _modular_split(f: RationalMap, n: int, dyn: list[int], sizes: dict[int, int]
 class PeriodFactors:
     """Factored multiplier data for one period (point-level multiplicity).
 
-    ``routes`` says how each contribution to ``factors`` was obtained, as
-    (factor, points, route): "fast" for a certified integer-multiplier
-    cluster or the exactly computed Infinity cycle, "generic" for an
-    irreducible dynatomic factor over Z and its minimal polynomial.
-    ``rejected`` lists the numeric proposals the exact side turned down, as
-    (multiplier, points, reason); their points went to the generic route.
+    ``routes`` says where each contribution to ``factors`` came from, as
+    (factor, points, route): "infinity" for the exactly computed cycle of
+    Infinity, "algebra" for a factor of the minimal polynomial of lambda on
+    a squarefree part of dyn, with the points behind it.
     """
 
     period: int
     factors: list[tuple[tuple[Fraction, ...], int]]
     point_count: int
     routes: list[tuple[tuple[Fraction, ...], int, str]] = field(default_factory=list)
-    rejected: list[tuple[int | None, int, str]] = field(default_factory=list)
 
     def poly(self) -> list[Fraction]:
         out = [Fraction(1)]
@@ -403,7 +365,10 @@ def multiplier_factors(
     cap: int | None = None,
     seed: int = 0,
 ) -> PeriodFactors:
-    """Irreducible factorization of the multiplier polynomial P_n over Q."""
+    """Irreducible factorization of the multiplier polynomial P_n over Q.
+
+    ``seed`` is unused: exact spectra involve no numerics.  It is kept so
+    that one seed can be passed to every layer."""
     _ensure_exact_rational(f)
     cap = cap if cap is not None else config.EXACT_DEGREE_CAP
     d = f.degree
@@ -411,43 +376,29 @@ def multiplier_factors(
         raise DegreeCapExceeded(
             f"d^n + 1 = {d ** n + 1} exceeds exact cap {cap}"
         )
-    dyn_int = dynatomic_numerator(f, n, cap=max(cap, d**n + 2))
-    factors: dict[tuple[Fraction, ...], int] = {}
+    dyn = dynatomic_numerator(f, n, cap=max(cap, d**n + 2))
     routes: list[tuple[tuple[Fraction, ...], int, str]] = []
-    rejected: list[tuple[int | None, int, str]] = []
-
-    def add_factor(fac, points, route):
-        key = tuple(Fraction(c) for c in fac)
-        mult = points // (len(key) - 1)
-        factors[key] = factors.get(key, 0) + mult
-        routes.append((key, points, route))
-
-    total_points = pdeg(dyn_int) if dyn_int else 0
+    total_points = max(pdeg(dyn), 0)
     inf_period, inf_orbit = infinity_exact_period(f, n)
     if inf_period == n:
         lam = cycle_multiplier(f, inf_orbit)
         if not isinstance(lam, Qi) or not lam.is_real():
             raise SpectrumNotRational("Infinity-cycle multiplier is not rational")
-        add_factor((-lam.re, Fraction(1)), 1, "fast")
+        routes.append(((-lam.re, Fraction(1)), 1, "infinity"))
         total_points += 1
-
-    remaining = dyn_int
-    if pdeg(remaining) >= 1 and isquarefree(remaining):
-        remaining = _fast_path_split(
-            f, n, remaining, add_factor, rejected, seed=seed, cap=cap
-        )
-    if pdeg(remaining) >= 1:
-        _, irr = factor_int_poly(remaining)
-        for q_int, mult in irr:
-            mu = minimal_polynomial(*multiplier_element(f, n, q_int))
-            add_factor(mu, mult * pdeg(q_int), "generic")
-    period_factors = sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    for s, k in squarefree_decomposition(dyn) if pdeg(dyn) >= 1 else []:
+        mu = minimal_polynomial(*multiplier_element(f, n, s))
+        keys = [q for q, _ in factor_spectrum(mu)]
+        counts = _point_counts(f, n, s, [fractions_to_int_primitive(q)[0] for q in keys])
+        routes += [(q, k * count, "algebra") for q, count in zip(keys, counts)]
+    factors: dict[tuple[Fraction, ...], int] = {}
+    for key, points, _route in routes:
+        factors[key] = factors.get(key, 0) + points // (len(key) - 1)
     pf = PeriodFactors(
         period=n,
-        factors=[(k, v) for k, v in period_factors],
+        factors=sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0])),
         point_count=total_points,
         routes=routes,
-        rejected=rejected,
     )
     got = sum(m * (len(k) - 1) for k, m in pf.factors)
     if got != total_points:
@@ -455,45 +406,6 @@ def multiplier_factors(
             f"multiplier bookkeeping lost roots: {got} != {total_points}"
         )
     return pf
-
-
-def _fast_path_split(f, n, dyn_int, add_factor, rejected, seed, cap):
-    """Peel off certified integer-multiplier factors; returns the cofactor.
-
-    The numeric stage only proposes, in doubles, each integer multiplier c
-    and how many finite period-n points carry it (a loose residual
-    tolerance is fine: evaluation noise of f^n is amplified by the
-    multipliers); :func:`_modular_split` finds and certifies the factors."""
-    from .periodic import group_cycles
-
-    try:
-        pts, _rep = periodic_points(
-            f, n, tol=1e-9, seed=seed,
-            cap=max(config.NUMERIC_DEGREE_CAP, cap + 2),
-        )
-        # the collision guard stays tight: double-precision roots separate
-        # well below the residual tolerance
-        cycles = group_cycles(f, pts, n, tol=1e-12)
-    except RatdynError as exc:
-        rejected.append((None, pdeg(dyn_int), f"numeric stage failed: {exc}"))
-        return dyn_int
-    sizes: dict[int, int] = {}
-    for cyc in cycles:
-        lam = cyc.multiplier
-        c = round(lam.real)
-        if abs(lam.real - c) > 1e-6 * (1 + abs(lam)) or abs(lam.imag) > 1e-6 * (
-            1 + abs(lam)
-        ):
-            continue
-        # the Infinity point itself is appended exactly elsewhere
-        finite = sum(not p.is_infinity for p in cyc.points)
-        if finite:
-            sizes[int(c)] = sizes.get(int(c), 0) + finite
-    remaining, found, why = _modular_split(f, n, dyn_int, dict(sorted(sizes.items())))
-    for c, g in sorted(found.items()):
-        add_factor((Fraction(-c), Fraction(1)), pdeg(g), "fast")
-    rejected.extend((c, sizes[c], why[c]) for c in sorted(why))
-    return remaining
 
 
 def multiplier_polynomial(
@@ -559,7 +471,8 @@ def algebraic_spectrum(
     seed: int = 0,
 ) -> AlgebraicSpectrum:
     """Exact spectrum for periods 1..max_period (cycle-level multiplicity:
-    each period's point-level multiplicities divide by n)."""
+    each period's point-level multiplicities divide by n).  ``seed`` is
+    unused, as in :func:`multiplier_factors`."""
     spec = AlgebraicSpectrum(degree=f.degree)
     for n in range(1, max_period + 1):
         pf = multiplier_factors(f, n, cap=cap, seed=seed)

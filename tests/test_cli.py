@@ -151,16 +151,16 @@ def test_spectrum_reports_routes_under_diagnostics():
     assert rc == 0
     diag = json.loads(out)["results"]["diagnostics"]
     assert sorted(diag) == ["1", "2", "3"]
-    # period 1: the fixed point Infinity (fast), the two finite fixed points
-    # with multipliers 1 +- sqrt 5 (generic); period 2: the superattracting
-    # cycle {0, -1} (fast); period 3: two cycles with complex multipliers
-    assert diag["1"]["routes"] == [
-        {"factor": "λ", "points": 1, "route": "fast"},
-        {"factor": "λ^2-2λ-4", "points": 2, "route": "generic"},
-    ]
-    assert diag["2"]["routes"] == [{"factor": "λ", "points": 2, "route": "fast"}]
-    assert [r["route"] for r in diag["3"]["routes"]] == ["generic"]
-    assert all(d["rejected"] == [] for d in diag.values())
+    # one entry per factor: period 1 has the fixed point Infinity and the
+    # two finite fixed points with multipliers 1 +- sqrt 5; period 2 the
+    # superattracting cycle {0, -1}; period 3 two cycles whose complex
+    # multipliers share one quadratic factor
+    assert diag["1"] == {"routes": [
+        {"factor": "λ", "points": 1, "route": "infinity"},
+        {"factor": "λ^2-2λ-4", "points": 2, "route": "algebra"},
+    ]}
+    assert diag["2"] == {"routes": [{"factor": "λ", "points": 2, "route": "algebra"}]}
+    assert diag["3"] == {"routes": [{"factor": "λ^2-8λ+64", "points": 6, "route": "algebra"}]}
 
 
 def test_cycles_exact_flag_includes_factors():
@@ -287,6 +287,11 @@ def test_report_schema_document():
         assert key in rep, f"missing report key {key}"
         assert type(rep[key]).__name__ == typ, key
     _, out, _ = run_cli(["spectrum", "--map", "z^2", "--max-period", "1"])
-    assert sorted(json.loads(out)["results"]) == sorted(
-        schema["results_by_command"]["spectrum"]
-    )
+    results = json.loads(out)["results"]
+    assert sorted(results) == sorted(schema["results_by_command"]["spectrum"])
+    (entry,) = schema["spectrum_diagnostics"]["shape"].values()
+    for diag in results["diagnostics"].values():
+        assert sorted(diag) == sorted(entry)
+        for route in diag["routes"]:
+            assert sorted(route) == sorted(entry["routes"][0])
+            assert route["route"] in ("infinity", "algebra")

@@ -4,7 +4,10 @@ and its minimal polynomial found modulo word primes, lifted by CRT and
 rational reconstruction and certified exactly.
 
 The reference is ``fraction_reference.py``: the residue field over
-``Fraction`` and Krylov elimination over Q, as the route ran before.
+``Fraction`` and Krylov elimination over Q, as the route ran before.  The
+irreducible factors q are those that ``two_route_reference.py`` sends to
+its generic route; the production spectra run the same kernels on the
+squarefree parts of dyn (``test_one_route.py``).
 """
 
 import importlib.util
@@ -29,6 +32,7 @@ from ratdyn.polys import (
 from ratdyn.spectra import FieldElt, ResidueField, minimal_polynomial, multiplier_element
 
 import fraction_reference as ref
+import two_route_reference as two_route
 
 BASILICA = build_map([-1, 0, 1], [1])
 RATIONAL = build_map([-2, 0, 1], [3, 0, 1])  # (z^2-2)/(z^2+3)
@@ -39,18 +43,18 @@ WORKLOADS = os.path.join(os.path.dirname(__file__), "..", "bench", "workloads.py
 
 
 def _generic_fields(monkeypatch, f, periods):
-    """(n, q) for every factor that multiplier_factors sends to the
+    """(n, q) for every factor that the two-route reference sends to its
     generic route."""
     seen = []
-    real = spectra.multiplier_element
+    real = two_route.multiplier_element
 
     def record(f_, n, q):
         seen.append((n, list(q)))
         return real(f_, n, q)
 
-    monkeypatch.setattr(spectra, "multiplier_element", record)
+    monkeypatch.setattr(two_route, "multiplier_element", record)
     for n in periods:
-        spectra.multiplier_factors(f, n, cap=2000)
+        two_route.multiplier_factors(f, n, cap=2000)
     monkeypatch.undo()
     return seen
 
@@ -172,8 +176,8 @@ def test_the_certificate_needs_both_the_root_and_the_degree():
 @pytest.mark.parametrize("f, n", [(RATIONAL, 5), (BASILICA, 6)], ids=["(z^2-2)/(z^2+3)@5", "z^2-1@6"])
 def test_no_fraction_is_built_on_the_exact_kernels(monkeypatch, f, n):
     # The orbit pair, the modular search with its certificate and the
-    # fast path's split build no Fraction: the only ones are the
-    # coefficients minimal_polynomial returns.  Every residue stays int.
+    # point counts build no Fraction: the only ones are the coefficients
+    # minimal_polynomial returns.  Every residue stays int.
     built, active, returned = [], [], []
     new = Fraction.__new__
 
@@ -205,10 +209,10 @@ def test_no_fraction_is_built_on_the_exact_kernels(monkeypatch, f, n):
 
     monkeypatch.setattr(Fraction, "__new__", spy_new)
     monkeypatch.setattr(FieldElt, "__init__", spy_init)
-    for name in ("multiplier_element", "minimal_polynomial", "_modular_split"):
+    for name in ("multiplier_element", "minimal_polynomial", "_point_counts"):
         monkeypatch.setattr(spectra, name, watch(getattr(spectra, name)))
     pf = spectra.multiplier_factors(f, n, cap=2000)
-    assert "generic" in {route for _q, _k, route in pf.routes}
+    assert "algebra" in {route for _q, _k, route in pf.routes}
     assert returned and len(built) == len(returned)
     assert all(a is b for a, b in zip(built, returned))
     assert residues and all(type(c) is int for c in residues)

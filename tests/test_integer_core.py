@@ -1,15 +1,17 @@
 """The integer exact core against test-only copies of the loops it replaced.
 
 A rational map is scaled once to its primitive integer pair; composition,
-dynatomic division and the fast-path certificate then run on ints through
+dynatomic division and the residue orbits then run on ints through
 ``sphere.hom_eval``.  The copies below are the composition loop over
-Qi/complex and the certificate's hand-written residue loop; the multiplier
+Qi/complex and the hand-written residue loop of the per-cluster
+certificate (now kept in ``two_route_reference.py``); the multiplier
 element over ``Fraction`` coefficients is ``fraction_reference.py``.
 """
 
 import io
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +29,7 @@ from ratdyn.exceptional import (
 from ratdyn.periodic import compose_hom, dynatomic_numerator
 from ratdyn.polys import (
     fractions_to_int_primitive,
+    ipmul,
     padd,
     pderiv,
     pexactdiv,
@@ -42,6 +45,7 @@ from ratdyn.scalars import Qi
 from ratdyn.spectra import FieldElt, ResidueField, multiplier_element
 
 import fraction_reference
+import two_route_reference as two_route
 
 RATIONAL_MAPS = {
     "(z^2-2)/(z^2+3)": (build_map([-2, 0, 1], [3, 0, 1]), 4),
@@ -243,15 +247,15 @@ def test_gaussian_map_composes_over_qi():
 
 def _fast_path_clusters(monkeypatch, f, periods):
     calls = []
-    real = spectra._certify_integer_multiplier
+    real = two_route._certify_integer_multiplier
 
     def record(f_, n, g, c):
         calls.append((n, list(g), c))
         return real(f_, n, g, c)
 
-    monkeypatch.setattr(spectra, "_certify_integer_multiplier", record)
+    monkeypatch.setattr(two_route, "_certify_integer_multiplier", record)
     for n in periods:
-        spectra.multiplier_factors(f, n, cap=2000)
+        two_route.multiplier_factors(f, n, cap=2000)
     monkeypatch.undo()
     return calls
 
@@ -265,9 +269,9 @@ def test_certificate_agrees_with_the_old_residue_loop(monkeypatch, f, periods):
     clusters = _fast_path_clusters(monkeypatch, f, periods)
     assert len(clusters) >= len(periods)
     for n, g, c in clusters:
-        new = spectra._certify_integer_multiplier(f, n, g, c)
+        new = two_route._certify_integer_multiplier(f, n, g, c)
         assert new is True and _old_certificate(f, n, g, c) is True
-        assert spectra._certify_integer_multiplier(f, n, g, c + 1) is False
+        assert two_route._certify_integer_multiplier(f, n, g, c + 1) is False
         assert _old_certificate(f, n, g, c + 1) is False
 
 
@@ -288,7 +292,7 @@ def test_certificate_orbit_stays_in_the_integers(monkeypatch):
 
         monkeypatch.setattr(FieldElt, "__init__", spy)
         for n, g, c in clusters:
-            assert spectra._certify_integer_multiplier(f, n, g, c)
+            assert two_route._certify_integer_multiplier(f, n, g, c)
         monkeypatch.undo()
         assert made and all(type(x) is int for c in made for x in c)
 
@@ -331,6 +335,25 @@ def test_every_modulus_is_monic_over_z_and_elements_stay_int():
             num, den = multiplier_element(f, n, q)
             assert num.field.mod[-1] == 1 and all(type(c) is int for c in num.field.mod)
             assert all(type(c) is int for c in num.c + den.c)
+
+
+
+@pytest.mark.parametrize("la, lb", [(1, 40), (15, 15), (16, 16), (16, 200), (57, 31), (120, 90)])
+def test_kronecker_product_is_the_schoolbook_product(la, lb):
+    # signed coefficients of mixed sizes with zero runs, then every
+    # coefficient at its bound, so that the middle of the product reaches
+    # min(la, lb) * max|a| * max|b|: each slot must read back exactly
+    rng = random.Random(la * 1000 + lb)
+    for bits in (1, 30, 64, 700):
+        top = 2**bits - 1
+        a, b = ([rng.choice((0, 1, -1, top, -top, rng.randint(-top, top))) for _ in range(n - 1)]
+                + [top] for n in (la, lb))
+        assert ipmul(a, b) == pmul(a, b)
+        assert ipmul([-c for c in a], b) == pmul([-c for c in a], b)
+    for bits in range(1, 40):
+        a, b = [2**bits - 1] * la, [1 - 2**bits] * lb
+        assert ipmul(a, b) == pmul(a, b)
+    assert ipmul([0] * 20, [1] * 20) == [] == pmul([0] * 20, [1] * 20)
 
 
 # ----------------------------------------------------------------------

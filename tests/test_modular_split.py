@@ -1,9 +1,11 @@
-"""The integer fast path's modular split and its F_p[z] kernel.
+"""The modular split of the two-route reference and the F_p[z] kernel.
 
-The split finds the factor of the dynatomic polynomial whose roots have
-multiplier c as gcd(dyn, prod W - c Y_n^2) mod word-size primes, combined
-by CRT and certified exactly.  These tests hold it against independent
-references:
+The split (``two_route_reference.py``, the integer fast path that ratdyn
+used before the whole-algebra route) finds the factor of the dynatomic
+polynomial whose roots have multiplier c as gcd(dyn, prod W - c Y_n^2) mod
+word-size primes, combined by CRT and certified exactly.  It runs on the
+production residue rings and F_p kernels.  These tests hold the split and
+the production spectra against independent references:
 
 * a test-only generic route over ``Fraction`` (sympy factoring, then the
   multiplier element and its Krylov minimal polynomial,
@@ -36,6 +38,7 @@ from ratdyn.periodic import (
 )
 from ratdyn.polys import FpModulus, fp_array, fp_gcd, fp_mul, idivexact, pstrip, word_primes
 
+import two_route_reference as two_route
 from fraction_reference import generic_factors as _generic_factors
 
 P = next(word_primes())
@@ -76,7 +79,7 @@ def _old_integer_cluster_factor(f, pts, n, c, prime_poly):
         idivexact(prime_poly, g)
     except InexactDivision:
         return None
-    return g if spectra._certify_integer_multiplier(f, n, g, c) else None
+    return g if two_route._certify_integer_multiplier(f, n, g, c) else None
 
 
 def _numeric_clusters(f, n):
@@ -113,7 +116,7 @@ def _old_gf_gcd(a, b, p):
 
 
 # ----------------------------------------------------------------------
-# the split against the generic route
+# the production spectra and the reference split
 # ----------------------------------------------------------------------
 
 _coeff = st.integers(-3, 3)
@@ -158,7 +161,7 @@ def test_split_gives_the_factor_of_the_replaced_mp_route(f, periods):
         dyn = dynatomic_numerator(f, n, cap=2000)
         for c, pts in sorted(_numeric_clusters(f, n).items()):
             old = _old_integer_cluster_factor(f, pts, n, c, dyn)
-            rest, found, rejected = spectra._modular_split(f, n, dyn, {c: len(pts)})
+            rest, found, rejected = two_route._modular_split(f, n, dyn, {c: len(pts)})
             assert old is not None and rejected == {}
             assert found == {c: old}
             assert rest == idivexact(dyn, old)
@@ -171,7 +174,7 @@ def test_a_wrong_multiplier_is_rejected():
     for n in (2, 3):
         dyn = dynatomic_numerator(f, n)
         for c, pts in _numeric_clusters(f, n).items():
-            rest, found, rejected = spectra._modular_split(f, n, dyn, {c + 1: len(pts)})
+            rest, found, rejected = two_route._modular_split(f, n, dyn, {c + 1: len(pts)})
             assert (rest, found) == (dyn, {})
             assert rejected == {c + 1: "gcd degree never matched"}
 
@@ -183,7 +186,7 @@ def test_a_prime_with_the_wrong_gcd_degree_is_skipped(monkeypatch):
     f = chebyshev_map(3)
     dyn = dynatomic_numerator(f, 1)
     gcds, lifted = [], []
-    real_gcd, real_crt = spectra.fp_gcd, spectra._crt_extend
+    real_gcd, real_crt = two_route.fp_gcd, two_route._crt_extend
 
     def gcd_spy(a, b, p):
         h = real_gcd(a, b, p)
@@ -198,10 +201,10 @@ def test_a_prime_with_the_wrong_gcd_degree_is_skipped(monkeypatch):
         yield 3
         yield from word_primes()
 
-    monkeypatch.setattr(spectra, "fp_gcd", gcd_spy)
-    monkeypatch.setattr(spectra, "_crt_extend", crt_spy)
-    monkeypatch.setattr(spectra, "word_primes", primes)
-    rest, found, rejected = spectra._modular_split(f, 1, dyn, {-3: 1, 9: 2})
+    monkeypatch.setattr(two_route, "fp_gcd", gcd_spy)
+    monkeypatch.setattr(two_route, "_crt_extend", crt_spy)
+    monkeypatch.setattr(two_route, "word_primes", primes)
+    rest, found, rejected = two_route._modular_split(f, 1, dyn, {-3: 1, 9: 2})
     assert found == {-3: [0, 1], 9: [-4, 0, 1]}
     assert (rest, rejected) == ([1], {})
     assert gcds[:2] == [(3, 3), (3, 3)]
@@ -213,7 +216,7 @@ def test_exceptional_maps_take_only_the_fast_route():
     assert [dynatomic_numerator(lattes, n)[-1] for n in (1, 2, 3)] == [3, 5, 21]
     for f, top in ((lattes, 3), (chebyshev_map(3), 4)):
         for n in range(1, top + 1):
-            pf = spectra.multiplier_factors(f, n, cap=2000)
+            pf = two_route.multiplier_factors(f, n, cap=2000)
             assert pf.rejected == []
             assert {route for _q, _k, route in pf.routes} == {"fast"}
             assert sum(k for _q, k, _r in pf.routes) == pf.point_count
