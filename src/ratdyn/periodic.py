@@ -34,7 +34,7 @@ from .polys import (
     pstrip,
     psub,
 )
-from .roots import aberth_ratio, batched_roots, newton_polish, solve_poly
+from .roots import aberth_ratio, batched_roots, newton_polish, newton_settle, solve_poly
 from .scalars import Qi
 from .sphere import (
     INF,
@@ -342,6 +342,12 @@ def _dedup_roots(roots: np.ndarray, cluster_r: float) -> list[complex]:
     return out
 
 
+def _period_residuals(f: RationalMap, n: int, z: np.ndarray) -> np.ndarray:
+    """Chordal distances from z to f^n(z)."""
+    X, Y = normalize_xy(z.copy(), np.ones_like(z))
+    return chordal_xy(X, Y, *f.iterate_hom(X.copy(), Y.copy(), n))
+
+
 def periodic_points(
     f: RationalMap,
     n: int,
@@ -382,10 +388,12 @@ def periodic_points(
         unconverged = int((~ok).sum())
         roots = roots[ok]
     roots = newton_polish(ratio, roots, iters=2)
-    # residuals in the chordal metric
-    X, Y = normalize_xy(roots.copy(), np.ones_like(roots))
-    Xn, Yn = f.iterate_hom(X.copy(), Y.copy(), n)
-    res = chordal_xy(X, Y, Xn, Yn)
+    res = _period_residuals(f, n, roots)
+    # only the roots that fail the residual test walk on; the others keep their bits
+    fail = ~(res <= tol)
+    if fail.any():
+        roots[fail] = newton_settle(ratio, roots[fail])
+        res[fail] = _period_residuals(f, n, roots[fail])
     keep = res <= tol
     over_tol = int((~keep).sum())
     roots = roots[keep]
@@ -393,12 +401,8 @@ def periodic_points(
     # exact-period filter (semantic)
     sep = max(10 * tol, 1e-9)
     mask = np.ones(roots.size, dtype=bool)
-    X, Y = normalize_xy(roots.copy(), np.ones_like(roots))
-    for k in _divisors(n):
-        if k == n:
-            continue
-        Xk, Yk = f.iterate_hom(X.copy(), Y.copy(), k)
-        mask &= chordal_xy(X, Y, Xk, Yk) > sep
+    for k in _divisors(n)[:-1]:
+        mask &= _period_residuals(f, k, roots) > sep
     roots = roots[mask]
     res_kept = res[mask]
     # deduplicate (Aberth repulsion keeps simple roots apart, so clusters

@@ -16,7 +16,9 @@ are elementwise, so the roots are bit-identical to sweeping every root.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from typing import Callable
 
 import numpy as np
@@ -24,17 +26,24 @@ import numpy as np
 from .errors import RootFindingFailed
 
 _CHUNK = 512
-_BLOCK = 1 << 16  # complex entries (1 MiB) of the repulsion block buffer
+_BLOCK = 1 << 16  # complex entries (1 MiB) of the repulsion block buffers, in all
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _repulsion_rows(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """S_i = sum_{j != i} 1/(z_i - z_j) for i in rows, a few rows at a time in
-    one buffer of _BLOCK entries.  Each row is (1.0 / (z_i - z)).sum() with
-    z_i - z_i = inf, so S_i does not depend on the other rows asked for."""
+@functools.cache
+def _executor(threads: int):
+    from concurrent.futures import ThreadPoolExecutor  # about 10 ms, so not at import
+    return ThreadPoolExecutor(threads)
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_executor.cache_clear)
+
+
+def _repulsion_slice(z: np.ndarray, rows: np.ndarray, out: np.ndarray, k: int) -> None:
     n = z.size
-    k = max(1, _BLOCK // max(n, 1))
     buf = np.empty(min(k, rows.size) * n, dtype=complex)
-    out = np.empty(rows.size, dtype=complex)
+    # errstate is a context variable: it is entered in the thread that divides
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, rows.size, k):
             r = rows[lo : lo + k]
@@ -43,6 +52,21 @@ def _repulsion_rows(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
             b[np.arange(r.size), r] = np.inf
             np.divide(1.0, b, out=b)
             b.sum(axis=1, out=out[lo : lo + r.size])
+
+
+def _repulsion_rows(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """S_i = sum_{j != i} 1/(z_i - z_j) for i in rows, a few rows at a time.
+    Each row is (1.0 / (z_i - z)).sum() with z_i - z_i = inf, so S_i does not
+    depend on the other rows asked for, and _WORKERS contiguous slices of rows
+    run on as many threads to the same bits once each has _BLOCK entries."""
+    w = _WORKERS if rows.size * z.size >= _WORKERS * _BLOCK else 1
+    k = max(1, _BLOCK // w // max(z.size, 1))
+    out = np.empty(rows.size, dtype=complex)
+    parts = [(z, r, o, k) for r, o in zip(np.array_split(rows, w), np.array_split(out, w))]
+    jobs = [_executor(w - 1).submit(_repulsion_slice, *p) for p in parts[1:]]
+    _repulsion_slice(*parts[0])
+    for job in jobs:
+        job.result()
     return out
 
 
@@ -84,6 +108,12 @@ def newton_ratio_from_coeffs(coeffs_asc: np.ndarray) -> Callable[[np.ndarray], n
     return ratio
 
 
+def _median(x: np.ndarray) -> float:
+    """np.median(x): the mean of the middle one or two sorted entries, without
+    the lazy import of numpy.ma (about 30 ms) in np.median's NaN check."""
+    return float(np.mean(np.sort(x)[(x.size - 1) // 2 : x.size // 2 + 1]))
+
+
 def aberth_ratio(
     ratio_fn: Callable[[np.ndarray], np.ndarray],
     starts: np.ndarray,
@@ -105,7 +135,7 @@ def aberth_ratio(
     rng = np.random.default_rng(seed)
     z = np.array(starts, dtype=complex)
     n = z.size
-    scale = float(np.median(np.abs(z))) + 1.0
+    scale = _median(np.abs(z)) + 1.0
     locked = np.zeros(n, dtype=bool)
     for round_ in range(restarts + 1):
         for _ in range(max_iter):
@@ -116,8 +146,7 @@ def aberth_ratio(
             # a non-finite ratio means the iterate is lost (underflow basin,
             # pole, ...): it must not lock, and gets redrawn at restart
             bad = ~np.isfinite(N)
-            if bad.any():
-                N = np.where(bad, 0.0, N)
+            N = np.where(bad, 0.0, N)
             S = _repulsion_rows(z, act)
             with np.errstate(divide="ignore", invalid="ignore"):
                 corr = N / (1.0 - N * S)
@@ -164,9 +193,8 @@ def aberth_ratio(
             S = np.zeros(zi.size, dtype=complex)
             zl = z[locked]
             for lo in range(0, zl.size, _CHUNK):
-                hi = min(lo + _CHUNK, zl.size)
                 with np.errstate(all="ignore"):
-                    S += (1.0 / (zi[:, None] - zl[None, lo:hi])).sum(axis=1)
+                    S += (1.0 / (zi[:, None] - zl[None, lo : lo + _CHUNK])).sum(axis=1)
             with np.errstate(all="ignore"):
                 corr = N / (1.0 - N * S)
             corr = np.where(np.isfinite(corr), corr, N)
@@ -219,18 +247,12 @@ def aberth(
 ) -> np.ndarray:
     """All complex roots of a coefficient polynomial via Aberth–Ehrlich."""
     c = np.asarray(coeffs_asc, dtype=complex)
-    # strip exactly-zero leading (high-order) coefficients
     nz = np.nonzero(np.abs(c) > 0)[0]
     if nz.size == 0:
         raise RootFindingFailed("zero polynomial")
-    c = c[: nz[-1] + 1]
-    D = len(c) - 1
-    if D == 0:
-        return np.empty(0, dtype=complex)
-    # roots at the origin
-    k0 = nz[0]
-    zeros = np.zeros(k0, dtype=complex)
-    c = c[k0:]
+    # strip the exactly-zero high-order coefficients, and the roots at 0
+    zeros = np.zeros(nz[0], dtype=complex)
+    c = c[nz[0] : nz[-1] + 1]
     D = len(c) - 1
     if D == 0:
         return zeros
@@ -252,14 +274,9 @@ def solve_poly(coeffs_asc: np.ndarray, tol: float = 1e-13, seed: int = 0) -> np.
     """
     c = np.asarray(coeffs_asc, dtype=complex)
     nz = np.nonzero(np.abs(c) > 0)[0]
-    if nz.size == 0:
-        raise RootFindingFailed("zero polynomial")
-    c = c[: nz[-1] + 1]
-    if len(c) - 1 <= 0:
-        return np.empty(0, dtype=complex)
-    if len(c) - 1 <= 48:
-        return np.roots(c[::-1])
-    return aberth(c, tol=tol, seed=seed)
+    if nz.size == 0 or nz[-1] > 48:
+        return aberth(c, tol=tol, seed=seed)  # which rejects the zero polynomial
+    return np.roots(c[nz[-1] :: -1]) if nz[-1] else np.empty(0, dtype=complex)
 
 
 def newton_polish(ratio_fn, z: np.ndarray, iters: int = 2) -> np.ndarray:
@@ -267,6 +284,17 @@ def newton_polish(ratio_fn, z: np.ndarray, iters: int = 2) -> np.ndarray:
         N = ratio_fn(z)
         N = np.where(np.isfinite(N), N, 0.0)
         z = z - N
+    return z
+
+
+def newton_settle(ratio_fn, z: np.ndarray) -> np.ndarray:
+    """Up to 6 Newton steps per root, while they shrink and exceed 4 eps (1 + |z|)."""
+    last = np.full(z.size, np.inf)
+    for _ in range(6):
+        N = ratio_fn(z)
+        go = (step := np.abs(N)) < last
+        z = np.where(go, z - N, z)
+        last = np.where(go & (step > 4 * np.finfo(float).eps * (1 + np.abs(z))), step, 0.0)
     return z
 
 
@@ -310,8 +338,6 @@ def batched_roots(coeffs: np.ndarray) -> np.ndarray:
         if deg_zero.any():
             # b = 0 and c = 0 edge: both roots are +-sqrt(-c/a) = 0
             s = np.sqrt(-c[deg_zero] / a[deg_zero] + 0j)
-            r1 = r1.copy()
-            r2 = r2.copy()
             r1[deg_zero] = s
             r2[deg_zero] = -s
         out[rows, 0] = r1

@@ -20,13 +20,18 @@ def _imported_modules(tree):
             yield node.module
 
 
+def package_sources():
+    sources = {}
+    for fname in sorted(os.listdir(PKG)):
+        if fname.endswith(".py"):
+            with open(os.path.join(PKG, fname), encoding="utf-8") as fh:
+                sources[fname[:-3]] = fh.read()
+    return sources
+
+
 def mpmath_importers(sources=None):
     if sources is None:
-        sources = {}
-        for fname in sorted(os.listdir(PKG)):
-            if fname.endswith(".py"):
-                with open(os.path.join(PKG, fname), encoding="utf-8") as fh:
-                    sources[fname[:-3]] = fh.read()
+        sources = package_sources()
     return sorted(
         module
         for module, text in sources.items()

@@ -1,13 +1,21 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import dense_reference
 import numpy as np
 import pytest
 
+from ratdyn import roots as roots_mod
 from ratdyn.errors import RootFindingFailed
 from ratdyn.exceptional import LattesSpec, flexible_lattes
 from ratdyn.periodic import _tree_starts, make_period_ratio
 from ratdyn.roots import (
+    _median,
     _repulsion_rows,
     aberth,
     aberth_ratio,
@@ -170,8 +178,7 @@ def test_aberth_ratio_active_set_matches_full_sweep(case):
     assert sizes[-1] < starts.size
 
 
-@pytest.mark.parametrize("n,count", [(300, 1), (300, 7), (300, 17), (300, 255), (4101, 17), (4101, 4096)])
-def test_repulsion_rows_is_the_dense_formula_to_the_bit(n, count):
+def _repulsion_case(n, count):
     # unsorted rows, not a multiple of the rows per block; z holds inf and
     # duplicates, and the rows include them
     rng = np.random.default_rng(count)
@@ -179,10 +186,104 @@ def test_repulsion_rows_is_the_dense_formula_to_the_bit(n, count):
     z[[5, 9]] = z[2]
     z[11] = np.inf
     rows = np.concatenate([[11, 5, 2], rng.permutation(np.arange(12, n))])[:count]
-    got = _repulsion_rows(z, rows)
     with np.errstate(invalid="ignore"):
         want = dense_reference.repulsion_rows(z, rows)
-    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    return z, rows, want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("n,count", [(300, 1), (300, 7), (300, 17), (300, 255), (4101, 17), (4101, 4096)])
+def test_repulsion_rows_is_the_dense_formula_to_the_bit(n, count):
+    z, rows, want = _repulsion_case(n, count)
+    assert _repulsion_rows(z, rows).view(np.uint64).tolist() == want
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "n,count,block",
+    # the real block (4096 rows split 3 ways is uneven), then small blocks
+    # so that small cases split too: 17 rows over up to 4 threads, fewer rows
+    # than threads, and 255 rows at 3 rows per block on one thread, 1 on more
+    [(4101, 4096, roots_mod._BLOCK), (4101, 17, 16), (300, 2, 64), (300, 255, 900)],
+)
+def test_split_repulsion_rows_is_the_dense_formula_to_the_bit(monkeypatch, workers, n, count, block):
+    monkeypatch.setattr(roots_mod, "_WORKERS", workers)
+    monkeypatch.setattr(roots_mod, "_BLOCK", block)
+    threads = []
+    slice_ = roots_mod._repulsion_slice
+
+    def spy(*args):
+        threads.append(threading.get_ident())
+        slice_(*args)
+
+    monkeypatch.setattr(roots_mod, "_repulsion_slice", spy)
+    z, rows, want = _repulsion_case(n, count)
+    assert _repulsion_rows(z, rows).view(np.uint64).tolist() == want
+    # one slice per worker, one of them on the calling thread
+    assert len(threads) == workers
+    assert threads.count(threading.get_ident()) == 1
+
+
+def test_split_repulsion_rows_warns_nothing(monkeypatch):
+    # np.errstate does not cross threads: each worker must enter its own.
+    # Reversed, the rows of the duplicate points fall in the worker's slice
+    monkeypatch.setattr(roots_mod, "_WORKERS", 2)
+    z, rows, want = _repulsion_case(4101, 4096)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _repulsion_rows(z, rows[::-1])
+    assert got[::-1].copy().view(np.uint64).tolist() == want
+
+
+def test_a_300_point_solve_makes_no_thread_pool(monkeypatch):
+    def no_pool(threads):
+        raise AssertionError("a 300-point solve split its repulsion")
+
+    monkeypatch.setattr(roots_mod, "_executor", no_pool)
+    c = np.zeros(301, dtype=complex)
+    c[[0, 300]] = -1, 1
+    r = aberth(c, seed=3)
+    assert r.size == 300 and np.abs(r**300 - 1).max() < 1e-10
+
+
+def _split_repulsion_in_child(case):
+    z, rows, _ = _repulsion_case(*case)
+    return _repulsion_rows(z, rows).view(np.uint64).tolist()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="fork start method only")
+def test_split_repulsion_rows_in_a_forked_child(monkeypatch):
+    # the parent makes its pool first; its threads do not survive the fork,
+    # so the child must make its own
+    monkeypatch.setattr(roots_mod, "_WORKERS", 2)
+    z, rows, want = _repulsion_case(4101, 4096)
+    assert _repulsion_rows(z, rows).view(np.uint64).tolist() == want
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        got = pool.apply_async(_split_repulsion_in_child, ((4101, 4096),)).get(timeout=60)
+    assert got == want
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 200, 1001, 4096])
+def test_median_is_np_median_to_the_bit(size):
+    rng = np.random.default_rng(size)
+    x = np.abs(rng.normal(size=size) + 1j * rng.normal(size=size))
+    assert _median(x).hex() == float(np.median(x)).hex()
+
+
+def test_an_implicit_solve_does_not_import_numpy_ma():
+    code = (
+        "import sys\n"
+        "from ratdyn.exceptional import LattesSpec, flexible_lattes\n"
+        "from ratdyn.periodic import periodic_points\n"
+        "pts, _ = periodic_points(flexible_lattes(LattesSpec(-1, 0, 2)), 3)\n"
+        "assert len(pts) == 60, len(pts)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(roots_mod.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_repulsion_rows_allocates_one_block():

@@ -13,6 +13,7 @@ from ratdyn import (
     integrality,
     membership,
     multiplier_polynomial,
+    periodic,
     spherical_norm,
 )
 from ratdyn.errors import RatdynError, SpectrumNotRational
@@ -134,15 +135,39 @@ def test_multiplier_polynomial_matches_resultant_oracle(f, n):
     assert pstrip(got) == pstrip(oracle)
 
 
-def test_a_numeric_shortfall_is_noted_and_the_spectrum_stays_exact():
-    # -2z^3+4z^2+2z-1 at period 3: some roots of the solve fail the residual
-    # test although no start is left unconverged, so the report must say
-    # how many points are missing; the spectrum then takes the generic route
+def test_the_cubic_period_3_set_is_complete():
+    # -2z^3+4z^2+2z-1 at period 3: np.roots leaves roots up to 5.5e-4 off,
+    # and two Newton steps once left 4 (tol 1e-9) or 8 (tol 1e-12) of the 24
+    # points failing the residual test
     f = build_map([-1, 2, 4, -2], [1])
-    for tol, found in ((1e-9, 20), (1e-12, 16)):
+    for tol in (1e-9, 1e-12):
         _pts, rep = periodic_points(f, 3, tol=tol)
-        assert (rep.points_found, rep.expected, rep.unconverged) == (found, 24, 0)
-        assert rep.notes.startswith(f"{24 - found} of 24 points missing")
+        assert (rep.points_found, rep.expected, rep.unconverged, rep.notes) == (24, 24, 0, "")
+
+
+def plant_shortfall(monkeypatch):
+    """The explicit solver flings its 4 largest roots to 1000, far beyond what
+    a few Newton steps mend; on -2z^3+4z^2+2z-1 at period 3 all 4 are
+    period-3 points, so 4 of the 24 fail the residual test."""
+    solve_poly = periodic.solve_poly
+
+    def lossy(coeffs, **kw):
+        roots = solve_poly(coeffs, **kw)
+        roots[np.argsort(np.abs(roots))[-4:]] = 1000.0
+        return roots
+
+    monkeypatch.setattr(periodic, "solve_poly", lossy)
+
+
+def test_a_numeric_shortfall_is_noted_and_the_spectrum_stays_exact(monkeypatch):
+    # no start is left unconverged, so only the note tells how many points
+    # are missing; the exact spectrum does not depend on the solve
+    plant_shortfall(monkeypatch)
+    f = build_map([-1, 2, 4, -2], [1])
+    for tol in (1e-9, 1e-12):
+        _pts, rep = periodic_points(f, 3, tol=tol)
+        assert (rep.points_found, rep.expected, rep.unconverged) == (20, 24, 0)
+        assert rep.notes == "4 of 24 points missing (4 solver roots failed the residual test)"
     assert multiplier_polynomial(f, 3) == _resultant_oracle(f, 3)
 
 
