@@ -317,7 +317,7 @@ def _exact_field_violation(f: RationalMap, max_period: int, cap=None, seed=0):
         spec = algebraic_spectrum(f, max_period, cap=cap, seed=seed)
     except (DegreeCapExceeded, RatdynError):
         return None
-    quad_discs = set()
+    d0 = None
     for n in sorted(spec.periods):
         for q, _m in spec.periods[n]:
             degq = len(q) - 1
@@ -326,13 +326,12 @@ def _exact_field_violation(f: RationalMap, max_period: int, cap=None, seed=0):
             if degq >= 3:
                 return (n, q, "irreducible factor of degree >= 3")
             if degq == 2:
-                disc = q[1] * q[1] - 4 * q[0]
+                disc = int(q[1] * q[1] - 4 * q[0])
                 if disc > 0:
                     return (n, q, "real quadratic multiplier")
-                from .spectra import _squarefree_part
-
-                quad_discs.add(_squarefree_part(int(disc)))
-                if len(quad_discs) > 1:
+                # Q(sqrt d0) = Q(sqrt disc) iff d0 disc is a square
+                d0 = disc if d0 is None else d0
+                if math.isqrt(d0 * disc) ** 2 != d0 * disc:
                     return (n, q, "multipliers span two imaginary quadratic fields")
     return None
 

@@ -5,9 +5,10 @@ Four coefficient domains, all ascending [a0, a1, ...]:
 * plain ints for all exact work on maps with rational coefficients: a
   rational map is scaled once to a primitive integer pair
   (``RationalMap.int_pair``), and composition, dynatomic division,
-  squarefree decomposition and factorization (via sympy) stay in Z[z];
+  squarefree decomposition and factorization stay in Z[z]:
   :func:`ipmul` multiplies long integer polynomials by Kronecker
-  substitution;
+  substitution, :func:`rational_roots` finds rational roots by one small
+  prime and Hensel lifting, and sympy factors the rest;
 * Qi for maps with genuine Gaussian-rational coefficients, and Fraction
   for the monic rational factors that the spectra report;
 * complex floats (handled mostly in :mod:`ratdyn.roots` with numpy);
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import gcd as _igcd
+from math import gcd as _igcd, isqrt
 
 import numpy as np
 
@@ -301,6 +302,32 @@ def factor_int_poly(p):
         coeffs = [int(c) for c in reversed(fac.all_coeffs())]
         out.append((coeffs, int(mult)))
     return int(content), out
+
+
+def rational_roots(p):
+    """The rational roots, ascending, of a squarefree polynomial in Z[z].
+
+    At the smallest odd prime q that does not divide lc = lc(p) and keeps
+    p squarefree (a trivial gcd(p, p') mod q), each rational root a/b is a
+    distinct simple root mod q.  Every root mod q is Newton lifted until
+    q^k > 4 max|p_i|, at least 2 |lc| times Cauchy's root bound; b divides
+    lc, so lc a/b is then the balanced residue of lc r, and a/b is kept
+    when p(a/b) = 0 exactly (von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 15)."""
+    p = pstrip(p)
+    lc, dp, q = p[-1], pderiv(p), 3
+    while (any(q % r == 0 for r in range(3, isqrt(q) + 1, 2)) or lc % q == 0
+           or len(fp_gcd(fp_array(p, q), fp_array(dp, q), q)) != 1):
+        q += 2
+    res, acc = np.arange(q, dtype=np.int64), np.zeros(q, dtype=np.int64)
+    for c in fp_array(p, q)[::-1]:
+        acc = (acc * res + c) % q
+    roots, mod = [int(r) for r in np.flatnonzero(acc == 0)], q
+    while mod <= 4 * max(map(abs, p)):
+        mod *= mod
+        roots = [(r - peval(p, r) * pow(peval(dp, r), -1, mod)) % mod for r in roots]
+    out = [Fraction(a - mod if 2 * a > mod else a, lc) for a in (lc * r % mod for r in roots)]
+    return sorted(r for r in out if peval(p, r) == 0)
 
 
 def int_poly_irreducible(p) -> bool:

@@ -16,10 +16,13 @@ part s of the squarefree decomposition dyn = prod s_k^k:
   modulo word primes (Krylov elimination over F_p), lifted by CRT and
   rational reconstruction, and certified exactly: mu(lambda) = 0 in
   Z[w]/(s~);
-* mu is factored over Q (sympy), and one word prime counts the roots of s
-  behind each factor mu_i by a gcd in F_p[z]; the prime is accepted only
-  when the counts sum to deg s, which proves every count.  The counts are
-  then scaled by the exponent k.
+* mu is factored over Q by :func:`factor_spectrum`: its rational roots
+  come from one small prime and Hensel lifting, and sympy sees only a
+  cofactor of degree >= 4, so the spectra of power, Chebyshev and Lattes
+  maps (all of whose factors are linear) need no sympy;
+* one word prime counts the roots of s behind each factor mu_i by a gcd
+  in F_p[z]; the prime is accepted only when the counts sum to deg s,
+  which proves every count.  The counts are then scaled by the exponent k.
 
 Here s~ = L^(m-1) s(w/L) is the modulus made monic over Z by the
 substitution z = w/L, L its lead, so no exact step divides: every residue
@@ -63,6 +66,7 @@ from .polys import (
     fp_mul,
     fp_strip,
     fractions_to_int_primitive,
+    idivexact,
     int_poly_irreducible,
     ipmul,
     pdeg,
@@ -72,6 +76,7 @@ from .polys import (
     pstrip,
     psub,
     poly_to_str,
+    rational_roots,
     squarefree_decomposition,
     word_primes,
 )
@@ -421,16 +426,20 @@ def multiplier_polynomial(
 
 def factor_spectrum(poly) -> list[tuple[tuple[Fraction, ...], int]]:
     """Complete factorization over Q of a rational polynomial into monic
-    irreducible factors with multiplicities."""
-    fr = [Fraction(c) for c in poly]
-    p_int, _ = fractions_to_int_primitive(fr)
-    if pdeg(p_int) < 1:
-        return []
-    _, irr = factor_int_poly(p_int)
+    irreducible factors with multiplicities, sorted by degree.  On each part
+    s^k of the squarefree decomposition, the rational roots of s
+    (:func:`polys.rational_roots`) give the linear factors, divided out
+    exactly; a cofactor of degree 2 or 3 is then irreducible, and only one
+    of degree >= 4 is factored by sympy."""
+    p_int, _ = fractions_to_int_primitive([Fraction(c) for c in poly])
     out = []
-    for q, m in irr:
-        lead = Fraction(q[-1])
-        out.append((tuple(Fraction(c) / lead for c in q), m))
+    for s, k in squarefree_decomposition(p_int) if pdeg(p_int) >= 1 else []:
+        for r in rational_roots(s):
+            s = idivexact(s, [-r.numerator, r.denominator])
+            out.append(((-r, Fraction(1)), k))
+        if pdeg(s) >= 2:
+            irr = factor_int_poly(s)[1] if pdeg(s) >= 4 else [(s, 1)]
+            out += [(tuple(Fraction(c, q[-1]) for c in q), k * m) for q, m in irr]
     return sorted(out, key=lambda km: (len(km[0]), km[0]))
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +22,10 @@ from ratdyn import (
     flexible_lattes,
     orbifold_signature,
     power_map,
+    spectra,
 )
 from ratdyn.polys import padd, pmul, pscale, pstrip
+from ratdyn.spectra import AlgebraicSpectrum
 
 
 def cheb_identity_holds(d: int) -> bool:
@@ -249,3 +252,35 @@ def test_classify_undetermined_without_exact_data():
     f = build_map([0.1 + 0.2j, 0, 1], [1], exact=False)
     res = classify(f, max_period=2)
     assert res.kind in ("undetermined", "not-exceptional")
+
+
+def _quadratic_spectrum(*quadratics):
+    """A spectrum with one factor λ^2 + c1 λ + c0 per period."""
+    spec = AlgebraicSpectrum(degree=2)
+    for n, (c0, c1) in enumerate(quadratics, start=1):
+        spec.periods[n] = [((Fraction(c0), Fraction(c1), Fraction(1)), 1)]
+    return spec
+
+
+_C216 = (2**127 - 1) * (2**89 - 1)
+
+
+@pytest.mark.parametrize(
+    "quadratics, two_fields",
+    [
+        (((1, 1), (3, 0)), False),  # discriminants -3, -12: both Q(sqrt -3)
+        (((1, 1), (1, 0)), True),  # -3 and -4: Q(sqrt -3) and Q(i)
+        # about 216-bit discriminants, decided with no integer factoring
+        (((_C216, 0), (4 * _C216, 0)), False),
+        (((_C216, 0), ((2**127 - 1) * (2**107 - 1), 0)), True),
+    ],
+)
+def test_the_field_violation_compares_discriminants_by_squares(
+    monkeypatch, quadratics, two_fields
+):
+    monkeypatch.setattr(spectra, "algebraic_spectrum", lambda *a, **k: _quadratic_spectrum(*quadratics))
+    start = time.perf_counter()
+    got = exceptional._exact_field_violation(power_map(2, 1), len(quadratics))
+    assert time.perf_counter() - start < 0.1
+    want = (2, (*quadratics[1], 1), "multipliers span two imaginary quadratic fields")
+    assert got == (want if two_fields else None)
