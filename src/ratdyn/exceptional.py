@@ -76,103 +76,45 @@ class LattesSpec:
         object.__setattr__(self, "b", Fraction(self.b))
 
 
-# division polynomials: psi_m = poly(x) * y^s with s = 1 for even m,
-# represented as (s, ascending Fraction list); y^2 is reduced to E(x).
+def _division_polys(a: Fraction, b: Fraction, count: int) -> list[list[Fraction]]:
+    """g_0, ..., g_(count-1): the division polynomials of y^2 = E(x) =
+    x^3 + a x + b as psi_n = y^[n even] g_n, so every g_n lies in Q[x] and
+    y^2 = E enters only as E^2 in the odd recurrence:
 
-
-class _DivPolys:
-    def __init__(self, a: Fraction, b: Fraction):
-        self.E = [Fraction(b), Fraction(a), Fraction(0), Fraction(1)]
-        a, b = Fraction(a), Fraction(b)
-        self.cache: dict[int, tuple[int, list[Fraction]]] = {
-            0: (0, []),
-            1: (0, [Fraction(1)]),
-            2: (1, [Fraction(2)]),
-            3: (
-                0,
-                [
-                    -a * a,
-                    12 * b,
-                    6 * a,
-                    Fraction(0),
-                    Fraction(3),
-                ],
-            ),
-            4: (
-                1,
-                pscale(
-                    [
-                        -8 * b * b - a**3,
-                        -4 * a * b,
-                        -5 * a * a,
-                        20 * b,
-                        5 * a,
-                        Fraction(0),
-                        Fraction(1),
-                    ],
-                    Fraction(4),
-                ),
-            ),
-        }
-
-    def _mul(self, u, v):
-        s = u[0] + v[0]
-        p = pmul(u[1], v[1])
-        if s == 2:
-            return (0, pmul(p, self.E))
-        return (s, p)
-
-    def _sub(self, u, v):
-        if u[0] != v[0]:
-            raise RatdynError("division polynomial parity mismatch")
-        return (u[0], psub(u[1], v[1]))
-
-    def psi(self, m: int) -> tuple[int, list[Fraction]]:
-        if m < 0:
-            s, p = self.psi(-m)
-            return (s, pscale(p, Fraction(-1)))
-        if m in self.cache:
-            return self.cache[m]
-        k = m // 2
-        if m % 2 == 1:
-            a = self._mul(self.psi(k + 2), self._pow3(self.psi(k)))
-            b = self._mul(self.psi(k - 1), self._pow3(self.psi(k + 1)))
-            out = self._sub(a, b)
-            # odd psi is a pure x-polynomial; a y^2 pair reduces via E
-            if out[0] == 1:
-                raise RatdynError("odd division polynomial came out odd in y")
+        g_(2k+1) = g_(k+2) g_k^3 - g_(k-1) g_(k+1)^3, with E^2 on the
+                   first term for even k and on the second for odd k,
+        g_(2k) = g_k (g_(k+2) g_(k-1)^2 - g_(k-2) g_(k+1)^2) / 2."""
+    E2 = pmul([b, a, 0, 1], [b, a, 0, 1])
+    g = [[], [Fraction(1)], [Fraction(2)], [-a * a, 12 * b, 6 * a, 0, Fraction(3)],
+         pscale([-8 * b * b - a**3, -4 * a * b, -5 * a * a, 20 * b, 5 * a, 0, 1], 4)]
+    for n in range(5, count):
+        k = n // 2
+        if n % 2:
+            t1 = pmul(g[k + 2], pmul(g[k], pmul(g[k], g[k])))
+            t2 = pmul(g[k - 1], pmul(g[k + 1], pmul(g[k + 1], g[k + 1])))
+            t1, t2 = (pmul(E2, t1), t2) if k % 2 == 0 else (t1, pmul(E2, t2))
+            g.append(psub(t1, t2))
         else:
-            t1 = self._mul(self.psi(k + 2), self._mul(self.psi(k - 1), self.psi(k - 1)))
-            t2 = self._mul(self.psi(k - 2), self._mul(self.psi(k + 1), self.psi(k + 1)))
-            inner = self._sub(t1, t2)
-            prod = self._mul(self.psi(k), inner)
-            if prod[0] != 1:
-                raise RatdynError("even division polynomial has wrong parity")
-            out = (1, pscale(prod[1], Fraction(1, 2)))
-        self.cache[m] = out
-        return out
-
-    def _pow3(self, u):
-        return self._mul(u, self._mul(u, u))
+            inner = psub(pmul(g[k + 2], pmul(g[k - 1], g[k - 1])),
+                         pmul(g[k - 2], pmul(g[k + 1], g[k + 1])))
+            g.append(pscale(pmul(g[k], inner), Fraction(1, 2)))
+    return g
 
 
 def flexible_lattes(spec: LattesSpec) -> RationalMap:
     """The map induced on x-coordinates by multiplication by m on
-    y^2 = x^3 + a x + b:  x(mP) = x - psi_(m-1) psi_(m+1) / psi_m^2."""
+    y^2 = E(x) = x^3 + a x + b:  x(mP) = x - psi_(m-1) psi_(m+1) / psi_m^2,
+    that is x - g_(m-1) g_(m+1) / (E g_m^2) for even m and
+    x - E g_(m-1) g_(m+1) / g_m^2 for odd m."""
     a, b, m = spec.a, spec.b, spec.m
     if m < 2:
         raise RatdynError("multiplier m must be >= 2")
     if 4 * a**3 + 27 * b**2 == 0:
         raise SingularCurve(f"discriminant vanishes for a={a}, b={b}")
-    dp = _DivPolys(a, b)
-    num_pair = dp._mul(dp.psi(m - 1), dp.psi(m + 1))
-    den_pair = dp._mul(dp.psi(m), dp.psi(m))
-    if num_pair[0] == 1 or den_pair[0] == 1:
-        raise RatdynError("x-coordinate map should be y-free")
-    P1 = num_pair[1]
-    P2 = den_pair[1]
-    num = psub([Fraction(0)] + list(P2), P1)  # x * psi_m^2 - psi_(m-1) psi_(m+1)
-    f = build_map(num, P2)
+    g, E = _division_polys(a, b, m + 2), [b, a, 0, 1]
+    num, den = pmul(g[m - 1], g[m + 1]), pmul(g[m], g[m])
+    num, den = (num, pmul(E, den)) if m % 2 == 0 else (pmul(E, num), den)
+    f = build_map(psub([0] + den, num), den)  # x den - num
     if f.degree != m * m:
         raise RatdynError(f"expected degree {m * m}, got {f.degree}")
     return f
@@ -251,7 +193,7 @@ def _orbifold_weights(f: RationalMap, depth: int, tol: float):
     max_steps = 4 * (len(trunc.points) + 2)
     for c, mult in crit:
         acc: float = mult + 1
-        x = f.evaluate(c)
+        x = f.evaluate_float(c)
         for _ in range(max_steps):
             i = rep_index(x)
             cur = nu.get(i, 1)
@@ -262,7 +204,7 @@ def _orbifold_weights(f: RationalMap, depth: int, tol: float):
             acc = acc * local_degree(x)
             if acc > WEIGHT_CAP:
                 acc = math.inf
-            x = f.evaluate(x)
+            x = f.evaluate_float(x)
     return reps, nu
 
 

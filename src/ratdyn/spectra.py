@@ -20,17 +20,23 @@ part s of the squarefree decomposition dyn = prod s_k^k:
   come from one small prime and Hensel lifting, and sympy sees only a
   cofactor of degree >= 4, so the spectra of power, Chebyshev and Lattes
   maps (all of whose factors are linear) need no sympy;
-* one word prime counts the roots of s behind each factor mu_i by a gcd
-  in F_p[z]; the prime is accepted only when the counts sum to deg s,
-  which proves every count.  The counts are then scaled by the exponent k.
+* one word prime counts the roots of s behind each factor mu_i: lambda
+  mod p, by the reduction and inverse the lift uses, gives the count
+  bound deg gcd(s~, mu_i(lambda)) in F_p[w]; the prime is accepted only
+  when the bounds sum to deg s, which proves every count.  The counts are
+  then scaled by the exponent k.
 
 Here s~ = L^(m-1) s(w/L) is the modulus made monic over Z by the
 substitution z = w/L, L its lead, so no exact step divides: every residue
-stays int.  Both residue rings (Z[w]/(s~) and F_p[z]/(s)) run the one
-homogeneous orbit loop, :meth:`ResidueField.multiplier_orbit`, so cycles
-through poles or Infinity need no special conjugation.  Each period's
-:class:`PeriodFactors` records the route of every factor ("infinity" or
-"algebra") and how many points it carries.
+stays int.  The multiplier comes from one homogeneous orbit loop,
+:meth:`ResidueField.multiplier_orbit`, so cycles through poles or Infinity
+need no special conjugation.  Each period's :class:`PeriodFactors` records
+the route of every factor ("infinity" or "algebra") and how many points it
+carries.
+
+Galois-stable periodic sets factor dyn over Z (sympy) and follow f on the
+factors in the same ring: one step of the integer pair in Z[w]/(q~) names,
+exactly, the factor that f maps each factor q onto.
 
 Membership of the multipliers in a number field K is exact for every K:
 the discriminant decides over quadratic fields, and sympy's factoring over
@@ -64,13 +70,13 @@ from .polys import (
     fp_array,
     fp_gcd,
     fp_mul,
-    fp_strip,
     fractions_to_int_primitive,
     idivexact,
     int_poly_irreducible,
     ipmul,
     pdeg,
     pderiv,
+    peval,
     pmul,
     ppad,
     pstrip,
@@ -81,10 +87,10 @@ from .polys import (
     word_primes,
 )
 from .scalars import Qi
-from .sphere import INF, ProjPoint, RationalMap, chordal, hom_eval
+from .sphere import INF, ProjPoint, RationalMap, hom_eval
 
 # ----------------------------------------------------------------------
-# residue rings Z[w]/(q~) and F_p[z]/(g)
+# the residue ring Z[w]/(q~)
 # ----------------------------------------------------------------------
 
 
@@ -191,14 +197,14 @@ def minimal_polynomial(num: FieldElt, den: FieldElt) -> list[Fraction]:
     Monagan, ISSAC 2004)."""
     degree, G, M, mu, agree, failed, misses = -1, [], 1, None, 0, None, 0
     for p in word_primes():
-        red = FpModulus(num.field.mod, p)
-        inv = red.inverse(fp_array(den.c, p))
-        if inv is None:
+        at_p = _lambda_mod(num, den, p)
+        if at_p is None:
             misses += 1
             if misses == 20:
                 raise RatdynError("Y_n^2 is not a unit modulo 20 word primes")
             continue
-        mu_p = red.minimal_polynomial(red.reduce(fp_mul(fp_array(num.c, p), inv, p)))
+        red, lam = at_p
+        mu_p = red.minimal_polynomial(lam)
         if len(mu_p) - 1 < degree:
             continue
         if len(mu_p) - 1 > degree:
@@ -212,6 +218,16 @@ def minimal_polynomial(num: FieldElt, den: FieldElt) -> list[Fraction]:
                 P, D = mu
                 return [Fraction(c, D) for c in P]
             failed = mu
+
+
+def _lambda_mod(num: FieldElt, den: FieldElt, p: int):
+    """(F_p[w]/(q~) as an FpModulus, lambda = num/den mod p in it), or None
+    when den is not a unit mod (q~, p)."""
+    red = FpModulus(num.field.mod, p)
+    inv = red.inverse(fp_array(den.c, p))
+    if inv is None:
+        return None
+    return red, red.reduce(fp_mul(fp_array(num.c, p), inv, p))
 
 
 def _reduces_to(mu, mu_p, p: int) -> bool:
@@ -260,73 +276,49 @@ def _certified(mu, degree: int, num: FieldElt, den: FieldElt) -> bool:
 
 
 # ----------------------------------------------------------------------
-# points per factor: one gcd in F_p[z]/(s) for each factor of mu
+# points per factor: one gcd in F_p[w]/(s~) for each factor of mu
 # ----------------------------------------------------------------------
 
 
-class PrimeResidueRing(ResidueField):
-    """F_p[z]/(g), p not dividing lc(g), with g made monic mod p (lead 1),
-    so :meth:`ResidueField.multiplier_orbit` runs mod p from (z, 1).
-    Elements hold numpy int64 residues; products use the kernels of polys."""
-
-    def __init__(self, modulus, p: int):
-        self.p, self.lead = p, 1
-        self.red = FpModulus(modulus, p)
-        self.degree = self.red.m
-
-    def elt(self, coeffs) -> "FpElt":
-        return FpElt(self, self.red.reduce(fp_array(coeffs, self.p)))
-
-
-class FpElt:
-    __slots__ = ("ring", "c")
-
-    def __init__(self, ring: PrimeResidueRing, c):
-        self.ring = ring
-        self.c = c
-
-    def __add__(self, o):
-        a, b = (self.c, o.c) if len(self.c) >= len(o.c) else (o.c, self.c)
-        out = a.copy()
-        out[: len(b)] += b
-        return FpElt(self.ring, fp_strip(out % self.ring.p))
-
-    def __mul__(self, o):
-        ring = self.ring
-        if isinstance(o, FpElt):
-            return FpElt(ring, ring.red.reduce(fp_mul(self.c, o.c, ring.p)))
-        return FpElt(ring, fp_strip(self.c * (o % ring.p) % ring.p))
-
-    __rmul__ = __mul__
-
-
-def _point_counts(f: RationalMap, n: int, s: list[int], qs: list[list[int]]) -> list[int]:
+def _point_counts(num: FieldElt, den: FieldElt, qs: list[list[int]]) -> list[int]:
     """How many roots of the squarefree s have their multiplier among the
     roots of each q in qs, the distinct irreducible factors (primitive, over
-    Z) of the certified minimal polynomial of lambda in Z[w]/(s~).
+    Z) of the certified minimal polynomial of lambda = num/den in Z[w]/(s~).
 
     Every root's multiplier is a root of exactly one q, so the counts k_q
-    sum to deg s.  At a prime p not dividing lc(s), the roots counted by k_q
-    are those of a primitive factor of s that divides Hom(q)(prod W, Y_n^2)
-    in Z[z], so k_q <= deg gcd(s, Hom(q)(prod W, Y_n^2)) mod p: one
-    homogeneous orbit in F_p[z]/(s) gives every such gcd.  A prime at which
-    the gcd degrees sum to deg s therefore gives every k_q; a prime where
-    distinct multipliers meet mod p over-counts and is skipped."""
-    m = pdeg(s)
+    sum to deg s.  Let g_q be the monic factor of s~ whose roots are the
+    k_q roots counted for q; it lies in Z[w] (Gauss's lemma), as s~ is
+    monic.  At a word prime p at which den is a unit mod (s~, p), q(lambda)
+    has a representative in Z_(p)[w] that vanishes at the roots of g_q, so
+    g_q divides it there, and g_q mod p divides both s~ and q(lambda_p),
+    lambda_p = lambda mod p as in :func:`minimal_polynomial`.  Hence k_q <=
+    deg gcd(s~, q(lambda_p)) over F_p, and a prime at which these degrees
+    sum to deg s proves every count; a prime where distinct multipliers
+    meet mod p over-counts and is skipped."""
+    m = num.field.degree
     if len(qs) == 1:
         return [m]
-    skipped = 0
+    misses = 0
     for p in word_primes():
-        if s[-1] % p == 0:
-            continue
-        ring = PrimeResidueRing(s, p)
-        acc, y2 = ring.multiplier_orbit(f.int_pair, n)
-        counts = [len(fp_gcd(ring.red.f, hom_eval(q, acc, y2).c, p)) - 1 for q in qs]
-        if sum(counts) == m:
-            return counts
-        skipped += 1
-        if skipped == 20:
+        at_p = _lambda_mod(num, den, p)
+        if at_p is not None:
+            red, lam = at_p
+            counts = [len(fp_gcd(red.f, _fp_value(red, q, lam), p)) - 1 for q in qs]
+            if sum(counts) == m:
+                return counts
+        misses += 1
+        if misses == 20:
             raise RatdynError("point counts over-counted at 20 word primes")
+
+
+def _fp_value(red: FpModulus, q, a):
+    """q(a) in F_p[w]/(red.f), for an integer polynomial q, by Horner."""
+    out = a[:0]
+    for c in reversed(q):
+        out = ppad([int(x) for x in red.reduce(fp_mul(out, a, red.p))], 1)
+        out[0] += c
+        out = fp_array(out, red.p)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -392,9 +384,9 @@ def multiplier_factors(
         routes.append(((-lam.re, Fraction(1)), 1, "infinity"))
         total_points += 1
     for s, k in squarefree_decomposition(dyn) if pdeg(dyn) >= 1 else []:
-        mu = minimal_polynomial(*multiplier_element(f, n, s))
-        keys = [q for q, _ in factor_spectrum(mu)]
-        counts = _point_counts(f, n, s, [fractions_to_int_primitive(q)[0] for q in keys])
+        num, den = multiplier_element(f, n, s)
+        keys = [q for q, _ in factor_spectrum(minimal_polynomial(num, den))]
+        counts = _point_counts(num, den, [fractions_to_int_primitive(q)[0] for q in keys])
         routes += [(q, k * count, "algebra") for q, count in zip(keys, counts)]
     factors: dict[tuple[Fraction, ...], int] = {}
     for key, points, _route in routes:
@@ -705,101 +697,61 @@ def galois_orbit_sets(
 ) -> list[GaloisPeriodicSet]:
     """Partition the exact-period-n points into Galois-stable sets.
 
-    One set per orbit of irreducible dynatomic factors under the action of
-    f on root sets (usually a single factor), so every set is a union of
-    cycles; the Infinity cycle forms its own set merged with the factors
-    its finite points satisfy.
+    One set per orbit of irreducible dynatomic factors under f (usually a
+    single factor), so every set is a union of cycles.  The successor of a
+    factor q is the factor r of equal degree with Hom(r)(A, B)(w, L) = 0 in
+    Z[w]/(q~): one step of the integer pair (A, B) from a root z = w/L of
+    q.  The test is exact, since Z[w]/(q~) embeds in the number field
+    Q[z]/(q); a factor with no successor is one whose roots are poles.  The
+    Infinity cycle joins the set with a factor vanishing at one of its
+    finite points, else forms its own set.  Each factor's points are its
+    numeric roots (:func:`roots.solve_poly`), in set order.
     """
+    from .roots import solve_poly
+
     _ensure_exact_rational(f)
     cap = cap if cap is not None else config.EXACT_DEGREE_CAP
     d = f.degree
     if d**n + 1 > cap:
         raise DegreeCapExceeded(f"d^n + 1 = {d ** n + 1} exceeds exact cap {cap}")
-    dyn_int = dynatomic_numerator(f, n, cap=max(cap, d**n + 2))
-    groups: list[dict] = []
-    if pdeg(dyn_int) >= 1:
-        _, irr = factor_int_poly(dyn_int)
-        from .roots import solve_poly
-
-        fac_roots = []
-        for q, mult in irr:
-            roots = solve_poly(np.array([float(c) for c in q], dtype=complex), seed=seed)
-            fac_roots.append((q, mult, [complex(r) for r in roots]))
-
-        def owner(z: complex) -> int:
-            best, bi = None, -1
-            for i, (_q, _m, roots) in enumerate(fac_roots):
-                dd = min(abs(z - r) for r in roots)
-                if best is None or dd < best:
-                    best, bi = dd, i
-            return bi
-
-        # factor orbit structure under f
-        parent = list(range(len(fac_roots)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def union(i, j):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-
-        for i, (_q, _m, roots) in enumerate(fac_roots):
-            img = f.evaluate(ProjPoint.finite(roots[0]))
-            if img.is_infinity:
-                continue
-            union(i, owner(complex(img.z)))
-        clusters: dict[int, list[int]] = {}
-        for i in range(len(fac_roots)):
-            clusters.setdefault(find(i), []).append(i)
-        for root_i, members in sorted(clusters.items()):
-            tags = []
-            pts: list[ProjPoint] = []
-            count = 0
-            for i in members:
-                q, mult, roots = fac_roots[i]
-                lead = Fraction(q[-1])
-                tags.append(poly_to_str([Fraction(c) / lead for c in q], "z"))
-                pts.extend(ProjPoint.finite(r) for r in roots)
-                count += pdeg(q)
-            groups.append(
-                {"tags": tags, "points": pts, "count": count, "has_inf": False}
-            )
+    dyn = dynatomic_numerator(f, n, cap=max(cap, d**n + 2))
+    irr = [q for q, _ in factor_int_poly(dyn)[1]] if pdeg(dyn) >= 1 else []
+    A, B = f.int_pair
+    succ = []
+    for q in irr:
+        F = ResidueField(q)
+        X, Y = F.gen(), F.elt([F.lead])
+        X, Y = hom_eval(A, X, Y), hom_eval(B, X, Y)
+        succ.append(next((j for j, r in enumerate(irr)
+                          if len(r) == len(q) and hom_eval(r, X, Y).is_zero()), None))
+    # the components of i -> succ[i]: within len(irr) sweeps every label
+    # falls to the least index of its component
+    label = list(range(len(irr)))
+    for _ in irr:
+        for i, j in enumerate(succ):
+            if j is not None:
+                label[i] = label[j] = min(label[i], label[j])
+    comps = [[i for i, k in enumerate(label) if k == r] for r in sorted(set(label))]
+    inf_set = None
     inf_period, inf_orbit = infinity_exact_period(f, n)
     if inf_period == n:
-        # attach the Infinity cycle to the factors of its finite points
-        finite = [p for p in inf_orbit if not p.is_infinity]
-        target = None
-        for g in groups:
-            for p in finite:
-                if any(chordal(p, q) < 1e-8 for q in g["points"]):
-                    target = g
-                    break
-            if target:
-                break
-        if target is None:
-            groups.append(
-                {"tags": ["(infinity cycle)"], "points": [INF], "count": 1,
-                 "has_inf": True}
-            )
-        else:
-            target["points"].append(INF)
-            target["count"] += 1
-            target["tags"].append("(infinity)")
+        finite = [p.z for p in inf_orbit if not p.is_infinity]
+        inf_set = next((k for k, comp in enumerate(comps)
+                        if any(not peval(irr[i], z) for i in comp for z in finite)), None)
+        if inf_set is None:
+            inf_set, comps = len(comps), comps + [[]]
     out = []
-    for g in groups:
-        cc = g["count"] // n if g["count"] % n == 0 else 0
-        out.append(
-            GaloisPeriodicSet(
-                period=n,
-                factor_tags=g["tags"],
-                points=g["points"],
-                cycle_count=cc,
-                point_count=g["count"],
-            )
-        )
+    for k, comp in enumerate(comps):
+        tags, points = [], []
+        for i in comp:
+            q = irr[i]
+            tags.append(poly_to_str([Fraction(c, q[-1]) for c in q], "z"))
+            roots = solve_poly(np.array([float(c) for c in q], dtype=complex), seed=seed)
+            points += [ProjPoint.finite(complex(r)) for r in roots]
+        count = sum(pdeg(irr[i]) for i in comp)
+        if k == inf_set:
+            tags.append("(infinity)" if comp else "(infinity cycle)")
+            points.append(INF)
+            count += 1
+        out.append(GaloisPeriodicSet(n, tags, points, count // n if count % n == 0 else 0, count))
     return out

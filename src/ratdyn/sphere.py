@@ -342,6 +342,11 @@ class RationalMap:
             p = ProjPoint.finite(p)
         if self.exact and p.is_exact:
             return self._evaluate_exact(p)
+        return self.evaluate_float(p)
+
+    def evaluate_float(self, p: ProjPoint) -> ProjPoint:
+        """f(p) by the float kernel, also for exact maps and points (whose
+        exact orbits can grow without bound)."""
         X, Y = p.xy()
         Xa, Ya = self.eval_hom(np.array([X]), np.array([Y]))
         return xy_to_points(Xa, Ya)[0]
@@ -603,10 +608,11 @@ def postcritical_truncation(
 ) -> PostcriticalTruncation:
     """Truncated forward orbit of the critical set.
 
-    Runs numerically with chordal deduplication at tol; when the truncation
-    closes numerically and every critical point is recognizably in Q(i),
-    the closure is re-confirmed with exact Gaussian-rational orbits (the
-    orbit is then bounded, so exact values stay small).
+    Runs on the float kernel, from the exact point Infinity too, with
+    chordal deduplication at tol; when the truncation closes numerically
+    and every critical point is recognizably in Q(i), the closure is
+    re-confirmed with exact Gaussian-rational orbits, whose growth
+    :func:`_postcritical_exact` caps.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -614,7 +620,7 @@ def postcritical_truncation(
     pts: list[ProjPoint] = []
     frontier = crit
     for _ in range(depth):
-        frontier = [f.evaluate(p) for p in frontier]
+        frontier = [f.evaluate_float(p) for p in frontier]
         fresh = []
         for p in frontier:
             if all(chordal(p, q) > tol for q in pts):
@@ -624,7 +630,7 @@ def postcritical_truncation(
         if not frontier:
             break
     closed = all(
-        any(chordal(f.evaluate(p), q) <= tol for q in pts) for p in pts
+        any(chordal(f.evaluate_float(p), q) <= tol for q in pts) for p in pts
     )
     if closed and f.exact:
         exact_crit = _try_exact_points(f, crit)

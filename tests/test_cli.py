@@ -2,6 +2,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -94,6 +96,39 @@ def test_the_parser_cancels_common_factors_once_at_the_end():
     assert [str(c) for c in g.num] == ["3/2", "-3/2", "1"] and [str(c) for c in g.den] == ["1"]
     assert parse_field("poly:(x^4+2*x)/x").poly == (2, 0, 0, 1)
     assert _parse_point("(z-1)/(2*z-2)").z.re == Fraction(1, 2)
+
+
+def test_lattes_maps_build_for_every_multiplier():
+    rc, out, _ = run_cli(["make", "lattes", "--a", "-1", "--b", "0", "--m", "5"])
+    assert rc == 0 and json.loads(out)["results"]["degree"] == 25
+    assert parse_map("lattes:-1:0:5").degree == 25
+
+
+def test_escaping_exact_critical_orbits_finish():
+    # the critical point Infinity of (z^2-2)/(z^2+3) runs 1, -1/4, ... with
+    # heights doubling at every step, so the postcritical scan iterates it
+    # in floats; the cubic's float scan closes on an attracting cycle, and
+    # the orbifold weights' chains from Infinity run in floats too.  A fresh
+    # process, so that a regression fails instead of hanging.
+    cubic = "(-z^3-3*z^2+2*z-3)/(z^3+3*z^2-2*z-1)"
+    code = (
+        "import io, json, ratdyn.cli\n"
+        "for argv in (['classify', '--max-period', '1', '--map', '(z^2-2)/(z^2+3)'],\n"
+        "             ['zdunik', '--max-period', '2', '--samples', '1000',\n"
+        "              '--map', '(z^2-2)/(z^2+3)'],\n"
+        f"             ['classify', '--max-period', '1', '--map', '{cubic}']):\n"
+        "    out = io.StringIO()\n"
+        "    assert ratdyn.cli.run(argv, out=out, err=io.StringIO()) == 0\n"
+        "    print(json.loads(out.getvalue())['results'].get('class'))\n"
+    )
+    import ratdyn
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ratdyn.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["not-exceptional", "None", "not-exceptional"]
 
 
 def test_parse_errors_exit_2():

@@ -114,7 +114,7 @@ def _random_curve_point(a, b, rng):
 
 @pytest.mark.parametrize(
     "a,b,m",
-    [(-1, 0, 2), (1, 1, 2), (-1, 0, 3), (2, 3, 2), (-1, 0, 4)],
+    [(-1, 0, 2), (1, 1, 2), (-1, 0, 3), (2, 3, 2), (-1, 0, 4), (-1, 0, 5), (1, 1, 6)],
 )
 def test_lattes_semiconjugacy_oracle(a, b, m):
     f = flexible_lattes(LattesSpec(a, b, m))
@@ -223,6 +223,23 @@ def test_classify_not_exceptional_needs_exact_violation():
     assert res.kind == "not-exceptional"
     assert res.evidence["violation"]["period"] == 1
     assert res.evidence["violation"]["factor"] == "λ^2-2λ-4"
+
+
+def test_the_field_violation_names_non_integral_and_cubic_factors():
+    # z^2/2 - 1/3 fixes two points with multipliers the roots of
+    # λ^2 - 2λ - 2/3; z^3 - 2z + 1 has an irreducible cubic at period 1
+    half = build_map([Fraction(-1, 3), 0, Fraction(1, 2)], [1])
+    q = (Fraction(-2, 3), Fraction(-2), Fraction(1))
+    assert exceptional._exact_field_violation(half, 1) == (
+        1, q, "factor is not an algebraic integer")
+    verdict = spectra.integrality(spectra.algebraic_spectrum(half, 1))
+    assert verdict.first_violation == (1, q)
+    assert verdict.describe() == "FirstViolation(period=1, factor=λ^2-2λ-2/3)"
+    assert not verdict.all_algebraic_integers
+    cubic = build_map([1, -2, 0, 1], [1])
+    assert exceptional._exact_field_violation(cubic, 1) == (
+        1, (Fraction(71), Fraction(21), Fraction(-12), Fraction(1)),
+        "irreducible factor of degree >= 3")
 
 
 def test_classify_stable_under_exact_conjugation():

@@ -156,13 +156,14 @@ def test_counts_that_never_add_up_raise(monkeypatch):
     s = dynatomic_numerator(f, 1)
     monkeypatch.setattr(spectra, "word_primes", lambda: itertools.repeat(3))
     with pytest.raises(RatdynError, match="over-counted"):
-        spectra._point_counts(f, 1, s, [[3, 1], [-9, 1]])
+        spectra._point_counts(*multiplier_element(f, 1, s), [[3, 1], [-9, 1]])
 
 
 def test_a_single_factor_takes_every_point_without_a_prime(monkeypatch):
     f = build_map([-1, 0, 1], [1])
     monkeypatch.setattr(spectra, "word_primes", lambda: iter(()))
-    assert spectra._point_counts(f, 3, dynatomic_numerator(f, 3), [[64, -8, 1]]) == [6]
+    num, den = multiplier_element(f, 3, dynatomic_numerator(f, 3))
+    assert spectra._point_counts(num, den, [[64, -8, 1]]) == [6]
 
 
 def test_the_certificate_refuses_a_minimal_polynomial_missing_a_factor():

@@ -57,6 +57,16 @@ def test_dynatomic_examples():
     assert pdeg(d1) == 2  # z^2 - z; Infinity appended separately
 
 
+def test_dynatomic_over_gaussian_rationals_and_floats():
+    # z^2 + c at n = 2: (f^2(z) - z)/(f(z) - z) = z^2 + z + c + 1, exactly
+    # over Q(i) and to rounding for a float map
+    gauss = dynatomic_numerator(build_map([Qi(0, 1), 0, 1], [1]), 2)
+    assert gauss == [Qi(1, 1), Qi(1), Qi(1)]
+    c = 0.3 + 0.1j
+    approx = dynatomic_numerator(build_map([c, 0, 1], [1]), 2)
+    assert np.allclose(approx, [c + 1, 1, 1], rtol=0, atol=1e-12)
+
+
 def test_dynatomic_degenerate_double_root_is_reported_not_hidden():
     # f(z) = z^2 - z has a multiplier -1 fixed point at 0; the period-2
     # dynatomic degenerates to z^2 (fake period-2 roots at the parabolic

@@ -57,6 +57,15 @@ def test_evaluate_homogeneous_at_infinity_for_inverse_power():
     assert evaluate(f, 0).is_infinity
 
 
+def test_moebius_maps_exact_points_exactly():
+    phi = MoebiusMap(1, 2, 3, 4)  # (z + 2)/(3z + 4)
+    assert phi(ProjPoint.finite(Fraction(-4, 3))) is INF  # the pole
+    assert phi(INF) == ProjPoint.finite(Fraction(1, 3))
+    assert phi(ProjPoint.finite(1)).z == Qi(Fraction(3, 7))
+    assert phi(Fraction(1, 2)).z == Qi(Fraction(5, 11))
+    assert phi(Qi(0, 1)).z == Qi(Fraction(11, 25), Fraction(-2, 25))  # (2+i)/(4+3i)
+
+
 def test_spherical_norm_examples():
     assert abs(spherical_norm(Z2, 1) - 2.0) < 1e-15
     assert abs(spherical_norm(Z2, 2) - 20 / 17) < 1e-15

@@ -10,9 +10,10 @@ the whole-algebra minimal polynomial.
   irreducible factor q contributes the minimal polynomial of its
   multiplier in Z[w]/(q~).
 
-It shares the residue rings, the F_p kernels, ``minimal_polynomial`` and the
-CRT step with the production route; the split in z, the numeric proposal
-and the per-cluster certificate are its own.  The names it uses from
+It shares Z[w]/(q~), the F_p kernels, ``minimal_polynomial`` and the CRT
+step with the production route, and F_p[z]/(g) (``PrimeResidueRing``) with
+``galois_reference``; the split in z, the numeric proposal and the
+per-cluster certificate are its own.  The names it uses from
 ``ratdyn`` are bound here, so tests can monkeypatch them on this module.
 """
 
@@ -39,12 +40,13 @@ from ratdyn.polys import (
 )
 from ratdyn.scalars import Qi
 from ratdyn.spectra import (
-    PrimeResidueRing,
     ResidueField,
     _crt_extend,
     minimal_polynomial,
     multiplier_element,
 )
+
+from galois_reference import PrimeResidueRing
 
 
 @dataclass
