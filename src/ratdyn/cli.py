@@ -279,21 +279,24 @@ def parse_field(text: str):
     t = text.strip()
     if t in ("Q", "q", "QQ"):
         return NumberFieldSpec.rationals()
-    if t.lower().startswith("quad:"):
-        return NumberFieldSpec.quadratic(int(t.split(":", 1)[1]))
-    if t.lower().startswith("poly:"):
-        body = t.split(":", 1)[1].strip().strip('"')
-        if "," in body:
-            coeffs = [int(x) for x in body.split(",")]
-        else:
-            rf = _ExprParser(body, "x").parse()
-            if pdeg(rf.den) != 0:
-                raise MapParseError("field polynomial must be a polynomial")
-            coeffs_fr = pscale(rf.num, 1 / rf.den[0])
-            if any(c.denominator != 1 for c in coeffs_fr):
-                raise MapParseError("field polynomial must have integer coefficients")
-            coeffs = [int(c) for c in coeffs_fr]
-        return NumberFieldSpec(coeffs)
+    try:
+        if t.lower().startswith("quad:"):
+            return NumberFieldSpec.quadratic(int(t.split(":", 1)[1]))
+        if t.lower().startswith("poly:"):
+            body = t.split(":", 1)[1].strip().strip('"')
+            if "," in body:
+                coeffs = [int(x) for x in body.split(",")]
+            else:
+                rf = _ExprParser(body, "x").parse()
+                if pdeg(rf.den) != 0:
+                    raise MapParseError("field polynomial must be a polynomial")
+                coeffs_fr = pscale(rf.num, 1 / rf.den[0])
+                if any(c.denominator != 1 for c in coeffs_fr):
+                    raise MapParseError("field polynomial must have integer coefficients")
+                coeffs = [int(c) for c in coeffs_fr]
+            return NumberFieldSpec(coeffs)
+    except ValueError as e:
+        raise MapParseError(f"bad field spec {text!r}: {e}") from None
     raise MapParseError(f"bad field spec {text!r} (use Q | quad:D | poly:...)")
 
 
@@ -347,6 +350,8 @@ def _cmd_cycles(args, stdin_text=None):
     from .spectra import multiplier_factors
 
     f = parse_map(args.map, stdin_text)
+    if args.period < 1:
+        raise MapParseError("period must be >= 1")
     cycles, rep = cycles_of_period(
         f, args.period, tol=args.tol, seed=args.seed, cap=args.cap
     )
@@ -455,6 +460,8 @@ def _cmd_lyapunov(args, stdin_text=None):
     from .ergodic import backward_orbit_sample, lyapunov, lyapunov_from_periodic
 
     f = parse_map(args.map, stdin_text)
+    if args.periodic is not None and args.periodic < 1:
+        raise MapParseError("periodic average needs a period >= 1")
     cloud = backward_orbit_sample(f, args.samples, burn_in=args.burn, seed=args.seed)
     mc = lyapunov(f, cloud)
     out = {"map": _map_payload(f), "monte_carlo": to_jsonable(mc)}
@@ -468,9 +475,12 @@ def _cmd_equidist(args, stdin_text=None):
     from .ergodic import backward_orbit_sample, periodic_cloud, weak_convergence_report
 
     f = parse_map(args.map, stdin_text)
-    periods = [int(x) for x in args.periods.split(",") if x.strip()]
-    if not periods:
-        raise MapParseError("need at least one period")
+    try:
+        periods = [int(x) for x in args.periods.split(",") if x.strip()]
+    except ValueError as e:
+        raise MapParseError(f"bad periods {args.periods!r}: {e}") from None
+    if not periods or min(periods) < 1:
+        raise MapParseError("need at least one period, each >= 1")
     reference = backward_orbit_sample(
         f, args.samples, burn_in=args.burn, seed=args.seed
     )

@@ -8,7 +8,9 @@ Four coefficient domains, all ascending [a0, a1, ...]:
   squarefree decomposition and factorization stay in Z[z]:
   :func:`ipmul` multiplies long integer polynomials by Kronecker
   substitution, :func:`rational_roots` finds rational roots by one small
-  prime and Hensel lifting, and sympy factors the rest;
+  prime and Hensel lifting, :func:`proven_irreducible` proves
+  irreducibility by factor degrees mod small primes (distinct-degree
+  factorization on plain int lists over F_q), and sympy factors the rest;
 * Qi for maps with genuine Gaussian-rational coefficients, and Fraction
   for the monic rational factors that the spectra report;
 * complex floats (handled mostly in :mod:`ratdyn.roots` with numpy);
@@ -31,8 +33,8 @@ polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from math import gcd as _igcd, isqrt
+from operator import mul
 
 import numpy as np
 
@@ -182,23 +184,12 @@ def preverse(p, length: int):
 # ----------------------------------------------------------------------
 
 
-def icontent(p) -> int:
-    g = 0
-    for c in p:
-        g = _igcd(g, abs(int(c)))
-        if g == 1:
-            break
-    return g
-
-
 def iprimitive(p):
     """Primitive part with positive leading coefficient; returns (prim, content)."""
     p = pstrip(p)
     if not p:
         return [], 0
-    g = icontent(p)
-    if p[-1] < 0:
-        g = -g
+    g = _igcd(*p) if p[-1] > 0 else -_igcd(*p)
     return [c // g for c in p], g
 
 
@@ -260,15 +251,9 @@ def isquarefree(p) -> bool:
     p = pstrip(p)
     if pdeg(p) <= 1:
         return True
-    dp = pderiv(p)
-    for prime in islice(word_primes(), 8):
-        if p[-1] % prime:
-            if len(fp_gcd(fp_array(p, prime), fp_array(dp, prime), prime)) == 1:
-                return True
-            # gcd mod p can only overestimate; a nontrivial modular gcd is
-            # inconclusive, try the exact route below
-            break
-    return _sympy_int_poly(p).is_sqf
+    q = next(q for q in word_primes() if p[-1] % q)
+    # a gcd mod q can only overestimate, so a nontrivial one is inconclusive
+    return len(fp_gcd(fp_array(p, q), fp_array(pderiv(p), q), q)) == 1 or _sympy_int_poly(p).is_sqf
 
 
 def squarefree_decomposition(p):
@@ -293,36 +278,22 @@ def factor_int_poly(p):
     Returns (content, [(factor_ascending_ints, multiplicity), ...]) with
     primitive positive-lead factors.
     """
-    p = pstrip(list(p))
-    if not p:
-        return 0, []
-    content, pairs = _sympy_int_poly(p).factor_list()
-    out = []
-    for fac, mult in pairs:
-        coeffs = [int(c) for c in reversed(fac.all_coeffs())]
-        out.append((coeffs, int(mult)))
-    return int(content), out
+    content, pairs = _sympy_int_poly(pstrip(p)).factor_list()
+    return int(content), [([int(c) for c in reversed(f.all_coeffs())], int(m)) for f, m in pairs]
 
 
 def rational_roots(p):
     """The rational roots, ascending, of a squarefree polynomial in Z[z].
 
-    At the smallest odd prime q that does not divide lc = lc(p) and keeps
-    p squarefree (a trivial gcd(p, p') mod q), each rational root a/b is a
+    At the first of :func:`_good_primes` q, each rational root a/b is a
     distinct simple root mod q.  Every root mod q is Newton lifted until
     q^k > 4 max|p_i|, at least 2 |lc| times Cauchy's root bound; b divides
-    lc, so lc a/b is then the balanced residue of lc r, and a/b is kept
-    when p(a/b) = 0 exactly (von zur Gathen & Gerhard, Modern Computer
+    lc = lc(p), so lc a/b is then the balanced residue of lc r, and a/b is
+    kept when p(a/b) = 0 exactly (von zur Gathen & Gerhard, Modern Computer
     Algebra, ch. 15)."""
     p = pstrip(p)
-    lc, dp, q = p[-1], pderiv(p), 3
-    while (any(q % r == 0 for r in range(3, isqrt(q) + 1, 2)) or lc % q == 0
-           or len(fp_gcd(fp_array(p, q), fp_array(dp, q), q)) != 1):
-        q += 2
-    res, acc = np.arange(q, dtype=np.int64), np.zeros(q, dtype=np.int64)
-    for c in fp_array(p, q)[::-1]:
-        acc = (acc * res + c) % q
-    roots, mod = [int(r) for r in np.flatnonzero(acc == 0)], q
+    lc, dp, q = p[-1], pderiv(p), next(_good_primes(p))
+    roots, mod = [r for r in range(q) if peval(p, r) % q == 0], q
     while mod <= 4 * max(map(abs, p)):
         mod *= mod
         roots = [(r - peval(p, r) * pow(peval(dp, r), -1, mod)) % mod for r in roots]
@@ -330,12 +301,99 @@ def rational_roots(p):
     return sorted(r for r in out if peval(p, r) == 0)
 
 
+def proven_irreducible(p) -> bool:
+    """True when a squarefree p in Z[z] of degree n >= 1 is proven
+    irreducible over Q by the degrees of its factors mod small primes;
+    False means unproven, not reducible (Musser, J. ACM 25, 1978).
+
+    Soundness.  At each q of :func:`_good_primes`, q does not divide lc(p)
+    and p mod q is squarefree.  A factor g of p over Z (Gauss's lemma) has
+    a lead dividing lc(p), so g mod q keeps the degree of g, and it divides
+    p mod q; by unique factorization in F_q[z] it is the product of some of
+    the distinct irreducible factors of p mod q, whose degrees
+    :func:`_fq_factor_degrees` finds.  So deg g is a subset sum of those
+    degrees at every such q, and once the intersection of the subset-sum
+    sets (bit masks) is {0, n}, p has no factor of degree 1..n-1.
+
+    Polynomials whose Galois group has no n-cycle, such as z^4 - 10 z^2 + 1,
+    split mod every prime and are never proven; the search gives up after 3
+    usable primes in a row leave the set unchanged, or after 20."""
+    full, allowed, usable, still = 1 | 1 << (len(p) - 1), (1 << len(p)) - 1, 0, 0
+    for q in _good_primes(p):
+        sums = 1
+        for d in _fq_factor_degrees(p, q):
+            sums |= sums << d
+        usable, still = usable + 1, still + 1 if allowed & sums == allowed else 0
+        allowed &= sums
+        if allowed == full or usable == 20 or still == 3:
+            return allowed == full
+
+
+def _good_primes(p):
+    """The odd primes q, ascending, that do not divide lc(p) and keep p
+    squarefree mod q (a constant gcd(p, p') over F_q): all but finitely
+    many when p in Z[z] is squarefree."""
+    dp = pderiv(p)
+    for q in range(3, 1 << 30, 2):
+        if (all(q % r for r in range(3, isqrt(q) + 1, 2)) and p[-1] % q
+                and len(_fq_gcd(_fq_strip(p, q), _fq_strip(dp, q), q)) == 1):
+            yield q
+
+
+def _fq_strip(a, q: int):
+    """An integer polynomial as a list over F_q, trailing zeros dropped."""
+    a = [c % q for c in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _fq_gcd(a, b, q: int):
+    """A gcd of two lists from :func:`_fq_strip` by Euclid (not monic)."""
+    while b:
+        r, lb, inv = list(a), len(b), pow(b[-1], -1, q)
+        for k in range(len(r) - lb, -1, -1):
+            c = r[k + lb - 1] * inv % q
+            r[k : k + lb] = [x - c * y for x, y in zip(r[k : k + lb], b)]
+        a, b = b, _fq_strip(r[: lb - 1], q)
+    return a
+
+
+def _fq_factor_degrees(p, q: int):
+    """The degrees of the irreducible factors over F_q of p in Z[z], of
+    degree n >= 1, squarefree mod q and with q not dividing lc(p):
+    distinct-degree factorization on plain int lists.  The rows of the
+    Frobenius matrix are z^(q j) mod p, so h = z^(q^i) mod p costs one
+    vector-matrix product from z^(q^(i-1)), and deg gcd(p, h - z) is the
+    sum of d N_d over the d dividing i, N_d factors having degree d (von zur
+    Gathen & Gerhard, Modern Computer Algebra, ch. 14)."""
+    inv, n = pow(p[-1], -1, q), len(p) - 1
+    f = [c * inv % q for c in p]
+    rows, h = [], [1] + [0] * (n - 1)
+    for k in range(q * (n - 1) + 1):
+        if k % q == 0:
+            rows.append(h)
+        top, h = h[-1], [0] + h[:-1]
+        h = [(a - top * b) % q for a, b in zip(h, f)]
+    cols, found, h, i = list(zip(*rows)), [], [0, 1] + [0] * (n - 2), 0
+    while 2 * (i + 1) <= n - sum(found):
+        i += 1
+        h = [sum(map(mul, h, col)) % q for col in cols]
+        roots = len(_fq_gcd(f, _fq_strip([h[0], h[1] - 1] + h[2:], q), q)) - 1
+        found += [i] * ((roots - sum(d for d in found if i % d == 0)) // i)
+    return found + [n - sum(found)] * (sum(found) < n)
+
+
 def int_poly_irreducible(p) -> bool:
+    """Whether p in Z[z] is irreducible over Q: at degree 2 iff its
+    discriminant is not a square; above, when squarefree, by
+    :func:`proven_irreducible` or else by sympy."""
     p = pstrip(p)
-    if pdeg(p) < 1:
-        return False
-    _, pairs = factor_int_poly(p)
-    return len(pairs) == 1 and pairs[0][1] == 1 and pdeg(pairs[0][0]) == pdeg(p)
+    if pdeg(p) == 2:
+        disc = p[1] * p[1] - 4 * p[0] * p[2]
+        return disc < 0 or isqrt(disc) ** 2 != disc
+    return pdeg(p) >= 1 and isquarefree(p) and (
+        proven_irreducible(p) or len(factor_int_poly(p)[1]) == 1)
 
 
 # ----------------------------------------------------------------------

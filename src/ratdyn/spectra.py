@@ -16,10 +16,10 @@ part s of the squarefree decomposition dyn = prod s_k^k:
   modulo word primes (Krylov elimination over F_p), lifted by CRT and
   rational reconstruction, and certified exactly: mu(lambda) = 0 in
   Z[w]/(s~);
-* mu is factored over Q by :func:`factor_spectrum`: its rational roots
-  come from one small prime and Hensel lifting, and sympy sees only a
-  cofactor of degree >= 4, so the spectra of power, Chebyshev and Lattes
-  maps (all of whose factors are linear) need no sympy;
+* mu is factored over Q by :func:`factor_spectrum`: rational roots by one
+  small prime and Hensel lifting, and a cofactor of degree >= 4 proven
+  irreducible by its factor degrees mod small primes; sympy sees only a
+  cofactor left unproven (one whose Galois group has no n-cycle);
 * one word prime counts the roots of s behind each factor mu_i: lambda
   mod p, by the reduction and inverse the lift uses, gives the count
   bound deg gcd(s~, mu_i(lambda)) in F_p[w]; the prime is accepted only
@@ -39,8 +39,8 @@ factors in the same ring: one step of the integer pair in Z[w]/(q~) names,
 exactly, the factor that f maps each factor q onto.
 
 Membership of the multipliers in a number field K is exact for every K:
-the discriminant decides over quadratic fields, and sympy's factoring over
-K decides beyond.
+the square class of the discriminant decides over quadratic fields, with
+no factoring, and sympy's factoring over K decides beyond.
 """
 
 from __future__ import annotations
@@ -82,6 +82,7 @@ from .polys import (
     pstrip,
     psub,
     poly_to_str,
+    proven_irreducible,
     rational_roots,
     squarefree_decomposition,
     word_primes,
@@ -421,8 +422,9 @@ def factor_spectrum(poly) -> list[tuple[tuple[Fraction, ...], int]]:
     irreducible factors with multiplicities, sorted by degree.  On each part
     s^k of the squarefree decomposition, the rational roots of s
     (:func:`polys.rational_roots`) give the linear factors, divided out
-    exactly; a cofactor of degree 2 or 3 is then irreducible, and only one
-    of degree >= 4 is factored by sympy."""
+    exactly; a cofactor of degree 2 or 3 is then irreducible, one of degree
+    >= 4 is irreducible when :func:`polys.proven_irreducible` proves it,
+    and only an unproven one is factored by sympy."""
     p_int, _ = fractions_to_int_primitive([Fraction(c) for c in poly])
     out = []
     for s, k in squarefree_decomposition(p_int) if pdeg(p_int) >= 1 else []:
@@ -430,7 +432,7 @@ def factor_spectrum(poly) -> list[tuple[tuple[Fraction, ...], int]]:
             s = idivexact(s, [-r.numerator, r.denominator])
             out.append(((-r, Fraction(1)), k))
         if pdeg(s) >= 2:
-            irr = factor_int_poly(s)[1] if pdeg(s) >= 4 else [(s, 1)]
+            irr = [(s, 1)] if pdeg(s) < 4 or proven_irreducible(s) else factor_int_poly(s)[1]
             out += [(tuple(Fraction(c, q[-1]) for c in q), k * m) for q, m in irr]
     return sorted(out, key=lambda km: (len(km[0]), km[0]))
 
@@ -496,31 +498,28 @@ def algebraic_spectrum(
 
 
 def _squarefree_part(n: int) -> int:
-    from sympy import factorint
+    """The squarefree part of n != 0, with its sign.  Trial division runs
+    while q^3 <= the cofactor r, which is then 1, a prime, a product of two
+    primes or a square (isqrt tells); sympy's factorint takes over only
+    where q would pass 2^16."""
+    out, r, q = -1 if n < 0 else 1, abs(n), 2
+    while q**3 <= r:
+        if q > 1 << 16:
+            from sympy import factorint
 
-    if n == 0:
-        return 0
-    sign = -1 if n < 0 else 1
-    out = sign
-    for p, e in factorint(abs(n)).items():
-        if e % 2:
-            out *= p
-    return out
-
-
-def _is_rational_square(x: Fraction) -> bool:
-    if x < 0:
-        return False
-    return (
-        math.isqrt(x.numerator) ** 2 == x.numerator
-        and math.isqrt(x.denominator) ** 2 == x.denominator
-    )
+            return out * math.prod(p for p, e in factorint(r).items() if e % 2)
+        while r % (q * q) == 0:
+            r //= q * q
+        if r % q == 0:
+            out, r = out * q, r // q
+        q += 1
+    return out * (1 if math.isqrt(r) ** 2 == r else r)
 
 
 class NumberFieldSpec:
     """Target field K by a monic irreducible integer polynomial; degree 1 is
-    Q, degree 2 has exact fast paths via the squarefree discriminant D, and
-    larger degrees factor over ``sympy_field``."""
+    Q, degree 2 decides membership by the square class of its discriminant
+    ``disc``, and larger degrees factor over ``sympy_field``."""
 
     def __init__(self, poly_int):
         p = [int(c) for c in pstrip(list(poly_int))]
@@ -532,13 +531,14 @@ class NumberFieldSpec:
             raise RatdynError("defining polynomial is reducible over Q")
         self.poly = tuple(p)
         self.degree = pdeg(p)
-        self.D = None
-        self.imaginary_quadratic = False
-        if self.degree == 2:
-            b, c = p[1], p[0]
-            disc = b * b - 4 * c
-            self.D = _squarefree_part(disc)
-            self.imaginary_quadratic = disc < 0
+        self.disc = p[1] * p[1] - 4 * p[0] if self.degree == 2 else None
+        self.imaginary_quadratic = self.degree == 2 and self.disc < 0
+
+    @functools.cached_property
+    def D(self):
+        """The squarefree part of ``disc``, K = Q(sqrt D); None unless K is
+        quadratic."""
+        return None if self.disc is None else _squarefree_part(self.disc)
 
     @functools.cached_property
     def sympy_field(self):
@@ -557,8 +557,7 @@ class NumberFieldSpec:
         D = int(D)
         if D in (0, 1):
             raise RatdynError("quadratic field needs D not in {0, 1}")
-        Dsf = _squarefree_part(D)
-        return NumberFieldSpec([-Dsf, 0, 1])
+        return NumberFieldSpec([-D, 0, 1])
 
     def describe(self) -> str:
         if self.degree == 1:
@@ -601,12 +600,11 @@ def _factor_in_field(q: tuple[Fraction, ...], K: NumberFieldSpec) -> FactorVerdi
     if K.degree % degq:
         return FactorVerdict(0, q, False, reason="degree does not divide field degree")
     if K.degree == 2:
-        b, c = q[1], q[0]
-        disc = b * b - 4 * c
-        ok = _is_rational_square(disc / K.D)
-        return FactorVerdict(
-            0, q, ok, reason=f"disc/D = {disc}/{K.D} square test"
-        )
+        # disc/disc(K) is a square iff a b disc(K) is, for disc = a/b
+        disc = q[1] * q[1] - 4 * q[0]
+        ab = disc.numerator * disc.denominator * K.disc
+        ok = ab >= 0 and math.isqrt(ab) ** 2 == ab
+        return FactorVerdict(0, q, ok, reason=f"disc/disc(K) = {disc}/{K.disc} square test")
     return FactorVerdict(0, q, _has_root_in(q, K), reason="linear factor over K")
 
 
@@ -624,19 +622,12 @@ def membership(spectrum: AlgebraicSpectrum, K: NumberFieldSpec) -> MembershipVer
     """AllInK iff every irreducible factor has a root in K (exact for every
     K)."""
     per = []
-    first = None
     for n in sorted(spectrum.periods):
         for q, _m in spectrum.periods[n]:
-            v = _factor_in_field(q, K)
-            v.period = n
-            per.append(v)
-            if not v.ok and first is None:
-                first = (n, q)
-    return MembershipVerdict(
-        all_in_field=first is None,
-        first_violation=first,
-        per_factor=per,
-    )
+            per.append(_factor_in_field(q, K))
+            per[-1].period = n
+    first = next(((v.period, v.factor) for v in per if not v.ok), None)
+    return MembershipVerdict(all_in_field=first is None, first_violation=first, per_factor=per)
 
 
 @dataclass
@@ -657,22 +648,10 @@ class IntegralityVerdict:
 def integrality(spectrum: AlgebraicSpectrum) -> IntegralityVerdict:
     """Monic-integer-coefficient test per factor; rational integers need
     all factors linear with integer roots."""
-    alg = True
-    rat = True
-    first = None
-    for n in sorted(spectrum.periods):
-        for q, _m in spectrum.periods[n]:
-            is_int = all(c.denominator == 1 for c in q)
-            if not is_int:
-                alg = False
-                rat = False
-                if first is None:
-                    first = (n, q)
-            elif len(q) - 1 > 1:
-                rat = False
-                if first is None:
-                    first = (n, q)
-    return IntegralityVerdict(alg, rat and alg, first)
+    facs = [(n, q) for n in sorted(spectrum.periods) for q, _m in spectrum.periods[n]]
+    alg = all(c.denominator == 1 for _, q in facs for c in q)
+    bad = [(n, q) for n, q in facs if len(q) > 2 or any(c.denominator != 1 for c in q)]
+    return IntegralityVerdict(alg, not bad, bad[0] if bad else None)
 
 
 # ----------------------------------------------------------------------

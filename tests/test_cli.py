@@ -142,6 +142,24 @@ def test_parse_errors_exit_2():
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["field-check", "--map", "z^2-1", "--max-period", "1", "--field", "quad:x"],
+        ["field-check", "--map", "z^2-1", "--max-period", "1", "--field", "poly:1,x"],
+        ["cycles", "--map", "z^2-1", "--period", "0"],
+        ["equidist", "--map", "z^2-1", "--periods", "0"],
+        ["equidist", "--map", "z^2-1", "--periods", "1,a"],
+        ["lyapunov", "--map", "z^2-1", "--samples", "100", "--periodic", "-1"],
+    ],
+)
+def test_bad_fields_and_periods_exit_2(argv):
+    # each once escaped as a ValueError traceback with exit 1
+    rc, out, err = run_cli(argv)
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["error"]["code"] == "map-parse"
+
+
 def test_cap_exceeded_exit_4():
     rc, _, err = run_cli(
         ["spectrum", "--map", "z^2", "--max-period", "30", "--cap", "64"]
