@@ -47,13 +47,11 @@ from .periodic import (
 )
 from .spectra import (
     AlgebraicSpectrum,
-    GaloisPeriodicSet,
     IntegralityVerdict,
     MembershipVerdict,
     NumberFieldSpec,
     algebraic_spectrum,
     factor_spectrum,
-    galois_orbit_sets,
     integrality,
     membership,
     multiplier_polynomial,

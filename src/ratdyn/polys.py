@@ -161,14 +161,6 @@ def pgcd(a, b):
     return [c / lead for c in a]
 
 
-def pcompose(outer, inner):
-    """outer(inner(z)) by Horner."""
-    acc = []
-    for c in reversed(pstrip(outer)):
-        acc = padd(pmul(acc, inner), [c])
-    return acc
-
-
 def ppad(p, length: int, zero=0):
     """p as a list of exactly `length` coefficients, padded with `zero`."""
     return list(p) + [zero] * (length - len(p))

@@ -2,8 +2,8 @@
 
 The multiplier polynomial P_n of a map with rational coefficients is the
 monic rational polynomial whose roots are the multipliers of all exact
-period-n points (each cycle's multiplier appearing n times; the cycle of
-Infinity contributes through an exactly computed extra root).  All exact
+period-n points (each cycle's multiplier appearing n times; Infinity, when
+of exact period n, contributes one more root).  All exact
 work runs on the map's primitive integer pair (``RationalMap.int_pair``):
 the dynatomic polynomial dyn is a primitive polynomial in Z[z], and P_n
 comes from one route, with no factoring in z and no numerics.  For each
@@ -28,15 +28,12 @@ part s of the squarefree decomposition dyn = prod s_k^k:
 
 Here s~ = L^(m-1) s(w/L) is the modulus made monic over Z by the
 substitution z = w/L, L its lead, so no exact step divides: every residue
-stays int.  The multiplier comes from one homogeneous orbit loop,
+stays int.  Every multiplier comes from one homogeneous orbit loop,
 :meth:`ResidueField.multiplier_orbit`, so cycles through poles or Infinity
-need no special conjugation.  Each period's :class:`PeriodFactors` records
-the route of every factor ("infinity" or "algebra") and how many points it
-carries.
-
-Galois-stable periodic sets factor dyn over Z (sympy) and follow f on the
-factors in the same ring: one step of the integer pair in Z[w]/(q~) names,
-exactly, the factor that f maps each factor q onto.
+need no special conjugation.  Infinity itself is the root 0 of the pair
+swapped and reversed, (B(Y, X), A(Y, X)): its multiplier is the same loop
+in Z[w]/(w) = Z.  Each period's :class:`PeriodFactors` records the route
+of every factor ("infinity" or "algebra") and how many points it carries.
 
 Membership of the multipliers in a number field K is exact for every K:
 the square class of the discriminant decides over quadratic fields, with
@@ -50,8 +47,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import config
 from .errors import (
     DegreeCapExceeded,
@@ -59,11 +54,7 @@ from .errors import (
     RatdynError,
     SpectrumNotRational,
 )
-from .periodic import (
-    dynatomic_numerator,
-    infinity_exact_period,
-    multiplier as cycle_multiplier,
-)
+from .periodic import dynatomic_numerator, infinity_exact_period
 from .polys import (
     FpModulus,
     factor_int_poly,
@@ -76,7 +67,6 @@ from .polys import (
     ipmul,
     pdeg,
     pderiv,
-    peval,
     pmul,
     ppad,
     pstrip,
@@ -87,8 +77,7 @@ from .polys import (
     squarefree_decomposition,
     word_primes,
 )
-from .scalars import Qi
-from .sphere import INF, ProjPoint, RationalMap, hom_eval
+from .sphere import RationalMap, hom_eval
 
 # ----------------------------------------------------------------------
 # the residue ring Z[w]/(q~)
@@ -377,12 +366,11 @@ def multiplier_factors(
     dyn = dynatomic_numerator(f, n, cap=max(cap, d**n + 2))
     routes: list[tuple[tuple[Fraction, ...], int, str]] = []
     total_points = max(pdeg(dyn), 0)
-    inf_period, inf_orbit = infinity_exact_period(f, n)
-    if inf_period == n:
-        lam = cycle_multiplier(f, inf_orbit)
-        if not isinstance(lam, Qi) or not lam.is_real():
-            raise SpectrumNotRational("Infinity-cycle multiplier is not rational")
-        routes.append(((-lam.re, Fraction(1)), 1, "infinity"))
+    if infinity_exact_period(f, n)[0] == n:
+        # Infinity of (A, B) is 0 of (B(Y, X), A(Y, X))
+        A, B = f.int_pair
+        num, den = ResidueField([0, 1]).multiplier_orbit((B[::-1], A[::-1]), n)
+        routes.append(((-Fraction(num.c[0], den.c[0]), Fraction(1)), 1, "infinity"))
         total_points += 1
     for s, k in squarefree_decomposition(dyn) if pdeg(dyn) >= 1 else []:
         num, den = multiplier_element(f, n, s)
@@ -454,9 +442,6 @@ class AlgebraicSpectrum:
     )
     period_factors: dict[int, PeriodFactors] = field(default_factory=dict)
 
-    def cycle_count(self, n: int) -> int:
-        return sum(m * (len(q) - 1) for q, m in self.periods.get(n, []))
-
     def describe(self, var: str = "λ") -> dict[int, list[str]]:
         return {
             n: [
@@ -498,16 +483,15 @@ def algebraic_spectrum(
 
 
 def _squarefree_part(n: int) -> int:
-    """The squarefree part of n != 0, with its sign.  Trial division runs
-    while q^3 <= the cofactor r, which is then 1, a prime, a product of two
-    primes or a square (isqrt tells); sympy's factorint takes over only
-    where q would pass 2^16."""
+    """n != 0, with its sign, divided by the square of every prime up to
+    2^16 and by the cofactor r that trial division leaves when r is a
+    square.  Trial division stops once q^3 > r, when r is 1, a prime, a
+    product of two primes or a square, and the result is the squarefree
+    part of n; or once q > 2^16, when r may keep a square factor and the
+    result is only in the square class of n, which names the same field
+    Q(sqrt n)."""
     out, r, q = -1 if n < 0 else 1, abs(n), 2
-    while q**3 <= r:
-        if q > 1 << 16:
-            from sympy import factorint
-
-            return out * math.prod(p for p, e in factorint(r).items() if e % 2)
+    while q**3 <= r and q <= 1 << 16:
         while r % (q * q) == 0:
             r //= q * q
         if r % q == 0:
@@ -536,8 +520,8 @@ class NumberFieldSpec:
 
     @functools.cached_property
     def D(self):
-        """The squarefree part of ``disc``, K = Q(sqrt D); None unless K is
-        quadratic."""
+        """D with K = Q(sqrt D), in the square class of ``disc``
+        (:func:`_squarefree_part`); None unless K is quadratic."""
         return None if self.disc is None else _squarefree_part(self.disc)
 
     @functools.cached_property
@@ -652,85 +636,3 @@ def integrality(spectrum: AlgebraicSpectrum) -> IntegralityVerdict:
     alg = all(c.denominator == 1 for _, q in facs for c in q)
     bad = [(n, q) for n, q in facs if len(q) > 2 or any(c.denominator != 1 for c in q)]
     return IntegralityVerdict(alg, not bad, bad[0] if bad else None)
-
-
-# ----------------------------------------------------------------------
-# Galois-stable periodic sets
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class GaloisPeriodicSet:
-    period: int
-    factor_tags: list[str]
-    points: list[ProjPoint]
-    cycle_count: int
-    point_count: int
-
-
-def galois_orbit_sets(
-    f: RationalMap,
-    n: int,
-    cap: int | None = None,
-    seed: int = 0,
-) -> list[GaloisPeriodicSet]:
-    """Partition the exact-period-n points into Galois-stable sets.
-
-    One set per orbit of irreducible dynatomic factors under f (usually a
-    single factor), so every set is a union of cycles.  The successor of a
-    factor q is the factor r of equal degree with Hom(r)(A, B)(w, L) = 0 in
-    Z[w]/(q~): one step of the integer pair (A, B) from a root z = w/L of
-    q.  The test is exact, since Z[w]/(q~) embeds in the number field
-    Q[z]/(q); a factor with no successor is one whose roots are poles.  The
-    Infinity cycle joins the set with a factor vanishing at one of its
-    finite points, else forms its own set.  Each factor's points are its
-    numeric roots (:func:`roots.solve_poly`), in set order.
-    """
-    from .roots import solve_poly
-
-    _ensure_exact_rational(f)
-    cap = cap if cap is not None else config.EXACT_DEGREE_CAP
-    d = f.degree
-    if d**n + 1 > cap:
-        raise DegreeCapExceeded(f"d^n + 1 = {d ** n + 1} exceeds exact cap {cap}")
-    dyn = dynatomic_numerator(f, n, cap=max(cap, d**n + 2))
-    irr = [q for q, _ in factor_int_poly(dyn)[1]] if pdeg(dyn) >= 1 else []
-    A, B = f.int_pair
-    succ = []
-    for q in irr:
-        F = ResidueField(q)
-        X, Y = F.gen(), F.elt([F.lead])
-        X, Y = hom_eval(A, X, Y), hom_eval(B, X, Y)
-        succ.append(next((j for j, r in enumerate(irr)
-                          if len(r) == len(q) and hom_eval(r, X, Y).is_zero()), None))
-    # the components of i -> succ[i]: within len(irr) sweeps every label
-    # falls to the least index of its component
-    label = list(range(len(irr)))
-    for _ in irr:
-        for i, j in enumerate(succ):
-            if j is not None:
-                label[i] = label[j] = min(label[i], label[j])
-    comps = [[i for i, k in enumerate(label) if k == r] for r in sorted(set(label))]
-    inf_set = None
-    inf_period, inf_orbit = infinity_exact_period(f, n)
-    if inf_period == n:
-        finite = [p.z for p in inf_orbit if not p.is_infinity]
-        inf_set = next((k for k, comp in enumerate(comps)
-                        if any(not peval(irr[i], z) for i in comp for z in finite)), None)
-        if inf_set is None:
-            inf_set, comps = len(comps), comps + [[]]
-    out = []
-    for k, comp in enumerate(comps):
-        tags, points = [], []
-        for i in comp:
-            q = irr[i]
-            tags.append(poly_to_str([Fraction(c, q[-1]) for c in q], "z"))
-            roots = solve_poly(np.array([float(c) for c in q], dtype=complex), seed=seed)
-            points += [ProjPoint.finite(complex(r)) for r in roots]
-        count = sum(pdeg(irr[i]) for i in comp)
-        if k == inf_set:
-            tags.append("(infinity)" if comp else "(infinity cycle)")
-            points.append(INF)
-            count += 1
-        out.append(GaloisPeriodicSet(n, tags, points, count // n if count % n == 0 else 0, count))
-    return out

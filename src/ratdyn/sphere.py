@@ -394,20 +394,6 @@ class RationalMap:
             out = num / den
         return out
 
-    def spherical_norm_sq_exact(self, p: ProjPoint) -> Fraction:
-        """||f'||^2 as an exact rational (exact maps and points only)."""
-        if not (self.exact and p.is_exact):
-            raise TypeError("exact squared norm needs an exact map and point")
-        d = self.degree
-        X = Qi(1) if p.is_infinity else Qi.coerce(p.z)
-        Y = Qi(0) if p.is_infinity else Qi(1)
-        F = hom_eval(ppad(self.num, d + 1, Qi(0)), X, Y)
-        G = hom_eval(ppad(self.den, d + 1, Qi(0)), X, Y)
-        W = hom_eval(ppad(self.wronskian_exact(), 2 * d - 1, Qi(0)), X, Y)
-        n2 = (X.abs2() + Y.abs2()) ** 2 * W.abs2()
-        d2 = (F.abs2() + G.abs2()) ** 2
-        return n2 / d2
-
     def __repr__(self):
         kind = "exact" if self.exact else "float"
         return f"RationalMap(degree={self.degree}, {kind})"
@@ -502,8 +488,6 @@ def spherical_norm(f: RationalMap, p: ProjPoint | complex) -> float:
     continuously over the whole sphere."""
     if not isinstance(p, ProjPoint):
         p = ProjPoint.finite(p)
-    if f.exact and p.is_exact:
-        return math.sqrt(float(f.spherical_norm_sq_exact(p)))
     X, Y = p.xy()
     return float(f.spherical_norm_xy(np.array([X]), np.array([Y]))[0])
 

@@ -1,7 +1,11 @@
-"""The exact layer decides nothing by distance: ``spectra`` binds none of
-the chordal metric's kernels (``chordal``, ``chordal_xy``) nor the
-near-neighbour search (``near_pairs``).  Its Galois sets follow f on the
-factors of dyn in residue rings, and its point counts are gcds over F_p.
+"""The exact layer decides nothing by distance and computes nothing in
+floats: ``spectra`` binds none of the chordal metric's kernels
+(``chordal``, ``chordal_xy``) nor the near-neighbour search
+(``near_pairs``), and none of numpy, the numeric solver (``solve_poly``,
+``roots``), the Q(i) scalars and points (``Qi``, ``ProjPoint``, ``INF``) or
+the chart-step cycle multiplier (``periodic.multiplier``).  Its
+multipliers, Infinity's included, come from one orbit loop in residue
+rings, and its point counts are gcds over F_p.
 
 As in ``test_sympy_scope``, the check reads the source of
 ``src/ratdyn/*.py``.  A module binds a name when it imports, defines or
@@ -15,6 +19,7 @@ from test_mpmath_scope import package_sources
 
 CHECKED = {"spectra"}
 DISTANCE_NAMES = {"chordal", "chordal_xy", "near_pairs"}
+NUMERIC_NAMES = {"np", "numpy", "solve_poly", "roots", "Qi", "ProjPoint", "INF", "multiplier"}
 
 
 def _bound_names(tree):
@@ -31,18 +36,18 @@ def _bound_names(tree):
             yield node.attr
 
 
-def distance_binders(sources=None):
+def binders(names, sources=None):
     if sources is None:
         sources = package_sources()
     return sorted(
         module
         for module, text in sources.items()
-        if module in CHECKED and DISTANCE_NAMES & set(_bound_names(ast.parse(text)))
+        if module in CHECKED and names & set(_bound_names(ast.parse(text)))
     )
 
 
 def test_spectra_binds_no_distance_kernel():
-    assert distance_binders() == []
+    assert binders(DISTANCE_NAMES) == []
 
 
 def test_a_binding_is_caught():
@@ -55,5 +60,28 @@ def test_a_binding_is_caught():
         "from .sphere import INF, hom_eval\nchordality = 1\n": False,
     }
     for text, caught in cases.items():
-        assert distance_binders({"spectra": text}) == (["spectra"] if caught else [])
-    assert distance_binders({"sphere": "def chordal(p, q):\n    return 0.0\n"}) == []
+        assert binders(DISTANCE_NAMES, {"spectra": text}) == (["spectra"] if caught else [])
+    assert binders(DISTANCE_NAMES, {"sphere": "def chordal(p, q):\n    return 0.0\n"}) == []
+
+
+def test_spectra_binds_no_numeric_name():
+    assert binders(NUMERIC_NAMES) == []
+
+
+def test_a_numeric_binding_is_caught():
+    cases = {
+        "import numpy as np\n": True,
+        "import numpy\n": True,
+        "from .periodic import multiplier as cycle_multiplier\n": True,
+        "from .sphere import INF, RationalMap\n": True,
+        "from .sphere import ProjPoint\n": True,
+        "from .scalars import Qi\n": True,
+        "def f(q):\n    from .roots import solve_poly\n    return solve_poly(q)\n": True,
+        "from . import roots\n": True,
+        "from . import periodic\nlam = periodic.multiplier(f, orbit)\n": True,
+        "from .sphere import RationalMap, hom_eval\nrational_roots = 1\n": False,
+        "acc = field.multiplier_orbit(pair, n)\n": False,
+    }
+    for text, caught in cases.items():
+        assert binders(NUMERIC_NAMES, {"spectra": text}) == (["spectra"] if caught else [])
+    assert binders(NUMERIC_NAMES, {"periodic": "import numpy as np\n"}) == []

@@ -7,6 +7,7 @@ sympy only a cofactor of degree >= 4 that it leaves unproven.  The
 differential test compares both with sympy's ``factor_list``.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -122,6 +123,29 @@ def test_squarefree_part_matches_factorint():
         for p, e in factorint(abs(n)).items():
             want *= p ** (e % 2)
         assert _squarefree_part(n) == want, n
+
+
+def test_squarefree_part_past_the_trial_bound_keeps_the_square_class():
+    # p^2 q with p, q > 2^16: trial division stops at 2^16 and leaves p^2 q,
+    # which names the same field Q(sqrt q)
+    p, q = 1000003, 1000033
+    got = _squarefree_part(-(p * p) * q)
+    assert got < 0 and -got % q == 0
+    assert math.isqrt(-got // q) ** 2 == -got // q
+
+
+def test_the_name_of_a_huge_quadratic_field_factors_nothing():
+    # the report prints Q(sqrt(D)); sympy's factorint once took 19.4 s here
+    out = _fresh(
+        "import io, sys, time\n"
+        "import ratdyn.cli\n"
+        "argv = ['field-check', '--map', 'z^2-1', '--max-period', '1',\n"
+        "        '--field', 'quad:' + str((2**127 - 1) * (2**89 - 1))]\n"
+        "t = time.perf_counter()\n"
+        "code = ratdyn.cli.run(argv, out=io.StringIO(), err=io.StringIO())\n"
+        "print(code, time.perf_counter() - t < 2, 'sympy' in sys.modules)\n"
+    )
+    assert out == ["0", "True", "False"]
 
 
 def test_a_huge_quadratic_field_factors_nothing():

@@ -106,6 +106,28 @@ def test_parabolic_fixed_points_take_the_squarefree_parts(f):
     assert _agree(f, 1).factors == [(one, 2), (zero, 1)]
 
 
+@pytest.mark.parametrize(
+    "f, n, lam",
+    [
+        (build_map([2, 0, 0, 5], [0, 3, 1]), 1, Fraction(1, 5)),
+        (build_map([3, 1, 2, -4], [1, -1, 4, -4]), 2, Fraction(-5, 4)),
+        (build_map([1], [-1, 0, 1]), 3, Fraction(0)),
+        (power_map(3, -1), 2, Fraction(0)),
+        (flexible_lattes(LattesSpec(0, 1, 3)), 1, Fraction(9)),
+    ],
+    ids=["(2+5z^3)/(3z+z^2)", "(3+z+2z^2-4z^3)/(1-z+4z^2-4z^3)", "1/(z^2-1)", "z^-3", "lattes(0,1,3)"],
+)
+def test_the_infinity_route_is_the_cycle_multiplier(f, n, lam):
+    # Infinity's multiplier from the orbit kernel on the swapped, reversed
+    # pair, against the chart-step multiplier of its cycle
+    period, orbit = periodic.infinity_exact_period(f, n)
+    assert period == n
+    want = periodic.multiplier(f, orbit)
+    assert want.is_real() and want.re == lam
+    (route,) = [(q, k) for q, k, r in spectra.multiplier_factors(f, n).routes if r == "infinity"]
+    assert route == ((-want.re, Fraction(1)), 1)
+
+
 def test_the_exact_side_needs_no_numerics(monkeypatch):
     # the numeric stage loses 4 of the 24 period-3 points of this map, which
     # sent all of dyn to factoring in z; now no numerics run at all

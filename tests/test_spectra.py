@@ -9,12 +9,10 @@ from ratdyn import (
     algebraic_spectrum,
     build_map,
     factor_spectrum,
-    galois_orbit_sets,
     integrality,
     membership,
     multiplier_polynomial,
     periodic,
-    spherical_norm,
 )
 from ratdyn.errors import RatdynError, SpectrumNotRational
 from ratdyn.exceptional import chebyshev_map, power_map
@@ -277,60 +275,6 @@ def test_number_field_spec_construction():
         NumberFieldSpec([1, 0, 2])  # 2x^2 + 1 not monic
     with pytest.raises(RatdynError):
         NumberFieldSpec([-1, 0, 1])  # x^2 - 1 reducible
-
-
-def test_galois_orbit_sets_examples():
-    sets = galois_orbit_sets(Z2, 2)
-    assert len(sets) == 1 and sets[0].point_count == 2
-    sets_b = galois_orbit_sets(BASILICA, 1)
-    sizes = sorted(s.point_count for s in sets_b)
-    assert sizes == [1, 2]  # {infinity} and the golden-ratio pair
-    assert any(p.is_infinity for s in sets_b for p in s.points)
-    sets4 = galois_orbit_sets(Z2, 4)
-    assert sum(s.point_count for s in sets4) == 12
-    for s in sets4:
-        assert s.point_count % 4 == 0 or s.cycle_count >= 1
-
-
-def test_galois_sets_are_unions_of_cycles():
-    for f, n in ((Z2, 2), (Z2, 4), (BASILICA, 3)):
-        for s in galois_orbit_sets(f, n):
-            pts = [p for p in s.points]
-            from ratdyn import chordal
-
-            for p in pts:
-                img = f.evaluate(p)
-                assert any(chordal(img, q) < 1e-7 for q in pts)
-
-
-def test_galois_average_identity():
-    # for a set built from one irreducible dynatomic factor whose cycles
-    # share one multiplier factor q: the average of log ||f'|| equals
-    # (1/n) (1/deg q) log |Norm(q)|
-    for f, n in ((Z2, 2), (Z2, 4), (BASILICA, 3)):
-        pf = multiplier_factors(f, n)
-        sets = galois_orbit_sets(f, n)
-        # collapse: these fixtures carry a single multiplier factor per set
-        for s in sets:
-            if any(p.is_infinity for p in s.points):
-                continue
-            avg = sum(
-                math.log(spherical_norm(f, p)) for p in s.points
-            ) / len(s.points)
-            # the matching multiplier factor: all cycles in the fixture sets
-            # share the period's unique repelling factor
-            cands = [
-                (q, m)
-                for q, m in pf.factors
-                if abs(Fraction(q[0])) > 0
-            ]
-            matched = False
-            for q, _m in cands:
-                norm_abs = abs(Fraction(q[0]))  # |Norm| = |q(0)| for monic q
-                rhs = math.log(float(norm_abs)) / (n * (len(q) - 1))
-                if abs(avg - rhs) <= 1e-8:
-                    matched = True
-            assert matched
 
 
 def test_lattes_exact_factor_structure():

@@ -92,17 +92,6 @@ def test_spherical_norm_matches_displayed_formula_within_ulps():
             assert abs(got - ref) <= 4 * math.ulp(max(ref, 1.0)) + 1e-13 * ref
 
 
-def test_spherical_norm_exact_squared_form():
-    # exact rational square of the displayed formula
-    z = ProjPoint.finite(Qi(Fraction(3, 2), Fraction(-1, 3)))
-    n2 = Z2.spherical_norm_sq_exact(z)
-    q = Qi(Fraction(3, 2), Fraction(-1, 3))
-    fz = q * q
-    deriv = Qi(2) * q
-    ref = deriv.abs2() * (1 + q.abs2()) ** 2 / (1 + fz.abs2()) ** 2
-    assert n2 == ref
-
-
 def test_chain_rule_for_spherical_norm():
     rng = np.random.default_rng(7)
     ff = iterate_map(BASILICA, 2)
