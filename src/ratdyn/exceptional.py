@@ -252,9 +252,13 @@ class ExceptionalClass:
 
 def _exact_field_violation(f: RationalMap, max_period: int, cap=None, seed=0):
     """An exact certificate that the multipliers cannot all lie in Z or in
-    the integers of one imaginary quadratic field, or None."""
+    the integers of one imaginary quadratic field, or None.  Periods past
+    the exact cap are left out, so a violation at a lower period stands."""
+    from . import config
     from .spectra import algebraic_spectrum
 
+    top = config.EXACT_DEGREE_CAP if cap is None else cap
+    max_period = next((n - 1 for n in range(1, max_period + 1) if f.degree**n + 1 > top), max_period)
     try:
         spec = algebraic_spectrum(f, max_period, cap=cap, seed=seed)
     except (DegreeCapExceeded, RatdynError):

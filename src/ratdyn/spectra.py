@@ -14,8 +14,11 @@ part s of the squarefree decomposition dyn = prod s_k^k:
 * its minimal polynomial mu over Q (the product of the distinct
   irreducible multiplier polynomials, of degree at most deg s / n) is found
   modulo word primes (Krylov elimination over F_p), lifted by CRT and
-  rational reconstruction, and certified exactly: mu(lambda) = 0 in
-  Z[w]/(s~);
+  rational reconstruction (or read off as integers once the residues stop
+  changing), and certified exactly on lambda as one element alpha^/E, E an
+  int: lambda itself is lifted in the z-basis of Q[z]/(s) alongside mu,
+  alpha^ Y_n^2 = E L^2 prod W is checked by one product, and mu(alpha^/E)
+  = 0 in Z[w]/(s~);
 * mu is factored over Q by :func:`factor_spectrum`: rational roots by one
   small prime and Hensel lifting, and a cofactor of degree >= 4 proven
   irreducible by its factor degrees mod small primes; sympy sees only a
@@ -143,6 +146,8 @@ class FieldElt:
         return not any(self.c)
 
     def __add__(self, o):
+        if not isinstance(o, FieldElt):
+            return FieldElt(self.field, (self.c[0] + o,) + self.c[1:])
         return FieldElt(self.field, tuple(a + b for a, b in zip(self.c, o.c)))
 
     def __mul__(self, o):
@@ -179,13 +184,25 @@ def minimal_polynomial(num: FieldElt, den: FieldElt) -> list[Fraction]:
     distinct minimal polynomials of lambda at the roots of q.
 
     At each word prime p at which den is a unit mod (q~, p), FpModulus
-    gives lambda mod p and its minimal polynomial mu_p.  Images of the
-    largest degree seen are kept (a larger one restarts the lift) and
-    combined by CRT and rational reconstruction until two more primes leave
-    mu unchanged; mu must then pass :func:`_certified`, else more primes
-    follow (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5;
-    Monagan, ISSAC 2004)."""
-    degree, G, M, mu, agree, failed, misses = -1, [], 1, None, 0, None, 0
+    gives lambda mod p and its minimal polynomial mu_p.  Unless den is a
+    scalar, lambda itself is lifted with mu, in the z-basis of Q[z]/(q)
+    (z = w/L: the i-th coefficient times L^i mod p), where it has far fewer
+    bits than num and den.  Images of the largest degree seen are kept (a
+    larger one restarts the lift) and combined by one CRT step per prime;
+    residues that a step leaves unchanged are the candidate as integers,
+    else rational reconstruction gives it.  Two more agreeing primes send
+    it to the exact proof, else more primes follow (von zur Gathen &
+    Gerhard, Modern Computer Algebra, ch. 5; Monagan, ISSAC 2004).  A
+    candidate that fails the proof yet agrees at 20 primes is an error.
+
+    The proof runs on lambda as one element alpha^/E, E an int: num over
+    the scalar den, or alpha^ = sum D a_i L^(m-1-i) w^i over E = D L^(m-1),
+    equal to lambda by the exact product alpha^ den = E num, since den =
+    Y_n^2 is a unit in Q[w]/(q~) (every root is a finite point with f^n(z)
+    = z).  :func:`_certified` then proves mu on (alpha^, E)."""
+    lead, m = num.field.lead, num.field.degree
+    scalar = not any(den.c[1:])
+    degree, G, M, cand, agree, failed, misses = -1, [], 1, None, 0, None, 0
     for p in word_primes():
         at_p = _lambda_mod(num, den, p)
         if at_p is None:
@@ -197,17 +214,29 @@ def minimal_polynomial(num: FieldElt, den: FieldElt) -> list[Fraction]:
         mu_p = red.minimal_polynomial(lam)
         if len(mu_p) - 1 < degree:
             continue
+        image = [int(c) for c in mu_p]
+        if not scalar:
+            image += ppad([int(c) * pow(lead, i, p) % p for i, c in enumerate(lam)], m)
         if len(mu_p) - 1 > degree:
-            degree, G, M, mu = len(mu_p) - 1, [0] * len(mu_p), 1, None
-        agree = agree + 1 if mu is not None and _reduces_to(mu, mu_p, p) else 0
-        G, M, _ = _crt_extend(G, M, mu_p, p)
-        if not agree:
-            mu = _rational_reconstruction(G, M)
-        elif agree >= 2 and mu != failed:
-            if _certified(mu, degree, num, den):
-                P, D = mu
-                return [Fraction(c, D) for c in P]
-            failed = mu
+            degree, G, M, cand = len(mu_p) - 1, [0] * len(image), 1, None
+        agree = agree + 1 if cand is not None and _reduces_to(cand, image, p) else 0
+        G, M, stable = _crt_extend(G, M, image, p)
+        if stable and cand != (G, 1):
+            cand, agree = (G, 1), 1
+        elif not agree:
+            cand = _rational_reconstruction(G, M)
+        elif agree >= 2 and cand != failed:
+            (P, D), k = cand, degree + 1
+            if scalar:
+                alpha, E = num, den.c[0]
+            else:
+                alpha = num.field.elt([a * lead ** (m - 1 - i) for i, a in enumerate(P[k:])])
+                E = D * lead ** (m - 1)
+            if (scalar or alpha * den == num * E) and _certified((P[:k], D), degree, alpha, E):
+                return [Fraction(c, D) for c in P[:k]]
+            failed = cand
+        elif agree == 20:
+            raise RatdynError("a lift stable at 20 word primes failed its certificate")
 
 
 def _lambda_mod(num: FieldElt, den: FieldElt, p: int):
@@ -252,17 +281,19 @@ def _rational_reconstruction(G: list[int], M: int):
     return [r * (D // s) for r, s in out], D
 
 
-def _certified(mu, degree: int, num: FieldElt, den: FieldElt) -> bool:
+def _certified(mu, degree: int, alpha, E) -> bool:
     """The proof that mu = P/D is the minimal polynomial mu_min of lambda =
-    num/den: P(lambda) = 0, checked as hom_eval(P, num, den) == 0 in
-    Z[w]/(q~), gives mu_min | mu.  At every prime p used, den is a unit, so
-    lambda lies in Z_(p)[w]/(q~), a free Z_(p)-module of finite rank: it is
-    integral over Z_(p), and mu_min, a monic factor over Q of its monic
+    alpha/E, alpha in Z[w]/(q~) and E an int (or an element):
+    P(lambda) = 0, checked as hom_eval(P, alpha, E) == 0 in Z[w]/(q~),
+    gives mu_min | mu.  At every prime p used, the orbit's Y_n^2 is a unit,
+    so lambda lies in Z_(p)[w]/(q~), a free Z_(p)-module of finite rank: it
+    is integral over Z_(p), and mu_min, a monic factor over Q of its monic
     characteristic polynomial, has coefficients in Z_(p) (Gauss's lemma).
     So mu_p divides mu_min mod p; hence deg mu == deg mu_p (= degree) <=
-    deg mu_min, and mu = mu_min.  Nothing here needs q irreducible."""
+    deg mu_min, and mu = mu_min.  :func:`minimal_polynomial` proves alpha/E
+    = lambda first.  Nothing here needs q irreducible."""
     P, _ = mu
-    return len(P) - 1 == degree and hom_eval(P, num, den).is_zero()
+    return len(P) - 1 == degree and hom_eval(P, alpha, E).is_zero()
 
 
 # ----------------------------------------------------------------------

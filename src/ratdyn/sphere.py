@@ -613,9 +613,8 @@ def postcritical_truncation(
         frontier = fresh
         if not frontier:
             break
-    closed = all(
-        any(chordal(f.evaluate_float(p), q) <= tol for q in pts) for p in pts
-    )
+    images = [f.evaluate_float(p) for p in pts]
+    closed = all(any(chordal(fp, q) <= tol for q in pts) for fp in images)
     if closed and f.exact:
         exact_crit = _try_exact_points(f, crit)
         if exact_crit is not None:

@@ -26,6 +26,7 @@ from ratdyn import (
 )
 from ratdyn.polys import padd, pmul, pscale, pstrip
 from ratdyn.spectra import AlgebraicSpectrum
+from ratdyn.sphere import RationalMap, critical_points, postcritical_truncation
 
 
 def cheb_identity_holds(d: int) -> bool:
@@ -304,3 +305,38 @@ def test_the_field_violation_compares_discriminants_by_squares(
     assert time.perf_counter() - start < 0.1
     want = (2, (*quadratics[1], 1), "multipliers span two imaginary quadratic fields")
     assert got == (want if two_fields else None)
+
+
+@pytest.mark.parametrize(
+    "coeffs, key",
+    [([1, -2, 0, 1], None), ([-1, 0, 1], (math.inf, math.inf, math.inf))],
+    ids=["z^3-2z+1", "z^2-1"],
+)
+def test_the_postcritical_scan_maps_each_point_once(monkeypatch, coeffs, key):
+    # the frontier maps each critical orbit at most depth times, and the
+    # closure test maps each point of the truncation once
+    f, depth, calls = build_map(coeffs, [1]), 48, []
+    real = RationalMap.evaluate_float
+
+    def spy(self, p):
+        calls.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(RationalMap, "evaluate_float", spy)
+    trunc = postcritical_truncation(f, depth)
+    assert len(calls) <= len(critical_points(f)) * depth + len(trunc.points)
+    monkeypatch.undo()
+    assert sig_key(orbifold_signature(f, depth)) == key
+
+
+@pytest.mark.parametrize(
+    "coeffs, max_period",
+    [([1, -2, 0, 1], 6), ([-1, 0, 1], 8), ([-1, 0, 1], 9)],
+    ids=["z^3-2z+1@6", "z^2-1@8", "z^2-1@9"],
+)
+def test_a_period_past_the_exact_cap_keeps_the_violation_below_it(coeffs, max_period):
+    # 3^6 + 1 and 2^8 + 1 exceed the exact cap 256; both maps violate at
+    # period 1
+    res = classify(build_map(coeffs, [1]), max_period=max_period)
+    assert res.kind == "not-exceptional"
+    assert res.evidence["violation"]["period"] == 1
