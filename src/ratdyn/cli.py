@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Map specifications are either rational-coefficient expressions in z
-("(z^2+1)^2/(4*(z^3-z))"), builder forms ("power:2:+", "chebyshev:3:-",
+("(z^2+1)^2/(4*(z^3-z))"), parsed with Python's own grammar and ^ for **
+(:func:`parse_expr`), builder forms ("power:2:+", "chebyshev:3:-",
 "lattes:-1:0:2"), or "-" to read coefficients as JSON from stdin.  Every
 subcommand emits a single JSON report on stdout (CSV with --csv where a
 table makes sense); diagnostics go to stderr.
@@ -13,17 +14,14 @@ results attached when available), 4 degree cap exceeded.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import sys
 import time
 from fractions import Fraction
 
 from . import config
-from .errors import (
-    DegreeCapExceeded,
-    MapParseError,
-    RatdynError,
-)
+from .errors import DegreeCapExceeded, MapParseError, RatdynError
 from .polys import (
     pdeg,
     pexactdiv,
@@ -31,7 +29,6 @@ from .polys import (
     pmul,
     pscale,
     pstrip,
-    psub,
     padd,
     poly_to_str,
 )
@@ -44,48 +41,9 @@ from .sphere import ProjPoint, RationalMap, build_map
 # ----------------------------------------------------------------------
 
 
-class _Tok:
-    def __init__(self, kind, value, pos):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
-
-
-def _tokenize(text: str, var: str):
-    toks = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*/^()":
-            toks.append(_Tok(c, c, i))
-            i += 1
-            continue
-        if c == var:
-            toks.append(_Tok("var", c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            lit = text[i:j]
-            try:
-                val = Fraction(lit)
-            except ValueError:
-                raise MapParseError(f"bad number literal {lit!r}", position=i)
-            toks.append(_Tok("num", val, i))
-            i = j
-            continue
-        raise MapParseError(f"unexpected character {c!r}", position=i)
-    return toks
-
-
 class _RatFunc:
     """Rational function over Q as a (num, den) Fraction-poly pair, not
-    reduced: :meth:`_ExprParser.parse` cancels the gcd once at the end."""
+    reduced: :func:`parse_expr` cancels the gcd once at the end."""
 
     __slots__ = ("num", "den")
 
@@ -100,10 +58,7 @@ class _RatFunc:
         )
 
     def __sub__(self, o):
-        return _RatFunc(
-            psub(pmul(self.num, o.den), pmul(o.num, self.den)),
-            pmul(self.den, o.den),
-        )
+        return self + -o
 
     def __mul__(self, o):
         return _RatFunc(pmul(self.num, o.num), pmul(self.den, o.den))
@@ -117,105 +72,87 @@ class _RatFunc:
         return _RatFunc([-c for c in self.num], self.den)
 
     def pow(self, k: int):
+        one = _RatFunc([Fraction(1)], [Fraction(1)])
         if k < 0:
-            return _RatFunc([Fraction(1)], [Fraction(1)]) / self.pow(-k)
-        out = _RatFunc([Fraction(1)], [Fraction(1)])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+            return one / self.pow(-k)
+        half = self.pow(k // 2) if k > 1 else one
+        return half * half * self if k % 2 else half * half
 
 
-class _ExprParser:
-    def __init__(self, text: str, var: str = "z"):
-        self.text = text
-        self.toks = _tokenize(text, var)
-        self.i = 0
+_BINOPS = {ast.Add: _RatFunc.__add__, ast.Sub: _RatFunc.__sub__,
+           ast.Mult: _RatFunc.__mul__, ast.Div: _RatFunc.__truediv__}
 
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
 
-    def take(self, kind=None):
-        t = self.peek()
-        if t is None:
-            raise MapParseError("unexpected end of expression", position=len(self.text))
-        if kind and t.kind != kind:
-            raise MapParseError(f"expected {kind}, got {t.value!r}", position=t.pos)
-        self.i += 1
-        return t
+def parse_expr(text: str, var: str) -> _RatFunc:
+    """The rational function `text` in `var`, with num and den coprime.
 
-    def parse(self) -> _RatFunc:
-        """The expression with num and den coprime."""
-        out = self.expr()
-        if self.peek() is not None:
-            t = self.peek()
-            raise MapParseError(f"trailing input {t.value!r}", position=t.pos)
-        g = pgcd(out.num, out.den)
-        return _RatFunc(pexactdiv(out.num, g), pexactdiv(out.den, g))
+    The grammar is Python's, with ^ for **: unary minus binds looser than
+    ^ (2*-z^2 is -2 z^2), a chain a^b^c folds to the left as (a^b)^c, and
+    literals are read exactly from their text (0.1 is 1/10).  Only
+    literals, `var`, unary +/-, + - * / and integer powers are accepted;
+    anything else raises MapParseError, whose message quotes the text as
+    parsed (whitespace runs collapsed, ^ as **) and whose position, when
+    known, is a column of that text."""
+    src = " ".join(text.split()).replace("^", "**")
+    if not src.isascii():
+        raise MapParseError(f"expression {text!r} is not ASCII text")
+    # Python's parser reports nesting past its limits as RecursionError or
+    # MemoryError; Fraction refuses literals such as 0x10 with ValueError
+    try:
+        out = _fold(ast.parse(src, mode="eval").body, var, src)
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as e:
+        msg, col = getattr(e, "msg", e), getattr(e, "offset", None)
+        raise MapParseError(f"cannot parse {src!r}: {msg}", position=col and col - 1) from None
+    g = pgcd(out.num, out.den)
+    return _RatFunc(pexactdiv(out.num, g), pexactdiv(out.den, g))
 
-    def expr(self) -> _RatFunc:
-        t = self.peek()
-        if t and t.kind in "+-":
-            self.take()
-            first = self.term()
-            if t.kind == "-":
-                first = -first
-        else:
-            first = self.term()
-        while self.peek() and self.peek().kind in "+-":
-            op = self.take().kind
-            rhs = self.term()
-            first = first + rhs if op == "+" else first - rhs
-        return first
 
-    def term(self) -> _RatFunc:
-        out = self.factor()
-        while self.peek() and self.peek().kind in "*/":
-            op = self.take().kind
-            rhs = self.factor()
-            out = out * rhs if op == "*" else out / rhs
-        return out
+def _fold(node, var: str, src: str) -> _RatFunc:
+    segment = src[node.col_offset:node.end_col_offset]
+    if isinstance(node, ast.Constant):  # exact from its text; 2j and strings are refused
+        return _RatFunc([Fraction(segment)], [Fraction(1)])
+    if isinstance(node, ast.Name) and node.id == var:
+        return _RatFunc([Fraction(0), Fraction(1)], [Fraction(1)])
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        inner = _fold(node.operand, var, src)
+        return -inner if isinstance(node.op, ast.USub) else inner
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return _BINOPS[type(node.op)](_fold(node.left, var, src), _fold(node.right, var, src))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        # Python's ** nests to the right, a ** (b ** c); unparenthesised,
+        # with a sign or not, the chain folds to the left instead
+        out, exp = _fold(node.left, var, src), node.right
+        while True:
+            signed = isinstance(exp, ast.UnaryOp) and isinstance(exp.op, (ast.UAdd, ast.USub))
+            inner = exp.operand if signed else exp
+            chained = isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.Pow)
+            if not chained or any(src[: n.col_offset].rstrip().endswith("(") for n in (exp, inner)):
+                return out.pow(_exponent(exp, var, src))
+            sign = -1 if signed and isinstance(exp.op, ast.USub) else 1
+            out = out.pow(sign * _exponent(inner.left, var, src))
+            exp = inner.right
+    raise MapParseError(f"unsupported {segment!r} in {src!r}", position=node.col_offset)
 
-    def factor(self) -> _RatFunc:
-        base = self.atom()
-        while self.peek() and self.peek().kind == "^":
-            pos = self.take().pos
-            sign = 1
-            if self.peek() and self.peek().kind == "-":
-                self.take()
-                sign = -1
-            t = self.take("num")
-            if t.value.denominator != 1:
-                raise MapParseError("exponent must be an integer", position=t.pos)
-            base = base.pow(sign * int(t.value))
-        return base
 
-    def atom(self) -> _RatFunc:
-        t = self.take()
-        if t.kind == "num":
-            return _RatFunc([t.value], [Fraction(1)])
-        if t.kind == "var":
-            return _RatFunc([Fraction(0), Fraction(1)], [Fraction(1)])
-        if t.kind == "(":
-            inner = self.expr()
-            self.take(")")
-            return inner
-        if t.kind == "-":
-            return -self.atom()
-        if t.kind == "+":
-            return self.atom()
-        raise MapParseError(f"unexpected token {t.value!r}", position=t.pos)
+def _exponent(node, var: str, src: str) -> int:
+    k = _constant(_fold(node, var, src))
+    if k is None or k.denominator != 1:
+        raise MapParseError(f"exponent must be an integer in {src!r}", position=node.col_offset)
+    return int(k)
+
+
+def _constant(rf: _RatFunc) -> Fraction | None:
+    """The value of a constant rational function, else None."""
+    if pdeg(rf.num) > 0 or pdeg(rf.den) > 0:
+        return None
+    return rf.num[0] / rf.den[0] if rf.num else Fraction(0)
 
 
 def _coeff_from_json(v):
     if isinstance(v, (int, float)):
         return v
     if isinstance(v, str):
-        q = qi_from_string(v)
-        return q
+        return qi_from_string(v)
     if isinstance(v, dict):
         if v.get("inf"):
             raise MapParseError("Infinity is not a coefficient")
@@ -242,10 +179,9 @@ def parse_map(spec: str, stdin_text: str | None = None) -> RationalMap:
         num = [_coeff_from_json(v) for v in data["num"]]
         den = [_coeff_from_json(v) for v in data["den"]]
         return build_map(num, den)
-    low = spec.lower()
-    if low.startswith(("power:", "chebyshev:", "lattes:")):
+    if spec.lower().startswith(("power:", "chebyshev:", "lattes:")):
         return _builder_map(spec)
-    rf = _ExprParser(spec, "z").parse()
+    rf = parse_expr(spec, "z")
     if not rf.num:
         raise MapParseError("the zero map is not a rational map of degree >= 2")
     return build_map(rf.num, rf.den)
@@ -257,14 +193,9 @@ def _builder_map(spec: str) -> RationalMap:
     parts = spec.split(":")
     kind = parts[0].lower()
     try:
-        if kind == "power":
-            d = int(parts[1])
+        if kind in ("power", "chebyshev"):
             sign = 1 if len(parts) < 3 or parts[2] in ("+", "", "+1", "1") else -1
-            return power_map(d, sign)
-        if kind == "chebyshev":
-            d = int(parts[1])
-            sign = 1 if len(parts) < 3 or parts[2] in ("+", "", "+1", "1") else -1
-            return chebyshev_map(d, sign)
+            return (power_map if kind == "power" else chebyshev_map)(int(parts[1]), sign)
         if kind == "lattes":
             a, b, m = Fraction(parts[1]), Fraction(parts[2]), int(parts[3])
             return flexible_lattes(LattesSpec(a, b, m))
@@ -287,7 +218,7 @@ def parse_field(text: str):
             if "," in body:
                 coeffs = [int(x) for x in body.split(",")]
             else:
-                rf = _ExprParser(body, "x").parse()
+                rf = parse_expr(body, "x")
                 if pdeg(rf.den) != 0:
                     raise MapParseError("field polynomial must be a polynomial")
                 coeffs_fr = pscale(rf.num, 1 / rf.den[0])
@@ -301,17 +232,14 @@ def parse_field(text: str):
 
 
 def _parse_point(text: str) -> ProjPoint:
-    t = text.strip().lower()
-    if t in ("inf", "infinity", "oo"):
+    if text.strip().lower() in ("inf", "infinity", "oo"):
         return ProjPoint.infinity()
     try:
-        rf = _ExprParser(text.strip(), "z").parse()
-        if pdeg(rf.num) > 0 or pdeg(rf.den) > 0:
-            raise MapParseError("point must be a constant")
-        val = rf.num[0] / rf.den[0] if rf.num else Fraction(0)
-        return ProjPoint.finite(Qi(val))
+        val = _constant(parse_expr(text, "z"))
     except MapParseError:
-        pass
+        val = None
+    if val is not None:
+        return ProjPoint.finite(Qi(val))
     try:
         return ProjPoint.finite(complex(text.replace("i", "j")))
     except ValueError:
@@ -345,7 +273,7 @@ def _map_payload(f: RationalMap):
 # ----------------------------------------------------------------------
 
 
-def _cmd_cycles(args, stdin_text=None):
+def _cmd_cycles(args, stdin_text):
     from .periodic import cycles_of_period
     from .spectra import multiplier_factors
 
@@ -381,7 +309,7 @@ def _cmd_cycles(args, stdin_text=None):
     return out, rows
 
 
-def _cmd_spectrum(args, stdin_text=None):
+def _cmd_spectrum(args, stdin_text):
     from .spectra import algebraic_spectrum
 
     f = parse_map(args.map, stdin_text)
@@ -410,7 +338,7 @@ def _cmd_spectrum(args, stdin_text=None):
     return {"map": _map_payload(f), "per_period": per, "diagnostics": diagnostics}, rows
 
 
-def _cmd_field_check(args, stdin_text=None):
+def _cmd_field_check(args, stdin_text):
     from .spectra import algebraic_spectrum, integrality, membership
 
     f = parse_map(args.map, stdin_text)
@@ -441,7 +369,7 @@ def _cmd_field_check(args, stdin_text=None):
     return out, None
 
 
-def _cmd_classify(args, stdin_text=None):
+def _cmd_classify(args, stdin_text):
     from .exceptional import classify
 
     f = parse_map(args.map, stdin_text)
@@ -456,7 +384,7 @@ def _cmd_classify(args, stdin_text=None):
     }, None
 
 
-def _cmd_lyapunov(args, stdin_text=None):
+def _cmd_lyapunov(args, stdin_text):
     from .ergodic import backward_orbit_sample, lyapunov, lyapunov_from_periodic
 
     f = parse_map(args.map, stdin_text)
@@ -471,7 +399,7 @@ def _cmd_lyapunov(args, stdin_text=None):
     return out, None
 
 
-def _cmd_equidist(args, stdin_text=None):
+def _cmd_equidist(args, stdin_text):
     from .ergodic import backward_orbit_sample, periodic_cloud, weak_convergence_report
 
     f = parse_map(args.map, stdin_text)
@@ -498,7 +426,7 @@ def _cmd_equidist(args, stdin_text=None):
     }, rows
 
 
-def _cmd_homoclinic(args, stdin_text=None):
+def _cmd_homoclinic(args, stdin_text):
     from .homoclinic import convergence_report, exponent_sequence, find_seed
 
     f = parse_map(args.map, stdin_text)
@@ -531,7 +459,7 @@ def _cmd_homoclinic(args, stdin_text=None):
     }, entries
 
 
-def _cmd_zdunik(args, stdin_text=None):
+def _cmd_zdunik(args, stdin_text):
     from .ergodic import _zdunik_report, backward_orbit_sample, lyapunov
 
     f = parse_map(args.map, stdin_text)
@@ -560,7 +488,7 @@ def _cmd_zdunik(args, stdin_text=None):
     }, rows
 
 
-def _cmd_make(args, stdin_text=None):
+def _cmd_make(args, stdin_text):
     from .exceptional import LattesSpec, chebyshev_map, flexible_lattes, power_map
 
     if args.family == "power":
@@ -588,9 +516,8 @@ def _cmd_make(args, stdin_text=None):
 # ----------------------------------------------------------------------
 
 
-def _add_common(sub, need_map=True):
-    if need_map:
-        sub.add_argument("--map", "-m", required=True, help="map spec or '-' for stdin")
+def _add_common(sub):
+    sub.add_argument("--map", "-m", required=True, help="map spec or '-' for stdin")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--tol", type=float, default=config.SOLVER_TOL)
     sub.add_argument("--cap", type=int, default=None, help="degree cap override")

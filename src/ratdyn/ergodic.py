@@ -2,10 +2,10 @@
 and the characteristic-exponent dichotomy scan.
 
 The backward sampler pulls a random start through iterated preimages with
-uniform 1/d branch weights; the last ``tail_depth`` levels expand *all*
-branches (complete subtrees), which keeps the estimator unbiased and makes
-low-order moments of symmetric measures cancel to machine precision
-instead of Monte Carlo noise.
+uniform 1/d branch weights; the last ``TAIL_DEPTH`` (two) levels expand
+*all* branches (complete subtrees) once the count allows, which keeps the
+estimator unbiased and makes low-order moments of symmetric measures cancel
+to machine precision instead of Monte Carlo noise.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ from .sphere import (
     postcritical_truncation,
     sphere_points,
 )
+
+TAIL_DEPTH = 2  # pullback levels expanded completely in backward_orbit_sample
+CLIP_LEVELS = (-1.0, -2.0, -4.0)  # the max(log||f'||, m) test functions
 
 # ----------------------------------------------------------------------
 # point clouds
@@ -116,25 +119,24 @@ def backward_orbit_sample(
     count: int,
     burn_in: int = 50,
     seed: int = 0,
-    chains: int | None = None,
-    tail_depth: int = 2,
 ) -> PointCloud:
     """Equal-weight cloud of `count` points from iterated random preimages.
 
     Deterministic for a fixed seed.  After burn-in, trunk points are
-    collected chain by chain and the final `tail_depth` pullback levels are
-    expanded completely (all d^tail_depth branches).
+    collected chain by chain (at most 64 chains) and the final TAIL_DEPTH
+    pullback levels are expanded completely (all d^TAIL_DEPTH branches),
+    unless count is below 4 d^TAIL_DEPTH.
     """
     if count < 1:
         raise RatdynError("count must be >= 1")
-    d = f.degree
-    leaves = d**tail_depth
+    tail_depth = TAIL_DEPTH
+    leaves = f.degree**tail_depth
     if count < 4 * leaves:
         tail_depth, leaves = 0, 1
     trunk_total = count // leaves
     remainder = count - trunk_total * leaves
     rng = np.random.default_rng(seed)
-    n_chains = chains if chains is not None else min(64, max(1, trunk_total))
+    n_chains = min(64, max(1, trunk_total))
     X, Y = _random_sphere_points(rng, n_chains)
     for _ in range(burn_in):
         X, Y = _pull_back_once(f, X, Y, rng)
@@ -198,7 +200,8 @@ def periodic_cloud(
 # ----------------------------------------------------------------------
 
 
-def _log_norms(f: RationalMap, cloud: PointCloud, floor: float = config.LOG_NORM_FLOOR):
+def _log_norms(f: RationalMap, cloud: PointCloud):
+    floor = config.LOG_NORM_FLOOR
     norms = f.spherical_norm_xy(cloud.X, cloud.Y)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.log(norms)
@@ -279,11 +282,11 @@ def weak_convergence_report(
     reference: PointCloud,
     test_degree: int,
     f: RationalMap | None = None,
-    clip_levels: tuple = (-1.0, -2.0, -4.0),
 ) -> WeakConvergenceReport:
     """|∫φ dμ_cloud − ∫φ d(reference)| for a fixed dictionary of test
     functions: chordal-coordinate monomials up to test_degree, plus
-    max(log||f'||, m) truncations when a map is supplied."""
+    max(log||f'||, m) truncations for m in CLIP_LEVELS when a map is
+    supplied."""
     if test_degree < 1:
         raise RatdynError("test_degree must be >= 1")
     names, exps = _dictionary(test_degree)
@@ -303,7 +306,7 @@ def weak_convergence_report(
     ref_clip = []
     if f is not None:
         ref_vals, _ = _log_norms(f, reference)
-        for m in clip_levels:
+        for m in CLIP_LEVELS:
             all_names.append(f"clip_log_norm@{m:g}")
             ref_clip.append(reference.integrate(np.maximum(ref_vals, m)))
     rows = []
@@ -314,7 +317,7 @@ def weak_convergence_report(
             row[name] = abs(cloud.integrate(col) - rv)
         if f is not None:
             vals, _ = _log_norms(f, cloud)
-            for m, rv in zip(clip_levels, ref_clip):
+            for m, rv in zip(CLIP_LEVELS, ref_clip):
                 row[f"clip_log_norm@{m:g}"] = abs(
                     cloud.integrate(np.maximum(vals, m)) - rv
                 )
@@ -342,47 +345,24 @@ def zdunik_scan(
     tol: float = config.SOLVER_TOL,
     seed: int = 0,
     cap: int | None = None,
-    margin_floor: float = 1e-9,
-    exclude_postcritical: bool = True,
-    pc_depth: int = 32,
 ) -> list[tuple[CycleRecord, float]]:
     """Repelling cycles up to max_period with characteristic exponent above
-    the Lyapunov estimate, sorted by margin (empty output is meaningful:
-    exceptional-map behavior).
+    the Lyapunov estimate by more than max(1e-9, 3 std_error), sorted by
+    margin (empty output is meaningful: exceptional-map behavior).
 
-    Cycles meeting the postcritical set are excluded by default: branch
-    cycles of exceptional maps genuinely exceed the Lyapunov exponent and
-    the dichotomy concerns periodic points away from the postcritical set.
-    Non-repelling cycles are ignored.
+    Cycles meeting the postcritical set (its depth-32 truncation) are
+    excluded: branch cycles of exceptional maps genuinely exceed the
+    Lyapunov exponent and the dichotomy concerns periodic points away from
+    the postcritical set.  Non-repelling cycles are ignored.
     """
-    return _zdunik_report(
-        f,
-        max_period,
-        lyap,
-        tol=tol,
-        seed=seed,
-        cap=cap,
-        margin_floor=margin_floor,
-        exclude_postcritical=exclude_postcritical,
-        pc_depth=pc_depth,
-    ).hits
+    return _zdunik_report(f, max_period, lyap, tol=tol, seed=seed, cap=cap).hits
 
 
 def _zdunik_report(
-    f: RationalMap,
-    max_period: int,
-    lyap: LyapunovEstimate,
-    tol: float = config.SOLVER_TOL,
-    seed: int = 0,
-    cap: int | None = None,
-    margin_floor: float = 1e-9,
-    exclude_postcritical: bool = True,
-    pc_depth: int = 32,
+    f: RationalMap, max_period: int, lyap: LyapunovEstimate, *, tol: float, seed: int, cap
 ) -> ZdunikReport:
-    threshold = max(margin_floor, 3.0 * lyap.std_error)
-    trunc = (
-        postcritical_truncation(f, pc_depth) if exclude_postcritical else None
-    )
+    threshold = max(1e-9, 3.0 * lyap.std_error)
+    trunc = postcritical_truncation(f, 32)
     exclusion_radius = 1e-6
     hits: list[tuple[CycleRecord, float]] = []
     excluded: list[tuple[CycleRecord, float]] = []
@@ -398,9 +378,7 @@ def _zdunik_report(
             margin = cyc.char_exponent - lyap.value
             if margin <= threshold:
                 continue
-            if trunc is not None and any(
-                trunc.min_chordal(p) <= exclusion_radius for p in cyc.points
-            ):
+            if any(trunc.min_chordal(p) <= exclusion_radius for p in cyc.points):
                 excluded.append((cyc, margin))
                 continue
             hits.append((cyc, margin))

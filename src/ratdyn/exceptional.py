@@ -252,20 +252,21 @@ class ExceptionalClass:
 
 def _exact_field_violation(f: RationalMap, max_period: int, cap=None, seed=0):
     """An exact certificate that the multipliers cannot all lie in Z or in
-    the integers of one imaginary quadratic field, or None.  Periods past
-    the exact cap are left out, so a violation at a lower period stands."""
-    from . import config
-    from .spectra import algebraic_spectrum
+    the integers of one imaginary quadratic field, or None.  Periods are
+    factored one at a time, up to the first violation; an error at a period
+    (the exact cap included) ends the search with None, so a violation at a
+    lower period stands."""
+    from .spectra import multiplier_factors
 
-    top = config.EXACT_DEGREE_CAP if cap is None else cap
-    max_period = next((n - 1 for n in range(1, max_period + 1) if f.degree**n + 1 > top), max_period)
-    try:
-        spec = algebraic_spectrum(f, max_period, cap=cap, seed=seed)
-    except (DegreeCapExceeded, RatdynError):
-        return None
     d0 = None
-    for n in sorted(spec.periods):
-        for q, _m in spec.periods[n]:
+    for n in range(1, max_period + 1):
+        try:
+            factors = multiplier_factors(f, n, cap=cap, seed=seed).factors
+        except RatdynError:
+            return None
+        if any(m % n for _q, m in factors):
+            return None  # not whole cycles (parabolic degeneracy)
+        for q, _m in factors:
             degq = len(q) - 1
             if any(c.denominator != 1 for c in q):
                 return (n, q, "factor is not an algebraic integer")

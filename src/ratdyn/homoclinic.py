@@ -44,6 +44,9 @@ from .sphere import (
     spherical_norm,
 )
 
+SEARCH_DEPTH = 14  # preimage levels find_seed searches for a return into V
+ALPHA = 1.5  # the sandwich bound's alpha > 1
+
 
 def iterate_map(f: RationalMap, q: int) -> RationalMap:
     """f^q as an explicit RationalMap (used to reduce period-q seeds to
@@ -100,7 +103,6 @@ def find_seed(
     f: RationalMap,
     z0: ProjPoint | complex,
     q: int = 1,
-    search_depth: int = 14,
     tol: float = 1e-9,
 ) -> HomoclinicSeed:
     """Breadth-first search over iterated preimages of z0 (excluding the
@@ -144,7 +146,7 @@ def find_seed(
     parents: dict[int, list[int]] = {}
     level_pts: list[np.ndarray] = [np.array([z0c])]
     found = None
-    for depth in range(1, search_depth + 1):
+    for depth in range(1, SEARCH_DEPTH + 1):
         prev = level_pts[-1]
         cur = []
         back = []
@@ -171,8 +173,8 @@ def find_seed(
             break
     if found is None:
         raise NoReturnFound(
-            f"no preimage re-entered V within depth {search_depth}",
-            search_depth=search_depth,
+            f"no preimage re-entered V within depth {SEARCH_DEPTH}",
+            search_depth=SEARCH_DEPTH,
         )
     l, idx = found
     chain = []
@@ -199,11 +201,11 @@ def find_seed(
     )
 
 
-def _branch_contracts(F, z0: complex, lam: complex, r: float, samples: int = 8):
+def _branch_contracts(F, z0: complex, lam: complex, r: float):
     """Empirical check that the inverse branch of F at z0 maps the disk of
     radius r into itself with ratio about 1/|lam|."""
-    for k in range(samples):
-        y = z0 + r * cmath.exp(2j * math.pi * (k + 0.37) / samples)
+    for k in range(8):
+        y = z0 + r * cmath.exp(2j * math.pi * (k + 0.37) / 8)
         try:
             g = _nearest_preimage(F, y, z0 + (y - z0) / lam)
         except RatdynError:
@@ -213,12 +215,12 @@ def _branch_contracts(F, z0: complex, lam: complex, r: float, samples: int = 8):
     return True
 
 
-def branch_contraction_ratios(seed: HomoclinicSeed, samples: int = 16):
+def branch_contraction_ratios(seed: HomoclinicSeed):
     """Observed |g(y) - z0| / |y - z0| on the V-circle (for diagnostics)."""
     F = seed.map_q
     out = []
-    for k in range(samples):
-        y = seed.z0 + seed.r_U * cmath.exp(2j * math.pi * (k + 0.5) / samples)
+    for k in range(16):
+        y = seed.z0 + seed.r_U * cmath.exp(2j * math.pi * (k + 0.5) / 16)
         g = _nearest_preimage(F, y, seed.z0 + (y - seed.z0) / seed.multiplier)
         out.append(abs(g - seed.z0) / abs(y - seed.z0))
     return out
@@ -419,12 +421,12 @@ def _refine_entry(F, seed: HomoclinicSeed, n: int, tol: float):
     raise NewtonDiverged(f"Newton did not converge for n = {n}", n=n)
 
 
-def _newton_period(F, w0: complex, n: int, max_iter: int = 60):
+def _newton_period(F, w0: complex, n: int):
     from .periodic import make_period_ratio
 
     ratio = make_period_ratio(F, n)
     w = np.array([w0], dtype=complex)
-    for _ in range(max_iter):
+    for _ in range(60):
         step = ratio(w)
         if not np.isfinite(step[0]):
             return None
@@ -451,7 +453,7 @@ class ConvergenceReport:
     sandwich: dict
 
 
-def convergence_report(seq: ExponentSequence, alpha: float = 1.5) -> ConvergenceReport:
+def convergence_report(seq: ExponentSequence) -> ConvergenceReport:
     """chi_n - chi(z0) per n, a fitted C/n envelope, a geometric fit of the
     multipliers lambda_n ~ a lambda^n + b, and the empirical sandwich-bound
     slack from min/max of ||f'|| on the seed disks.
@@ -500,7 +502,7 @@ def convergence_report(seq: ExponentSequence, alpha: float = 1.5) -> Convergence
     J = l  # operational surrogate for the proof's J_alpha
     slacks = []
     for e in seq.entries:
-        lower = J * math.log(m_emp) + (e.n - J - l + 1) * (chi0 - math.log(alpha))
+        lower = J * math.log(m_emp) + (e.n - J - l + 1) * (chi0 - math.log(ALPHA))
         slacks.append((e.n, math.log(abs(e.multiplier)) - lower))
     return ConvergenceReport(
         target_chi=chi0,
@@ -515,13 +517,14 @@ def convergence_report(seq: ExponentSequence, alpha: float = 1.5) -> Convergence
         sandwich={
             "m": m_emp,
             "M": M_emp,
-            "alpha": alpha,
+            "alpha": ALPHA,
             "lower_bound_slack": slacks,
         },
     )
 
 
-def _disk_norm_extrema(F: RationalMap, seed: HomoclinicSeed, samples: int = 64):
+def _disk_norm_extrema(F: RationalMap, seed: HomoclinicSeed):
+    samples = 64
     rng = np.random.default_rng(11)
     ang = 2 * np.pi * rng.random(samples)
     rad = np.sqrt(rng.random(samples))

@@ -242,7 +242,6 @@ def _newton_polygon_starts(c: np.ndarray, seed: int) -> np.ndarray:
 def aberth(
     coeffs_asc: np.ndarray,
     tol: float = 1e-13,
-    max_iter: int = 120,
     seed: int = 0,
 ) -> np.ndarray:
     """All complex roots of a coefficient polynomial via Aberth–Ehrlich."""
@@ -258,7 +257,7 @@ def aberth(
         return zeros
     starts = _newton_polygon_starts(c, seed)
     ratio = newton_ratio_from_coeffs(c)
-    roots, ok = aberth_ratio(ratio, starts, tol=tol, max_iter=max_iter, seed=seed)
+    roots, ok = aberth_ratio(ratio, starts, tol=tol, seed=seed)
     if not ok.all():
         raise RootFindingFailed(
             f"{int((~ok).sum())} of {D} roots unconverged",

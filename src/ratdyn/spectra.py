@@ -425,15 +425,10 @@ def multiplier_factors(
     return pf
 
 
-def multiplier_polynomial(
-    f: RationalMap,
-    n: int,
-    cap: int | None = None,
-    seed: int = 0,
-) -> list[Fraction]:
+def multiplier_polynomial(f: RationalMap, n: int) -> list[Fraction]:
     """P_n(lambda), monic over Q; roots are the multipliers of exact
     period-n points with multiplicity (one root per point)."""
-    return multiplier_factors(f, n, cap=cap, seed=seed).poly()
+    return multiplier_factors(f, n).poly()
 
 
 def factor_spectrum(poly) -> list[tuple[tuple[Fraction, ...], int]]:
@@ -473,10 +468,10 @@ class AlgebraicSpectrum:
     )
     period_factors: dict[int, PeriodFactors] = field(default_factory=dict)
 
-    def describe(self, var: str = "λ") -> dict[int, list[str]]:
+    def describe(self) -> dict[int, list[str]]:
         return {
             n: [
-                f"{poly_to_str(list(q), var)}" + (f" ^{m}" if m > 1 else "")
+                poly_to_str(list(q), "λ") + (f" ^{m}" if m > 1 else "")
                 for q, m in facs
             ]
             for n, facs in sorted(self.periods.items())

@@ -166,10 +166,10 @@ def points_to_xy(points: Sequence[ProjPoint]):
     return X, Y
 
 
-def xy_to_points(X, Y, inf_cut: float = 1e300) -> list[ProjPoint]:
+def xy_to_points(X, Y) -> list[ProjPoint]:
     out = []
     for x, y in zip(np.asarray(X).ravel(), np.asarray(Y).ravel()):
-        if abs(y) * inf_cut <= abs(x) or y == 0:
+        if abs(y) * 1e300 <= abs(x) or y == 0:
             out.append(INF)
         else:
             out.append(ProjPoint.finite(complex(x / y)))
@@ -451,8 +451,8 @@ def build_map(num_coeffs: Iterable, den_coeffs: Iterable, exact: bool | None = N
     return RationalMap(nf, df, exact=False)
 
 
-def _float_resultant_small(nf, df, threshold: float = 1e-10) -> bool:
-    """Normalized Sylvester-determinant resultant test."""
+def _float_resultant_small(nf, df) -> bool:
+    """Normalized Sylvester-determinant resultant below 1e-10."""
     n = pstrip(nf)
     dd = pstrip(df)
     dn, dm = len(n) - 1, len(dd) - 1
@@ -471,7 +471,7 @@ def _float_resultant_small(nf, df, threshold: float = 1e-10) -> bool:
     for i in range(dn):
         S[dm + i, i : i + dm + 1] = list(reversed(dd))
     res = np.linalg.det(S)
-    return abs(res) < threshold
+    return abs(res) < 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -673,10 +673,10 @@ def _try_exact_points(f: RationalMap, pts: list[ProjPoint]):
     return out
 
 
-def _snap_qi(z: complex, max_den: int = 64, tol: float = 1e-8):
-    fr = Fraction(z.real).limit_denominator(max_den)
-    fi = Fraction(z.imag).limit_denominator(max_den)
-    if abs(float(fr) - z.real) <= tol and abs(float(fi) - z.imag) <= tol:
+def _snap_qi(z: complex):
+    fr = Fraction(z.real).limit_denominator(64)
+    fi = Fraction(z.imag).limit_denominator(64)
+    if abs(float(fr) - z.real) <= 1e-8 and abs(float(fi) - z.imag) <= 1e-8:
         return Qi(fr, fi)
     return None
 

@@ -7,10 +7,20 @@ import sys
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from sympy.parsing.sympy_parser import (
+    convert_xor,
+    parse_expr as sympy_parse_expr,
+    rationalize,
+    standard_transformations,
+)
 from test_spectra import plant_shortfall
 
-from ratdyn.cli import _parse_point, parse_field, parse_map, run
-from ratdyn.errors import DegreeTooLow
+from ratdyn.cli import _parse_point, parse_expr, parse_field, parse_map, run
+from ratdyn.errors import DegreeTooLow, MapParseError
+from ratdyn.polys import pmul
 
 
 def run_cli(argv, stdin_text=None):
@@ -98,6 +108,81 @@ def test_the_parser_cancels_common_factors_once_at_the_end():
     assert _parse_point("(z-1)/(2*z-2)").z.re == Fraction(1, 2)
 
 
+def _equal(rf, num, den):
+    return pmul(rf.num, [Fraction(c) for c in den]) == pmul([Fraction(c) for c in num], rf.den)
+
+
+@pytest.mark.parametrize(
+    "text, num, den",
+    [
+        # unary minus binds looser than ^, wherever it stands
+        ("2*-z^2", [0, 0, -2], [1]),
+        ("1+2*-z^2", [1, 0, -2], [1]),
+        ("1/-z^2", [-1], [0, 0, 1]),
+        ("--z^2", [0, 0, 1], [1]),
+        ("-z^2", [0, 0, -1], [1]),
+        # the conventions kept from the hand-written parser
+        ("z^-2", [1], [0, 0, 1]),
+        ("z^2^3", [0] * 6 + [1], [1]),
+        ("2^-1*z^2", [0, 0, 1], [2]),
+        ("0.1*z^2", [0, 0, Fraction(1, 10)], [1]),
+        ("z^2\n+1", [1, 0, 1], [1]),
+    ],
+)
+def test_the_expression_grammar(text, num, den):
+    assert _equal(parse_expr(text, "z"), num, den)
+
+
+_ATOMS = st.sampled_from(["z", "1", "2", "3", "1/2", "0.5", "(z+1)", "(2*z-3)", "(1-z)"])
+
+
+def _expressions(inner):
+    # ^ only on an atom or a parenthesised expression: no ^ chains
+    base = st.one_of(_ATOMS, inner.map(lambda e: f"({e})"))
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map("".join),
+        st.tuples(st.sampled_from("-+"), inner).map("".join),
+        st.tuples(base, st.sampled_from(["-2", "-1", "0", "2", "3"])).map("^".join),
+    )
+
+
+_SYMPY = standard_transformations + (convert_xor, rationalize)
+
+
+def _has_zero_divisor(expr):
+    return expr.has(sympy.zoo, sympy.nan) or any(
+        p.exp.is_negative and sympy.expand(p.base) == 0 for p in expr.atoms(sympy.Pow)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.recursive(_ATOMS, _expressions, max_leaves=8))
+def test_the_grammar_agrees_with_sympy(text):
+    expr = sympy_parse_expr(text, transformations=_SYMPY)
+    try:
+        rf = parse_expr(text, "z")
+    except MapParseError:
+        # only a zero divisor, such as (z-z)^-1, may be refused
+        assert _has_zero_divisor(expr), text
+        assume(False)
+    z = sympy.Symbol("z")
+    num, den = sympy.fraction(sympy.together(expr))
+
+    def as_sympy(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * z**i for i, c in enumerate(p))
+
+    assert sympy.expand(as_sympy(rf.num) * den - num * as_sympy(rf.den)) == 0, text
+
+
+def test_long_and_deep_expressions():
+    assert _equal(parse_expr("+".join(["z"] * 500), "z"), [0, 500], [1])
+    # past the limits of Python's own parser the answer is an error, not a
+    # traceback
+    for text in ("+".join(["z"] * 5000), "-" * 100000 + "z", "(" * 300 + "z" + ")" * 300):
+        with pytest.raises(MapParseError):
+            parse_expr(text, "z")
+
+
 def test_lattes_maps_build_for_every_multiplier():
     rc, out, _ = run_cli(["make", "lattes", "--a", "-1", "--b", "0", "--m", "5"])
     assert rc == 0 and json.loads(out)["results"]["degree"] == 25
@@ -151,6 +236,16 @@ def test_parse_errors_exit_2():
         ["equidist", "--map", "z^2-1", "--periods", "0"],
         ["equidist", "--map", "z^2-1", "--periods", "1,a"],
         ["lyapunov", "--map", "z^2-1", "--samples", "100", "--periodic", "-1"],
+        # 300 nested parentheses once ended in a RecursionError traceback
+        ["spectrum", "--map", "(" * 300 + "z^2" + ")" * 300, "--max-period", "1"],
+        # outside the map grammar: a hex literal, a non-integer exponent,
+        # other Python, non-ASCII text
+        ["spectrum", "--map", "0x10*z^2", "--max-period", "1"],
+        ["spectrum", "--map", "z^1.5", "--max-period", "1"],
+        ["spectrum", "--map", "z^2 if 1 else z", "--max-period", "1"],
+        ["spectrum", "--map", "__import__('os')", "--max-period", "1"],
+        ["spectrum", "--map", "z[0]", "--max-period", "1"],
+        ["spectrum", "--map", "\uff5a*12+3*z^2", "--max-period", "1"],
     ],
 )
 def test_bad_fields_and_periods_exit_2(argv):

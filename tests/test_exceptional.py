@@ -25,7 +25,7 @@ from ratdyn import (
     spectra,
 )
 from ratdyn.polys import padd, pmul, pscale, pstrip
-from ratdyn.spectra import AlgebraicSpectrum
+from ratdyn.spectra import PeriodFactors
 from ratdyn.sphere import RationalMap, critical_points, postcritical_truncation
 
 
@@ -275,12 +275,15 @@ def test_classify_undetermined_without_exact_data():
     assert res.kind in ("undetermined", "not-exceptional")
 
 
-def _quadratic_spectrum(*quadratics):
-    """A spectrum with one factor λ^2 + c1 λ + c0 per period."""
-    spec = AlgebraicSpectrum(degree=2)
-    for n, (c0, c1) in enumerate(quadratics, start=1):
-        spec.periods[n] = [((Fraction(c0), Fraction(c1), Fraction(1)), 1)]
-    return spec
+def _quadratic_factors(*quadratics):
+    """multiplier_factors with one cycle-level factor λ^2 + c1 λ + c0 at
+    each period."""
+
+    def factors(f, n, cap=None, seed=0):
+        c0, c1 = quadratics[n - 1]
+        return PeriodFactors(n, [((Fraction(c0), Fraction(c1), Fraction(1)), n)], 2 * n)
+
+    return factors
 
 
 _C216 = (2**127 - 1) * (2**89 - 1)
@@ -299,7 +302,7 @@ _C216 = (2**127 - 1) * (2**89 - 1)
 def test_the_field_violation_compares_discriminants_by_squares(
     monkeypatch, quadratics, two_fields
 ):
-    monkeypatch.setattr(spectra, "algebraic_spectrum", lambda *a, **k: _quadratic_spectrum(*quadratics))
+    monkeypatch.setattr(spectra, "multiplier_factors", _quadratic_factors(*quadratics))
     start = time.perf_counter()
     got = exceptional._exact_field_violation(power_map(2, 1), len(quadratics))
     assert time.perf_counter() - start < 0.1
@@ -340,3 +343,18 @@ def test_a_period_past_the_exact_cap_keeps_the_violation_below_it(coeffs, max_pe
     res = classify(build_map(coeffs, [1]), max_period=max_period)
     assert res.kind == "not-exceptional"
     assert res.evidence["violation"]["period"] == 1
+
+
+def test_the_field_violation_stops_at_the_first_violating_period(monkeypatch):
+    # z^3 - 2z + 1 violates at period 1, so periods 2..5 are never factored
+    calls = []
+    real = spectra.multiplier_factors
+
+    def spy(f, n, **kw):
+        calls.append(n)
+        return real(f, n, **kw)
+
+    monkeypatch.setattr(spectra, "multiplier_factors", spy)
+    res = classify(build_map([1, -2, 0, 1], [1]), max_period=6)
+    assert res.evidence["violation"]["period"] == 1
+    assert calls == [1]
