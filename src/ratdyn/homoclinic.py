@@ -5,11 +5,11 @@ Given a repelling periodic point z0 away from the postcritical set, a
 backward chain returning to a small disk around z0 yields, for every large
 n, a periodic point w_n of exact period n whose orbit spends n - l steps
 near z0; the exponents chi(w_n) converge to chi(z0) like O(1/n).  Inverse
-branches are realized numerically by nearest-preimage continuation; each
-w_n is Newton-refined, then re-verified in high precision (period and
-proper-divisor separation), never trusted from double precision alone.
-The extended-precision orbits (mpmath) move between the z and 1/z charts,
-so orbits through a pole or Infinity are handled like any other.
+branches are realized numerically by nearest-preimage continuation.  The
+orbit they walk is closed by a double-precision multiple-shooting Newton on
+z_(j+1) = F(z_j), with each z_j in the z or 1/z chart (so orbits through a
+pole or Infinity are handled like any other), and its exact period is
+checked against every proper divisor of n.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
 
 from . import config
@@ -31,14 +30,15 @@ from .errors import (
     RatdynError,
 )
 from .periodic import _divisors, compose_hom, multiplier
-from .polys import ppad, peval
 from .roots import solve_poly
-from .scalars import Qi
 from .sphere import (
     ProjPoint,
     RationalMap,
+    _chart_value,
     build_map,
+    chart_step,
     chordal,
+    chordal_xy,
     critical_points,
     postcritical_truncation,
     spherical_norm,
@@ -46,6 +46,8 @@ from .sphere import (
 
 SEARCH_DEPTH = 14  # preimage levels find_seed searches for a return into V
 ALPHA = 1.5  # the sandwich bound's alpha > 1
+NEWTON_SWEEPS = 12  # multiple-shooting sweeps before NewtonDiverged
+NEWTON_STEP = 1e-13  # a step this small leaves the next error at rounding level
 
 
 def iterate_map(f: RationalMap, q: int) -> RationalMap:
@@ -121,8 +123,7 @@ def find_seed(
     img = F.evaluate(p0f)
     if chordal(img, p0f) > 100 * tol:
         raise RatdynError(f"point is not fixed by f^{q} at tolerance")
-    lam = multiplier(F, [p0f])
-    lam_c = complex(lam) if isinstance(lam, Qi) else complex(lam)
+    lam_c = complex(multiplier(F, [p0f]))
     if abs(lam_c) <= 1.0 + 1e-9:
         raise NotRepelling(f"|multiplier| = {abs(lam_c):.6g} <= 1")
     trunc = postcritical_truncation(f, depth=32, tol=config.DEDUP_TOL)
@@ -254,106 +255,108 @@ class ExponentSequence:
         return self.seed.target_exponent
 
 
-def _apply_g(F, z0, lam, y, times: int) -> complex:
-    for _ in range(times):
-        y = _nearest_preimage(F, y, z0 + (y - z0) / lam)
-    return y
-
-
-def _apply_h(F, chain, y) -> complex:
-    """Backward continuation along the chain: maps a point near z0 to the
-    corresponding point near z_l."""
-    l = len(chain) - 1
-    u = y
-    for j in range(1, l + 1):
-        u = _nearest_preimage(F, u, chain[l - j])
-    return u
+def _pseudo_orbit(F, seed: HomoclinicSeed, n: int) -> list[complex]:
+    """The start of the period-n orbit: z_l pulled back n - l times by the
+    inverse branch fixing z0, then l times along the chain.  Each point
+    walked is a preimage of the one before, so read backwards they form an
+    orbit of F with one closing jump: F maps the last of them to z_l, not
+    to the first."""
+    z0, lam, chain, l = seed.z0, seed.multiplier, seed.chain, seed.l
+    walk = [chain[0]]
+    for _ in range(n - l):
+        y = walk[-1]
+        walk.append(_nearest_preimage(F, y, z0 + (y - z0) / lam))
+    for target in reversed(chain[:-1]):
+        walk.append(_nearest_preimage(F, walk[-1], target))
+    return walk[:0:-1]
 
 
 # ----------------------------------------------------------------------
-# extended-precision orbits in the two charts of the sphere
+# cyclic orbits in the two charts of the sphere
 # ----------------------------------------------------------------------
 
 
-def _mp_qi(c: Qi) -> mp.mpc:
-    re = mp.mpf(c.re.numerator) / mp.mpf(c.re.denominator)
-    im = mp.mpf(c.im.numerator) / mp.mpf(c.im.denominator)
-    return mp.mpc(re, im)
+def _chart_orbit(points) -> list[tuple[complex, bool]]:
+    """Each point as (u, in_z) in the chart that chart_step_derivative uses:
+    u = z if |z| <= 1, else u = 1/z (0 at Infinity)."""
+    return [
+        _chart_value(p if isinstance(p, ProjPoint) else ProjPoint.finite(p), False)
+        for p in points
+    ]
 
 
-def _mp_charts(f: RationalMap):
-    """{in_z: (A, B, A', B')}: f's homogeneous coefficient lists as mpc at
-    the working precision, for the z chart (True) and the 1/z chart (False).
-    Rational maps use the integer pair, which is exact at any precision;
-    float coefficients are taken as given (mpc inputs keep their digits)."""
-    if f.int_pair is not None:
-        A, B = ([mp.mpc(c) for c in p] for p in f.int_pair)
-    else:
-        def conv(x):
-            return _mp_qi(Qi.coerce(x)) if f.exact else mp.mpc(x)
-
-        A, B = ([conv(x) for x in ppad(p, f.degree + 1, 0)] for p in (f.num, f.den))
-
-    def dpoly(p):
-        return [k * p[k] for k in range(1, len(p))]
-
-    Ar, Br = A[::-1], B[::-1]
-    return {True: (A, B, dpoly(A), dpoly(B)), False: (Ar, Br, dpoly(Ar), dpoly(Br))}
+def _steps(F: RationalMap, orbit):
+    """Step residuals r_j = F(z_j) - z_(j+1) and derivatives d_j of the
+    cyclic chart orbit (j mod n), both in the chart of z_(j+1).  Where F(z_j)
+    is the pole of that chart, r_j is infinite (callers silence numpy's
+    warnings)."""
+    rs, ds = [], []
+    for (u, in_z), (v, out_z) in zip(orbit, orbit[1:] + orbit[:1]):
+        image, d = chart_step(F, u, in_z, out_z, False)
+        rs.append(image - v)
+        ds.append(d)
+    return rs, ds
 
 
-def _mp_step(charts, u, in_z: bool, z_chart):
-    """f at the chart point u (the z chart if in_z, else the 1/z chart):
-    (image, derivative between the charts, image chart), where the image
-    lands in the z chart iff z_chart(P, Q) for its homogeneous (P, Q)."""
-    A, B, dA, dB = charts[in_z]
-    P, Q = peval(A, u), peval(B, u)
-    dP, dQ = peval(dA, u), peval(dB, u)
-    if z_chart(P, Q):
-        return P / Q, (dP * Q - P * dQ) / (Q * Q), True
-    return Q / P, (dQ * P - Q * dP) / (P * P), False
+def _orbit_exponent(F: RationalMap, orbit):
+    """(multiplier, chi, residual) of the cyclic chart orbit: the product
+    and the mean log modulus of the step derivatives, and the largest step
+    residual."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rs, ds = _steps(F, orbit)
+        chi = sum(math.log(abs(d)) if d else -math.inf for d in ds) / len(ds)
+        return complex(math.prod(ds)), chi, float(np.max(np.abs(rs)))
 
 
-def _mp_refine_periodic(f: RationalMap, z0: complex, n: int, dps: int):
-    """Newton-refine a period-n point in mpmath, chart-switching at |z|=1."""
-    with mp.workdps(dps):
-        charts = _mp_charts(f)
+def _close_orbit(F: RationalMap, orbit):
+    """Multiple-shooting Newton on z_(j+1) = F(z_j), j mod n, each z_j kept
+    in its chart.  The cyclic bidiagonal system d_j du_j - du_(j+1) = -r_j
+    closes with du_0 = S / (1 - prod d_j), S = sum_j r_j prod_(k>j) d_k
+    (summed divided through by prod d_j, which cannot overflow); the backward
+    sweep du_j = (du_(j+1) - r_j) / d_j then divides rounding by |d_j|,
+    where the forward one would multiply it by |lambda|."""
+    n = len(orbit)
+    for _ in range(NEWTON_SWEEPS):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rs, ds = _steps(F, orbit)
+            inv, t = 1.0, 0j
+            for d, r in zip(ds, rs):
+                inv = inv / d
+                t = t + r * inv
+            du = [t / (inv - 1)] * n
+            for j in range(n - 1, 0, -1):
+                du[j] = (du[(j + 1) % n] - rs[j]) / ds[j]
+            size = float(np.max(np.abs(du)))
+        if not math.isfinite(size):
+            break
+        orbit = [(u + step, in_z) for (u, in_z), step in zip(orbit, du)]
+        if size <= NEWTON_STEP:
+            return orbit
+    raise NewtonDiverged(f"Newton did not converge for n = {n}", n=n)
 
-        def ratio(z):
-            in_z = abs(z) <= 1
-            u = z if in_z else 1 / z
-            D = mp.mpc(1) if in_z else -(u * u)
-            for _ in range(n):
-                u, s, in_z = _mp_step(charts, u, in_z, lambda P, Q: abs(P) <= abs(Q))
-                D = D * s
-            val = u if in_z else 1 / u
-            dval = D if in_z else -D / (u * u)
-            return (val - z) / (dval - 1)
 
-        z = mp.mpc(z0)
-        for _ in range(dps.bit_length() + 8):
-            step = ratio(z)
-            z = z - step
-            if abs(step) < mp.mpf(10) ** (-dps + 5):
-                break
-        return z
-
-
-def _mp_orbit_exponent(F: RationalMap, w, n: int, dps: int = 40):
-    """(multiplier, n chi, residual) of the period-n orbit through the finite
-    point w, as mp numbers.  The orbit stays in the z chart and moves to the
-    1/z chart only at Infinity; the residual |F^n(w) - w| is inf when F^n(w)
-    is Infinity."""
-    with mp.workdps(dps):
-        charts = _mp_charts(F)
-        z, in_z = mp.mpc(w), True
-        lam = mp.mpc(1)
-        log_norm = mp.mpf(0)
-        for _ in range(n):
-            z, deriv, in_z = _mp_step(charts, z, in_z, lambda P, Q: Q != 0)
-            lam *= deriv
-            log_norm += mp.log(abs(deriv))
-        residual = abs(z - mp.mpc(w)) if in_z else mp.inf
-        return lam, log_norm, residual
+def _cycle_entry(F: RationalMap, orbit, tol: float) -> SequenceEntry:
+    """Close the chart orbit by Newton and check its exact period at the
+    reported point z_0: a point of exact period m | n, m < n, has
+    z_k = z_0 for a proper divisor k of n."""
+    n = len(orbit)
+    orbit = _close_orbit(F, orbit)
+    lam, chi, resid = _orbit_exponent(F, orbit)
+    xy = [(u, 1.0) if in_z else (1.0, u) for u, in_z in orbit]
+    for k in _divisors(n)[:-1]:
+        if chordal_xy(*xy[0], *xy[k]) < 10 * tol:
+            raise PeriodCollision(
+                f"refined point has period dividing {k} < {n}: bad seed", n=n
+            )
+    X, Y = xy[0]
+    return SequenceEntry(
+        n=n,
+        point=complex(X / Y),
+        period_verified=resid < tol,
+        multiplier=lam,
+        char_exponent=chi,
+        residual=resid,
+    )
 
 
 def exponent_sequence(
@@ -363,9 +366,9 @@ def exponent_sequence(
     n_max: int,
     tol: float = 1e-9,
 ) -> ExponentSequence:
-    """For each n in [n_min, n_max]: pseudo-orbit through W plus n - l
-    inverse-branch contractions, Newton refinement of f^n(w) = w, and
-    high-precision verification of exact period n.
+    """For each n in [n_min, n_max]: the pseudo-orbit through W and n - l
+    inverse-branch contractions, closed by multiple-shooting Newton, with
+    its exact period checked.
 
     Requires n_min >= 2 l + 1 (below that the period argument can fail)."""
     F = seed.map_q
@@ -377,65 +380,11 @@ def exponent_sequence(
         )
     if n_max < n_min:
         raise ValueError("n_max < n_min")
-    entries: list[SequenceEntry] = []
-    for n in range(n_min, n_max + 1):
-        w_mp = _refine_entry(F, seed, n, tol)
-        lam, log_norm, resid = _mp_orbit_exponent(F, w_mp, n, dps=60)
-        # exact-period check at high precision via proper divisors
-        verified = resid < tol
-        for k in _divisors(n)[:-1]:
-            _, _, rk = _mp_orbit_exponent(F, w_mp, k, dps=60)
-            if rk < 10 * tol:
-                raise PeriodCollision(
-                    f"refined point has period dividing {k} < {n}: bad seed",
-                    n=n,
-                )
-        entries.append(
-            SequenceEntry(
-                n=n,
-                point=complex(float(w_mp.real), float(w_mp.imag)),
-                period_verified=verified,
-                multiplier=complex(lam),
-                char_exponent=float(log_norm) / n,
-                residual=float(resid),
-            )
-        )
+    entries = [
+        _cycle_entry(F, _chart_orbit(_pseudo_orbit(F, seed, n)), tol)
+        for n in range(n_min, n_max + 1)
+    ]
     return ExponentSequence(seed=seed, entries=entries)
-
-
-def _refine_entry(F, seed: HomoclinicSeed, n: int, tol: float):
-    z0, lam, l = seed.z0, seed.multiplier, seed.l
-    r_W = seed.r_W
-    for attempt in range(2):
-        y = seed.chain[0]  # z_l
-        if attempt == 1:
-            # re-seed once with a tighter start (shrunken r_W)
-            y = seed.chain[0] + 0.25 * r_W
-        x = _apply_g(F, z0, lam, y, n - l)
-        guess = _apply_h(F, seed.chain, x)
-        w = _newton_period(F, guess, n)
-        if w is not None:
-            # refine in extended precision for verifiable residuals;
-            # keep the mp value (double truncation would wreck them)
-            return _mp_refine_periodic(F, w, n, dps=60)
-    raise NewtonDiverged(f"Newton did not converge for n = {n}", n=n)
-
-
-def _newton_period(F, w0: complex, n: int):
-    from .periodic import make_period_ratio
-
-    ratio = make_period_ratio(F, n)
-    w = np.array([w0], dtype=complex)
-    for _ in range(60):
-        step = ratio(w)
-        if not np.isfinite(step[0]):
-            return None
-        w = w - step
-        if abs(step[0]) < 1e-14 * (1 + abs(w[0])):
-            return complex(w[0])
-        if abs(w[0]) > 1e8:
-            return None
-    return None
 
 
 # ----------------------------------------------------------------------

@@ -468,15 +468,6 @@ class AlgebraicSpectrum:
     )
     period_factors: dict[int, PeriodFactors] = field(default_factory=dict)
 
-    def describe(self) -> dict[int, list[str]]:
-        return {
-            n: [
-                poly_to_str(list(q), "λ") + (f" ^{m}" if m > 1 else "")
-                for q, m in facs
-            ]
-            for n, facs in sorted(self.periods.items())
-        }
-
 
 def algebraic_spectrum(
     f: RationalMap,

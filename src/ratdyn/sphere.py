@@ -320,7 +320,7 @@ class RationalMap:
         scale = max(np.abs(nf).max(), np.abs(df).max())
         self._nf = nf / scale
         self._df = df / scale
-        self._charts = {}  # chart_step_derivative's polynomials, filled on use
+        self._charts = {}  # chart_step's polynomials, filled on use
         self._wronskian_f = np.polynomial.polynomial.polysub(
             np.polynomial.polynomial.polymul(
                 np.polynomial.polynomial.polyder(self._nf), self._df
@@ -704,13 +704,11 @@ def _chart_value(p: ProjPoint, exact: bool):
     return one / z, False
 
 
-def chart_step_derivative(f: RationalMap, p: ProjPoint, q: ProjPoint):
-    """Derivative of chart_out o f o chart_in^(-1) at p, where each point
-    uses the z chart iff |z| <= 1.  Multiplying these along a cycle gives
-    the multiplier (chart corrections telescope).  The chart polynomials
-    and their derivatives are built once per map, exactness and chart."""
-    exact = f.exact and p.is_exact
-    u, in_z = _chart_value(p, exact)
+def chart_step(f: RationalMap, u, in_z: bool, out_z: bool, exact: bool):
+    """(image, derivative) of chart_out o f o chart_in^(-1) at the chart
+    value u, where in_z/out_z pick the z chart (True) or the w = 1/z chart.
+    The chart polynomials and their derivatives are built once per map,
+    exactness and chart."""
     if (exact, in_z) not in f._charts:
         d = f.degree
         if exact:
@@ -723,9 +721,17 @@ def chart_step_derivative(f: RationalMap, p: ProjPoint, q: ProjPoint):
             P, Q = preverse(num, d + 1), preverse(den, d + 1)
         f._charts[exact, in_z] = (P, Q, pderiv(P), pderiv(Q))
     P, Q, dP, dQ = f._charts[exact, in_z]
-    out_z = _charts_for(q)
     Pu, Qu = peval(P, u), peval(Q, u)
     dPu, dQu = peval(dP, u), peval(dQ, u)
     if out_z:
-        return (dPu * Qu - Pu * dQu) / (Qu * Qu)
-    return (dQu * Pu - Qu * dPu) / (Pu * Pu)
+        return Pu / Qu, (dPu * Qu - Pu * dQu) / (Qu * Qu)
+    return Qu / Pu, (dQu * Pu - Qu * dPu) / (Pu * Pu)
+
+
+def chart_step_derivative(f: RationalMap, p: ProjPoint, q: ProjPoint):
+    """Derivative of chart_out o f o chart_in^(-1) at p, where each point
+    uses the z chart iff |z| <= 1.  Multiplying these along a cycle gives
+    the multiplier (chart corrections telescope)."""
+    exact = f.exact and p.is_exact
+    u, in_z = _chart_value(p, exact)
+    return chart_step(f, u, in_z, _charts_for(q), exact)[1]

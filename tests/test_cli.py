@@ -397,6 +397,11 @@ def test_homoclinic_subcommand():
     assert abs(res["target_chi"] - math.log(1 + math.sqrt(5))) < 1e-9
     assert all(e["period_verified"] for e in res["entries"])
     assert res["convergence"]["c_over_n_holds"] is True
+    # the documented entry shape; residuals are double step residuals
+    with open(os.path.join(os.path.dirname(__file__), "..", "docs", "report_schema.json")) as fh:
+        (shape,) = json.load(fh)["homoclinic_entries"]["shape"]
+    assert all(sorted(e) == sorted(shape) for e in res["entries"])
+    assert all(e["residual"] < 1e-14 for e in res["entries"])
 
 
 @pytest.mark.parametrize("n_min,n_max", [("9", "11"), ("1", "6")])

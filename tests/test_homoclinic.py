@@ -1,7 +1,7 @@
 import dataclasses
 import math
+from fractions import Fraction
 
-import mpmath as mp
 import pytest
 
 from ratdyn import (
@@ -15,8 +15,11 @@ from ratdyn import (
     find_seed,
     power_map,
 )
-from ratdyn.errors import InPostcriticalSet
-from ratdyn.homoclinic import _mp_orbit_exponent
+from ratdyn.errors import InPostcriticalSet, NewtonDiverged, PeriodCollision
+from ratdyn.homoclinic import _chart_orbit, _cycle_entry, _orbit_exponent
+from ratdyn.sphere import INF
+
+from mp_reference import _mp_orbit_exponent, _mp_refine_periodic
 
 Z2 = build_map([0, 0, 1], [1])
 BASILICA = build_map([-1, 0, 1], [1])
@@ -133,43 +136,74 @@ def test_convergence_report_needs_four_entries():
         convergence_report(seq)
 
 
+@pytest.mark.parametrize(
+    "f, z0, n_max",
+    [
+        (BASILICA, GOLDEN, 25),  # the README command
+        (build_map([1], [-1, 0, 1]), 1.324717957244746, 16),  # the plastic number
+        (build_map([Fraction(-1, 3), 0, 1], [1]), 1.2637626158259734, 12),
+    ],
+    ids=["basilica", "plastic", "rational-coefficients"],
+)
+def test_exponents_match_the_60_digit_reference(f, z0, n_max):
+    """Every chi_n within 1e-14 and every multiplier within 1e-12 relative
+    of the orbit refined at 60 digits from the reported point (through the
+    integer pair, exact at any precision, when the map is rational)."""
+    seed = find_seed(f, z0, q=1)
+    seq = exponent_sequence(f, seed, 2 * seed.l + 1, n_max, tol=1e-12)
+    assert [e.n for e in seq.entries] == list(range(9, n_max + 1))
+    for e in seq.entries:
+        w = _mp_refine_periodic(seed.map_q, e.point, e.n, 60)
+        lam, log_norm, residual = _mp_orbit_exponent(seed.map_q, w, e.n, dps=60)
+        assert residual < 1e-40
+        assert e.period_verified and e.residual < 1e-14
+        assert abs(e.char_exponent - float(log_norm) / e.n) <= 1e-14
+        assert abs(e.multiplier - complex(lam)) <= 1e-12 * abs(complex(lam))
+
+
+def test_a_repeated_fixed_point_is_a_period_collision():
+    # the golden fixed point six times over closes at once, but z_1 = z_0
+    orbit = _chart_orbit([GOLDEN] * 6)
+    with pytest.raises(PeriodCollision):
+        _cycle_entry(BASILICA, orbit, 1e-9)
+
+
 # ----------------------------------------------------------------------
-# extended-precision orbits through poles and Infinity
+# double-precision orbits through poles and Infinity
 # ----------------------------------------------------------------------
 
 
 def _conjugated_chebyshev():
-    """z^2 - 2 conjugated by M(z) = (z - b)/(z - a) at 80 digits, where
+    """z^2 - 2 conjugated by M(z) = (z - b)/(z - a) in doubles, where
     a, b = (-1 +- sqrt 5)/2 is its period-2 cycle (multiplier 4ab = -4):
     M sends a to Infinity and b to 0, so the conjugate
     g(w) = ((s - 1) w + 1) / (w ((s + 1) - w)), s = sqrt 5, has the 2-cycle
-    {0, Infinity}.  Its coefficients are mp numbers, kept at full precision."""
-    with mp.workdps(80):
-        s = mp.sqrt(5)
-        a, b = (s - 1) / 2, -(s + 1) / 2
-        g = RationalMap([mp.mpf(1), s - 1], [mp.mpf(0), s + 1, mp.mpf(-1)], exact=False)
-        for z in (mp.mpf("0.3"), mp.mpc("1.7", "-0.4")):  # g M = M f
-            gm = (1 + (s - 1) * ((z - b) / (z - a))) / (
-                ((z - b) / (z - a)) * ((s + 1) - (z - b) / (z - a))
-            )
-            fz = z * z - 2
-            assert abs(gm - (fz - b) / (fz - a)) < mp.mpf(10) ** -70
+    {0, Infinity}."""
+    s = math.sqrt(5)
+    a, b = (s - 1) / 2, -(s + 1) / 2
+    g = RationalMap([1.0, s - 1], [0.0, s + 1, -1.0], exact=False)
+    for z in (0.3, complex(1.7, -0.4)):  # g M = M f
+        m = (z - b) / (z - a)
+        fz = z * z - 2
+        assert abs((1 + (s - 1) * m) / (m * ((s + 1) - m)) - (fz - b) / (fz - a)) < 1e-12
     return g
 
 
-def test_mp_orbit_exponent_through_infinity():
-    g = _conjugated_chebyshev()
-    lam, log_norm, residual = _mp_orbit_exponent(g, 0, 2, dps=60)
-    with mp.workdps(60):
-        assert abs(lam + 4) < 1e-40
-        assert abs(log_norm / 2 - mp.log(2)) < 1e-40
-        assert residual < 1e-40
+def test_orbit_exponent_through_infinity():
+    lam, chi, residual = _orbit_exponent(_conjugated_chebyshev(), _chart_orbit([0, INF]))
+    assert abs(lam + 4) < 1e-12
+    assert abs(chi - math.log(2)) < 1e-12
+    assert residual < 1e-12
 
 
-def test_mp_orbit_exponent_at_a_pole():
+def test_orbit_exponent_at_a_pole():
     # 0 -> Infinity -> 0 is the superattracting 2-cycle of z^-2
-    lam, log_norm, residual = _mp_orbit_exponent(power_map(2, -1), 0, 2)
-    assert lam == 0 and log_norm == -mp.inf and residual == 0
-    # (1 + 2z^2)/z: 0 -> Infinity -> Infinity never returns to 0
-    lam, _, residual = _mp_orbit_exponent(build_map([1, 0, 2], [0, 1]), 0, 2)
-    assert residual == mp.inf
+    lam, chi, residual = _orbit_exponent(power_map(2, -1), _chart_orbit([0, INF]))
+    assert lam == 0 and chi == -math.inf and residual == 0
+    # (1 + 2z^2)/z: 0 -> Infinity -> Infinity never returns to 0, and Newton
+    # cannot close that orbit
+    g = build_map([1, 0, 2], [0, 1])
+    _, _, residual = _orbit_exponent(g, _chart_orbit([0, INF]))
+    assert residual == math.inf
+    with pytest.raises(NewtonDiverged):
+        _cycle_entry(g, _chart_orbit([0, INF]), 1e-9)

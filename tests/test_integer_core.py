@@ -8,8 +8,6 @@ certificate (now kept in ``two_route_reference.py``); the multiplier
 element over ``Fraction`` coefficients is ``fraction_reference.py``.
 """
 
-import io
-import json
 import math
 import random
 from fractions import Fraction
@@ -18,7 +16,6 @@ import numpy as np
 import pytest
 
 from ratdyn import build_map, periodic, spectra
-from ratdyn.cli import run
 from ratdyn.exceptional import (
     LattesSpec,
     chebyshev_map,
@@ -354,20 +351,3 @@ def test_kronecker_product_is_the_schoolbook_product(la, lb):
         a, b = [2**bits - 1] * la, [1 - 2**bits] * lb
         assert ipmul(a, b) == pmul(a, b)
     assert ipmul([0] * 20, [1] * 20) == [] == pmul([0] * 20, [1] * 20)
-
-
-# ----------------------------------------------------------------------
-# high-precision refinement of a map with non-integer coefficients
-# ----------------------------------------------------------------------
-
-
-def test_homoclinic_refines_at_full_precision_for_rational_coefficients():
-    argv = [
-        "homoclinic", "--map", "z^2-1/3", "--point", "1.2637626158259734",
-        "--q", "1", "--n-min", "9", "--n-max", "12",
-    ]
-    out = io.StringIO()
-    assert run(argv, out=out, err=io.StringIO()) == 0
-    entries = json.loads(out.getvalue())["results"]["entries"]
-    assert [e["n"] for e in entries] == [9, 10, 11, 12]
-    assert all(e["residual"] < 1e-40 for e in entries)

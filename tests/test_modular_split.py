@@ -11,7 +11,8 @@ the production spectra against independent references:
   multiplier element and its Krylov minimal polynomial,
   ``fraction_reference.py``), on small random integer maps;
 * a test-only copy of the mpmath route it replaced (Newton refinement of
-  the cluster points and a product tree), on the T3/T4 clusters;
+  the cluster points by ``mp_reference.py`` and a product tree), on the
+  T3/T4 clusters;
 * exact integer arithmetic and the former pure-Python Euclid, for the
   FFT product, Barrett reduction and gcd over F_p.
 """
@@ -29,7 +30,6 @@ from hypothesis import strategies as st
 from ratdyn import build_map, spectra
 from ratdyn.errors import DegenerateMap, DegreeTooLow, InexactDivision, RatdynError
 from ratdyn.exceptional import LattesSpec, chebyshev_map, flexible_lattes
-from ratdyn.homoclinic import _mp_refine_periodic
 from ratdyn.periodic import (
     cycles_of_period,
     dynatomic_numerator,
@@ -40,6 +40,7 @@ from ratdyn.polys import FpModulus, fp_array, fp_gcd, fp_mul, idivexact, pstrip,
 
 import two_route_reference as two_route
 from fraction_reference import generic_factors as _generic_factors
+from mp_reference import _mp_refine_periodic
 
 P = next(word_primes())
 

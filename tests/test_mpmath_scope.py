@@ -1,5 +1,6 @@
-"""mpmath serves only the homoclinic verification: every other module of
-the package has an exact or double-precision route.
+"""No module of the package imports mpmath: every computation has an exact
+or double-precision route (the 60-digit homoclinic orbits survive only as
+the test reference ``mp_reference.py``).
 
 The check reads the source of ``src/ratdyn/*.py``, not ``sys.modules``,
 because sympy imports mpmath itself.
@@ -9,7 +10,6 @@ import ast
 import os
 
 PKG = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "src", "ratdyn"))
-ALLOWED = {"homoclinic"}
 
 
 def _imported_modules(tree):
@@ -35,12 +35,11 @@ def mpmath_importers(sources=None):
     return sorted(
         module
         for module, text in sources.items()
-        if module not in ALLOWED
-        and any(name.split(".")[0] == "mpmath" for name in _imported_modules(ast.parse(text)))
+        if any(name.split(".")[0] == "mpmath" for name in _imported_modules(ast.parse(text)))
     )
 
 
-def test_only_homoclinic_imports_mpmath():
+def test_no_module_imports_mpmath():
     assert mpmath_importers() == []
 
 
@@ -51,4 +50,17 @@ def test_an_import_inside_a_function_is_found():
         "clean": "import math\nfrom .polys import peval\n",
         "homoclinic": "import mpmath as mp\n",
     }
-    assert mpmath_importers(sources) == ["other", "scratch"]
+    assert mpmath_importers(sources) == ["homoclinic", "other", "scratch"]
+
+
+def test_a_homoclinic_run_loads_no_mpmath():
+    from test_irreducible import _fresh
+
+    code = (
+        "import sys\n"
+        "from ratdyn import build_map, exponent_sequence, find_seed\n"
+        "f = build_map([-1, 0, 1], [1])\n"
+        "exponent_sequence(f, find_seed(f, (1 + 5 ** 0.5) / 2), 9, 12)\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    assert _fresh(code) == ["False"]
