@@ -1,6 +1,8 @@
 """ratdyn: periodic-point multiplier data, exact spectra and ergodic
 diagnostics for rational maps on the Riemann sphere."""
 
+__version__ = "0.1.0"  # the one version string; pyproject.toml repeats it
+
 from .errors import (
     DegenerateMap,
     DegreeCapExceeded,
@@ -85,7 +87,5 @@ from .homoclinic import (
     exponent_sequence,
     find_seed,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import cmath
 import json
 import sys
 import time
@@ -149,17 +150,22 @@ def _constant(rf: _RatFunc) -> Fraction | None:
 
 
 def _coeff_from_json(v):
-    if isinstance(v, (int, float)):
+    if isinstance(v, dict) and v.get("inf"):
+        raise MapParseError("Infinity is not a coefficient")
+    try:
+        if isinstance(v, str):
+            return qi_from_string(v)
+        if isinstance(v, dict):
+            re, im = v.get("re", 0), v.get("im", 0)
+            if isinstance(re, str) or isinstance(im, str):
+                return Qi(Fraction(str(re)), Fraction(str(im)))
+            v = complex(re, im)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise MapParseError(f"bad coefficient {v!r}: {e}") from None
+    # ints stay exact (isfinite would overflow on a large one); NaN and
+    # Infinity are not coefficients
+    if isinstance(v, int) or isinstance(v, (float, complex)) and cmath.isfinite(v):
         return v
-    if isinstance(v, str):
-        return qi_from_string(v)
-    if isinstance(v, dict):
-        if v.get("inf"):
-            raise MapParseError("Infinity is not a coefficient")
-        re, im = v.get("re", 0), v.get("im", 0)
-        if isinstance(re, str) or isinstance(im, str):
-            return Qi(Fraction(str(re)), Fraction(str(im)))
-        return complex(re, im)
     raise MapParseError(f"bad coefficient {v!r}")
 
 
@@ -172,9 +178,11 @@ def parse_map(spec: str, stdin_text: str | None = None) -> RationalMap:
             data = json.loads(payload)
         except json.JSONDecodeError as e:
             raise MapParseError(f"stdin is not valid JSON: {e}") from None
-        if "results" in data and isinstance(data["results"], dict):
+        if isinstance(data, dict) and isinstance(data.get("results"), dict):
             data = data["results"]
-        if "num" not in data or "den" not in data:
+        if not isinstance(data, dict) or not all(
+            isinstance(data.get(k), list) for k in ("num", "den")
+        ):
             raise MapParseError("stdin JSON needs 'num' and 'den' arrays")
         num = [_coeff_from_json(v) for v in data["num"]]
         den = [_coeff_from_json(v) for v in data["den"]]
@@ -197,9 +205,9 @@ def _builder_map(spec: str) -> RationalMap:
             sign = 1 if len(parts) < 3 or parts[2] in ("+", "", "+1", "1") else -1
             return (power_map if kind == "power" else chebyshev_map)(int(parts[1]), sign)
         if kind == "lattes":
-            a, b, m = Fraction(parts[1]), Fraction(parts[2]), int(parts[3])
-            return flexible_lattes(LattesSpec(a, b, m))
-    except (IndexError, ValueError) as e:
+            _, a, b, m = parts
+            return flexible_lattes(LattesSpec(Fraction(a), Fraction(b), int(m)))
+    except (IndexError, ValueError, ZeroDivisionError) as e:
         raise MapParseError(f"bad builder spec {spec!r}: {e}") from None
     raise MapParseError(f"unknown builder {kind!r}")
 
@@ -489,26 +497,14 @@ def _cmd_zdunik(args, stdin_text):
 
 
 def _cmd_make(args, stdin_text):
-    from .exceptional import LattesSpec, chebyshev_map, flexible_lattes, power_map
-
-    if args.family == "power":
-        f = power_map(args.d, -1 if args.sign == "-" else 1)
-        desc = {"family": "power", "d": args.d, "sign": args.sign}
-    elif args.family == "chebyshev":
-        f = chebyshev_map(args.d, -1 if args.sign == "-" else 1)
-        desc = {"family": "chebyshev", "d": args.d, "sign": args.sign}
+    if args.family == "lattes":
+        f = _builder_map(f"lattes:{args.a}:{args.b}:{args.m}")
+        a, b = (fraction_str(Fraction(x)) for x in (args.a, args.b))
+        desc = {"a": a, "b": b, "m": args.m}
     else:
-        spec = LattesSpec(Fraction(args.a), Fraction(args.b), args.m)
-        f = flexible_lattes(spec)
-        desc = {
-            "family": "lattes",
-            "a": fraction_str(spec.a),
-            "b": fraction_str(spec.b),
-            "m": args.m,
-        }
-    pay = _map_payload(f)
-    pay.update(desc)
-    return pay, None
+        f = _builder_map(f"{args.family}:{args.d}:{args.sign}")
+        desc = {"d": args.d, "sign": args.sign}
+    return dict(_map_payload(f), family=args.family, **desc), None
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,9 @@ branches are realized numerically by nearest-preimage continuation.  The
 orbit they walk is closed by a double-precision multiple-shooting Newton on
 z_(j+1) = F(z_j), with each z_j in the z or 1/z chart (so orbits through a
 pole or Infinity are handled like any other), and its exact period is
-checked against every proper divisor of n.
+checked against every proper divisor of n.  The chart orbit and its steps
+are ``sphere.chart_orbit`` and ``sphere.chart_steps``, which also give
+every cycle multiplier (``periodic.multiplier``).
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from .roots import solve_poly
 from .sphere import (
     ProjPoint,
     RationalMap,
-    _chart_value,
     build_map,
-    chart_step,
+    chart_orbit,
+    chart_steps,
     chordal,
     chordal_xy,
     critical_points,
@@ -276,34 +278,12 @@ def _pseudo_orbit(F, seed: HomoclinicSeed, n: int) -> list[complex]:
 # ----------------------------------------------------------------------
 
 
-def _chart_orbit(points) -> list[tuple[complex, bool]]:
-    """Each point as (u, in_z) in the chart that chart_step_derivative uses:
-    u = z if |z| <= 1, else u = 1/z (0 at Infinity)."""
-    return [
-        _chart_value(p if isinstance(p, ProjPoint) else ProjPoint.finite(p), False)
-        for p in points
-    ]
-
-
-def _steps(F: RationalMap, orbit):
-    """Step residuals r_j = F(z_j) - z_(j+1) and derivatives d_j of the
-    cyclic chart orbit (j mod n), both in the chart of z_(j+1).  Where F(z_j)
-    is the pole of that chart, r_j is infinite (callers silence numpy's
-    warnings)."""
-    rs, ds = [], []
-    for (u, in_z), (v, out_z) in zip(orbit, orbit[1:] + orbit[:1]):
-        image, d = chart_step(F, u, in_z, out_z, False)
-        rs.append(image - v)
-        ds.append(d)
-    return rs, ds
-
-
 def _orbit_exponent(F: RationalMap, orbit):
     """(multiplier, chi, residual) of the cyclic chart orbit: the product
     and the mean log modulus of the step derivatives, and the largest step
     residual."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        rs, ds = _steps(F, orbit)
+        rs, ds = chart_steps(F, orbit, False)
         chi = sum(math.log(abs(d)) if d else -math.inf for d in ds) / len(ds)
         return complex(math.prod(ds)), chi, float(np.max(np.abs(rs)))
 
@@ -318,7 +298,7 @@ def _close_orbit(F: RationalMap, orbit):
     n = len(orbit)
     for _ in range(NEWTON_SWEEPS):
         with np.errstate(divide="ignore", invalid="ignore"):
-            rs, ds = _steps(F, orbit)
+            rs, ds = chart_steps(F, orbit, False)
             inv, t = 1.0, 0j
             for d, r in zip(ds, rs):
                 inv = inv / d
@@ -381,7 +361,7 @@ def exponent_sequence(
     if n_max < n_min:
         raise ValueError("n_max < n_min")
     entries = [
-        _cycle_entry(F, _chart_orbit(_pseudo_orbit(F, seed, n)), tol)
+        _cycle_entry(F, chart_orbit(_pseudo_orbit(F, seed, n), False), tol)
         for n in range(n_min, n_max + 1)
     ]
     return ExponentSequence(seed=seed, entries=entries)

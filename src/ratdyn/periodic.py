@@ -40,7 +40,8 @@ from .sphere import (
     INF,
     ProjPoint,
     RationalMap,
-    chart_step_derivative,
+    chart_orbit,
+    chart_steps,
     chordal,
     chordal_xy,
     hom_eval,
@@ -443,7 +444,8 @@ def multiplier(f: RationalMap, orbit: list[ProjPoint | complex]):
 
     Derivatives are taken chart-to-chart (w = 1/z beyond the unit circle),
     so orbits through Infinity give the eigenvalue of the differential.
-    Exact maps with exact orbits return an exact Qi value.
+    Exact maps with exact orbits return an exact Qi value; any other orbit
+    runs every step in floats, Infinity's included.
     """
     pts = [p if isinstance(p, ProjPoint) else ProjPoint.finite(p) for p in orbit]
     if not pts:
@@ -461,22 +463,8 @@ def multiplier(f: RationalMap, orbit: list[ProjPoint | complex]):
             raise NotACycle(
                 f"orbit breaks at index {i}: f(p_i) is {chordal(q, target):.3g} away"
             )
-    return _chain_multiplier(f, pts, exact)
-
-
-def _chain_multiplier(f: RationalMap, pts: list[ProjPoint], exact: bool):
-    """Product of the chart-step derivatives along the ordered orbit."""
-    n = len(pts)
-    lam = Qi(1) if exact else 1.0 + 0j
-    for i in range(n):
-        step = chart_step_derivative(f, pts[i], pts[(i + 1) % n])
-        try:
-            lam = lam * step
-        except TypeError:
-            # a float orbit through the exact point Infinity: that step is a
-            # Qi, which takes a float factor only when it is integral
-            lam = complex(lam) * complex(step)
-    return lam
+    ds = chart_steps(f, chart_orbit(pts, exact), exact)[1]
+    return math.prod(ds, start=Qi(1) if exact else 1.0 + 0j)
 
 
 def characteristic_exponent(multiplier_value, period: int) -> float:
@@ -567,7 +555,8 @@ def group_cycles(
             if (gaps > 1e-6).any():
                 k = int(np.argmax(gaps > 1e-6))
                 raise NotACycle(f"orbit breaks at index {k}: f(p_i) is {gaps[k]:.3g} away")
-            lam = _chain_multiplier(f, orbit, False)
+            ds = chart_steps(f, chart_orbit(orbit, False), False)[1]
+            lam = math.prod(ds, start=1.0 + 0j)
         lam_c = complex(lam) if isinstance(lam, Qi) else lam
         chi = characteristic_exponent(lam, n)
         cycles.append(

@@ -23,8 +23,8 @@ Four coefficient domains, all ascending [a0, a1, ...]:
   step.
 
 :func:`peval` is the one Horner loop for dehomogenized polynomials: the
-coefficients and the point may be int, Fraction, Qi, complex (Python or
-numpy) or mpmath scalars, anything whose ``+`` and ``*`` mix with ints.
+coefficients and the point may be int, Fraction, Qi or complex (Python or
+numpy), anything whose ``+`` and ``*`` mix with ints.
 :class:`Poly` wraps a coefficient list as a ring element, so that the
 homogeneous Horner loop ``sphere.hom_eval`` can compose and substitute
 polynomials.

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import __version__
 from .scalars import Qi
 from .sphere import ProjPoint
 
@@ -47,6 +48,8 @@ def to_jsonable(obj):
         if obj.is_infinity:
             return {"inf": True}
         return to_jsonable(obj.z if isinstance(obj.z, Qi) else complex(obj.z))
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):
@@ -67,7 +70,7 @@ def to_jsonable(obj):
 def run_report(command: str, config: dict, results, seed, seconds: float) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "version": _package_version(),
+        "version": __version__,
         "command": command,
         "config": to_jsonable(config),
         "seed": seed,
@@ -79,11 +82,3 @@ def run_report(command: str, config: dict, results, seed, seconds: float) -> dic
 def render(report: dict, indent: int | None = None) -> str:
     return json.dumps(report, sort_keys=True, indent=indent)
 
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("ratdyn")
-    except Exception:
-        return "0.1.0"

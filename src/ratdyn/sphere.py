@@ -9,6 +9,10 @@ possible and always keep complex-float shadows for the numeric paths.
 be numpy complex arrays, Qi, residue-field elements (``spectra.FieldElt``)
 or polynomial ring elements (``polys.Poly``), with coefficients that
 multiply them (int, Fraction, Qi, Python or numpy complex).
+
+:func:`chart_orbit` and :func:`chart_steps` are the one walk of a cycle's
+chart steps (z chart for |z| <= 1, else w = 1/z): cycle multipliers and the
+homoclinic Newton both take them, exact or float for the whole cycle.
 """
 
 from __future__ import annotations
@@ -185,12 +189,6 @@ def normalize_xy(X, Y):
 # ----------------------------------------------------------------------
 # scalar helpers shared by exact and float paths
 # ----------------------------------------------------------------------
-
-
-def _mag2_leq_one(z) -> bool:
-    if isinstance(z, Qi):
-        return z.abs2() <= 1
-    return (z.real * z.real + z.imag * z.imag) <= 1.0
 
 
 def hom_eval(coeffs, X, Y, partials: bool = False):
@@ -682,26 +680,34 @@ def _snap_qi(z: complex):
 
 
 # ----------------------------------------------------------------------
-# chart-step derivatives (used for multipliers)
+# cycles in the two charts (multipliers and homoclinic orbits)
 # ----------------------------------------------------------------------
 
 
-def _charts_for(p: ProjPoint):
-    """True for the z chart (|z| <= 1), False for the w = 1/z chart."""
-    if p.is_infinity:
-        return False
-    return _mag2_leq_one(p.z if isinstance(p.z, Qi) else complex(p.z))
-
-
 def _chart_value(p: ProjPoint, exact: bool):
-    z_chart = _charts_for(p)
+    """(u, in_z): u = z in the z chart if |z| <= 1, else u = 1/z in the
+    w = 1/z chart (0 at Infinity); Qi values when exact, else complex."""
     if p.is_infinity:
         return (Qi(0) if exact else 0j), False
-    z = Qi.coerce(p.z) if exact else complex(p.z)
-    if z_chart:
+    z = p.z
+    if isinstance(z, Qi):
+        in_z = z.abs2() <= 1
+    else:
+        z = complex(z)
+        in_z = z.real * z.real + z.imag * z.imag <= 1.0
+    z = Qi.coerce(z) if exact else complex(z)
+    if in_z:
         return z, True
-    one = Qi(1) if exact else 1.0 + 0j
-    return one / z, False
+    return (Qi(1) if exact else 1.0 + 0j) / z, False
+
+
+def chart_orbit(points, exact: bool) -> list[tuple]:
+    """A cycle's points (ProjPoint or complex), in orbit order, as chart
+    values (u, in_z).  ``exact`` (Qi values) needs every point exact."""
+    return [
+        _chart_value(p if isinstance(p, ProjPoint) else ProjPoint.finite(p), exact)
+        for p in points
+    ]
 
 
 def chart_step(f: RationalMap, u, in_z: bool, out_z: bool, exact: bool):
@@ -728,10 +734,15 @@ def chart_step(f: RationalMap, u, in_z: bool, out_z: bool, exact: bool):
     return Qu / Pu, (dQu * Pu - Qu * dPu) / (Pu * Pu)
 
 
-def chart_step_derivative(f: RationalMap, p: ProjPoint, q: ProjPoint):
-    """Derivative of chart_out o f o chart_in^(-1) at p, where each point
-    uses the z chart iff |z| <= 1.  Multiplying these along a cycle gives
-    the multiplier (chart corrections telescope)."""
-    exact = f.exact and p.is_exact
-    u, in_z = _chart_value(p, exact)
-    return chart_step(f, u, in_z, _charts_for(q), exact)[1]
+def chart_steps(f: RationalMap, orbit, exact: bool):
+    """Step residuals r_j = f(z_j) - z_(j+1) and derivatives d_j of a
+    :func:`chart_orbit` (j mod n), both in the chart of z_(j+1).  The
+    product of the d_j is the cycle's multiplier: the chart changes
+    telescope.  In floats, where f(z_j) is the pole of that chart, r_j is
+    infinite (callers silence numpy's warnings)."""
+    rs, ds = [], []
+    for (u, in_z), (v, out_z) in zip(orbit, orbit[1:] + orbit[:1]):
+        image, d = chart_step(f, u, in_z, out_z, exact)
+        rs.append(image - v)
+        ds.append(d)
+    return rs, ds

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -246,11 +247,22 @@ def test_parse_errors_exit_2():
         ["spectrum", "--map", "__import__('os')", "--max-period", "1"],
         ["spectrum", "--map", "z[0]", "--max-period", "1"],
         ["spectrum", "--map", "\uff5a*12+3*z^2", "--max-period", "1"],
+        # malformed numbers, once a TypeError, ZeroDivisionError, ValueError
+        # or LinAlgError traceback; the stdin cases are (argv, stdin_text) pairs
+        ["cycles", "--map", "lattes:1/0:0:2", "--period", "1"],
+        ["make", "lattes", "--a", "x"],
+        (["cycles", "--map", "-", "--period", "1"], "5"),
+        (["cycles", "--map", "-", "--period", "1"], '{"num": [1, 0, 1], "den": 5}'),
+        (["cycles", "--map", "-", "--period", "1"], '{"num": ["1/0", 0, 1], "den": [1]}'),
+        (["cycles", "--map", "-", "--period", "1"], '{"num": ["x", 0, 1], "den": [1]}'),
+        (["cycles", "--map", "-", "--period", "1"], '{"num": [NaN, 0, 1], "den": [1]}'),
+        (["cycles", "--map", "-", "--period", "1"], '{"num": [1, 0, 1e400], "den": [1]}'),
     ],
 )
 def test_bad_fields_and_periods_exit_2(argv):
-    # each once escaped as a ValueError traceback with exit 1
-    rc, out, err = run_cli(argv)
+    # each once escaped as a traceback with exit 1
+    argv, stdin_text = argv if isinstance(argv, tuple) else (argv, None)
+    rc, out, err = run_cli(argv, stdin_text)
     assert (rc, out) == (2, "")
     assert json.loads(err)["error"]["code"] == "map-parse"
 
@@ -436,6 +448,33 @@ def test_parse_field_polynomial_forms():
     assert K.degree == 3
     K2 = parse_field('poly:"x^3-2"')
     assert K2.poly == K.poly
+
+
+def test_cycle_records_match_the_schema_and_repelling_is_a_boolean():
+    # float cycles once printed repelling as the string "True" (a numpy
+    # bool); 1/z^2 has the float 2-cycle {0, Infinity}
+    with open(os.path.join(os.path.dirname(__file__), "..", "docs", "report_schema.json")) as fh:
+        (shape,) = json.load(fh)["cycle_records"]["shape"]
+    for argv, want in [
+        (["cycles", "--map", "z^2", "--period", "2", "--exact"], [True]),
+        (["cycles", "--map", "1/z^2", "--period", "2"], [False]),
+    ]:
+        rc, out, _ = run_cli(argv)
+        assert rc == 0
+        cycles = json.loads(out)["results"]["cycles"]
+        assert all(sorted(c) == sorted(shape) for c in cycles)
+        assert [c["repelling"] for c in cycles] == want
+        assert all(type(c["repelling"]) is bool for c in cycles)
+
+
+def test_one_version_string():
+    import ratdyn
+
+    here = os.path.dirname(__file__)
+    with open(os.path.join(here, "..", "pyproject.toml")) as fh:
+        (declared,) = re.findall(r'^version = "([^"]+)"$', fh.read(), re.M)
+    _, out, _ = run_cli(["make", "power", "--d", "2"])
+    assert declared == ratdyn.__version__ == json.loads(out)["version"]
 
 
 def test_report_schema_document():

@@ -16,8 +16,8 @@ from ratdyn import (
     power_map,
 )
 from ratdyn.errors import InPostcriticalSet, NewtonDiverged, PeriodCollision
-from ratdyn.homoclinic import _chart_orbit, _cycle_entry, _orbit_exponent
-from ratdyn.sphere import INF
+from ratdyn.homoclinic import _cycle_entry, _orbit_exponent
+from ratdyn.sphere import INF, chart_orbit
 
 from mp_reference import _mp_orbit_exponent, _mp_refine_periodic
 
@@ -163,7 +163,7 @@ def test_exponents_match_the_60_digit_reference(f, z0, n_max):
 
 def test_a_repeated_fixed_point_is_a_period_collision():
     # the golden fixed point six times over closes at once, but z_1 = z_0
-    orbit = _chart_orbit([GOLDEN] * 6)
+    orbit = chart_orbit([GOLDEN] * 6, False)
     with pytest.raises(PeriodCollision):
         _cycle_entry(BASILICA, orbit, 1e-9)
 
@@ -190,7 +190,7 @@ def _conjugated_chebyshev():
 
 
 def test_orbit_exponent_through_infinity():
-    lam, chi, residual = _orbit_exponent(_conjugated_chebyshev(), _chart_orbit([0, INF]))
+    lam, chi, residual = _orbit_exponent(_conjugated_chebyshev(), chart_orbit([0, INF], False))
     assert abs(lam + 4) < 1e-12
     assert abs(chi - math.log(2)) < 1e-12
     assert residual < 1e-12
@@ -198,12 +198,12 @@ def test_orbit_exponent_through_infinity():
 
 def test_orbit_exponent_at_a_pole():
     # 0 -> Infinity -> 0 is the superattracting 2-cycle of z^-2
-    lam, chi, residual = _orbit_exponent(power_map(2, -1), _chart_orbit([0, INF]))
+    lam, chi, residual = _orbit_exponent(power_map(2, -1), chart_orbit([0, INF], False))
     assert lam == 0 and chi == -math.inf and residual == 0
     # (1 + 2z^2)/z: 0 -> Infinity -> Infinity never returns to 0, and Newton
     # cannot close that orbit
     g = build_map([1, 0, 2], [0, 1])
-    _, _, residual = _orbit_exponent(g, _chart_orbit([0, INF]))
+    _, _, residual = _orbit_exponent(g, chart_orbit([0, INF], False))
     assert residual == math.inf
     with pytest.raises(NewtonDiverged):
-        _cycle_entry(g, _chart_orbit([0, INF]), 1e-9)
+        _cycle_entry(g, chart_orbit([0, INF], False), 1e-9)
