@@ -207,7 +207,7 @@ def _builder_map(spec: str) -> RationalMap:
         if kind == "lattes":
             _, a, b, m = parts
             return flexible_lattes(LattesSpec(Fraction(a), Fraction(b), int(m)))
-    except (IndexError, ValueError, ZeroDivisionError) as e:
+    except (IndexError, ValueError, ZeroDivisionError, OverflowError) as e:
         raise MapParseError(f"bad builder spec {spec!r}: {e}") from None
     raise MapParseError(f"unknown builder {kind!r}")
 
@@ -281,11 +281,10 @@ def _map_payload(f: RationalMap):
 # ----------------------------------------------------------------------
 
 
-def _cmd_cycles(args, stdin_text):
+def _cmd_cycles(args, f):
     from .periodic import cycles_of_period
     from .spectra import multiplier_factors
 
-    f = parse_map(args.map, stdin_text)
     if args.period < 1:
         raise MapParseError("period must be >= 1")
     cycles, rep = cycles_of_period(
@@ -293,7 +292,6 @@ def _cmd_cycles(args, stdin_text):
     )
     cycles.sort(key=lambda c: (-abs(c.multiplier), c.char_exponent))
     out = {
-        "map": _map_payload(f),
         "period": args.period,
         "cycles": to_jsonable(cycles),
         "solve_report": to_jsonable(rep),
@@ -317,11 +315,10 @@ def _cmd_cycles(args, stdin_text):
     return out, rows
 
 
-def _cmd_spectrum(args, stdin_text):
+def _cmd_spectrum(args, f):
     from .spectra import algebraic_spectrum
 
-    f = parse_map(args.map, stdin_text)
-    spec = algebraic_spectrum(f, args.max_period, cap=args.cap, seed=args.seed)
+    spec = algebraic_spectrum(f, args.max_period, cap=args.cap)
     per = {}
     rows = []
     for n in sorted(spec.periods):
@@ -343,19 +340,17 @@ def _cmd_spectrum(args, stdin_text):
         }
         for n, pf in sorted(spec.period_factors.items())
     }
-    return {"map": _map_payload(f), "per_period": per, "diagnostics": diagnostics}, rows
+    return {"per_period": per, "diagnostics": diagnostics}, rows
 
 
-def _cmd_field_check(args, stdin_text):
+def _cmd_field_check(args, f):
     from .spectra import algebraic_spectrum, integrality, membership
 
-    f = parse_map(args.map, stdin_text)
     K = parse_field(args.field)
-    spec = algebraic_spectrum(f, args.max_period, cap=args.cap, seed=args.seed)
+    spec = algebraic_spectrum(f, args.max_period, cap=args.cap)
     mv = membership(spec, K)
     iv = integrality(spec)
     out = {
-        "map": _map_payload(f),
         "field": K.describe(),
         "membership": {
             "verdict": mv.describe(),
@@ -377,13 +372,11 @@ def _cmd_field_check(args, stdin_text):
     return out, None
 
 
-def _cmd_classify(args, stdin_text):
+def _cmd_classify(args, f):
     from .exceptional import classify
 
-    f = parse_map(args.map, stdin_text)
     res = classify(f, max_period=args.max_period, cap=args.cap, seed=args.seed)
     return {
-        "map": _map_payload(f),
         "class": res.kind,
         "sign": res.sign,
         "degree": res.degree,
@@ -392,25 +385,23 @@ def _cmd_classify(args, stdin_text):
     }, None
 
 
-def _cmd_lyapunov(args, stdin_text):
+def _cmd_lyapunov(args, f):
     from .ergodic import backward_orbit_sample, lyapunov, lyapunov_from_periodic
 
-    f = parse_map(args.map, stdin_text)
     if args.periodic is not None and args.periodic < 1:
         raise MapParseError("periodic average needs a period >= 1")
     cloud = backward_orbit_sample(f, args.samples, burn_in=args.burn, seed=args.seed)
     mc = lyapunov(f, cloud)
-    out = {"map": _map_payload(f), "monte_carlo": to_jsonable(mc)}
+    out = {"monte_carlo": to_jsonable(mc)}
     if args.periodic:
         pa = lyapunov_from_periodic(f, args.periodic, seed=args.seed, cap=args.cap)
         out["periodic_average"] = to_jsonable(pa)
     return out, None
 
 
-def _cmd_equidist(args, stdin_text):
+def _cmd_equidist(args, f):
     from .ergodic import backward_orbit_sample, periodic_cloud, weak_convergence_report
 
-    f = parse_map(args.map, stdin_text)
     try:
         periods = [int(x) for x in args.periods.split(",") if x.strip()]
     except ValueError as e:
@@ -427,17 +418,15 @@ def _cmd_equidist(args, stdin_text):
         for name, val in row.items():
             rows.append({"period": n, "test_function": name, "discrepancy": val})
     return {
-        "map": _map_payload(f),
         "test_names": rep.test_names,
         "periods": periods,
         "discrepancies": {str(n): row for n, row in zip(periods, rep.rows)},
     }, rows
 
 
-def _cmd_homoclinic(args, stdin_text):
+def _cmd_homoclinic(args, f):
     from .homoclinic import convergence_report, exponent_sequence, find_seed
 
-    f = parse_map(args.map, stdin_text)
     z0 = _parse_point(args.point)
     seed_obj = find_seed(f, z0, q=args.q, tol=args.tol)
     if args.n_min < 2 * seed_obj.l + 1 or args.n_max - args.n_min < 3:
@@ -450,7 +439,6 @@ def _cmd_homoclinic(args, stdin_text):
     rep = convergence_report(seq)
     entries = to_jsonable(seq.entries)
     return {
-        "map": _map_payload(f),
         "seed": {
             "z0": to_jsonable(seed_obj.z0),
             "q": seed_obj.q,
@@ -467,10 +455,9 @@ def _cmd_homoclinic(args, stdin_text):
     }, entries
 
 
-def _cmd_zdunik(args, stdin_text):
+def _cmd_zdunik(args, f):
     from .ergodic import _zdunik_report, backward_orbit_sample, lyapunov
 
-    f = parse_map(args.map, stdin_text)
     cloud = backward_orbit_sample(f, args.samples, burn_in=args.burn, seed=args.seed)
     est = lyapunov(f, cloud)
     rep = _zdunik_report(
@@ -486,7 +473,6 @@ def _cmd_zdunik(args, stdin_text):
         for c, m in rep.hits
     ]
     return {
-        "map": _map_payload(f),
         "lyapunov": to_jsonable(est),
         "threshold": rep.threshold,
         "hits": [dict(to_jsonable(c), margin=m) for c, m in rep.hits],
@@ -496,7 +482,7 @@ def _cmd_zdunik(args, stdin_text):
     }, rows
 
 
-def _cmd_make(args, stdin_text):
+def _cmd_make(args):
     if args.family == "lattes":
         f = _builder_map(f"lattes:{args.a}:{args.b}:{args.m}")
         a, b = (fraction_str(Fraction(x)) for x in (args.a, args.b))
@@ -512,12 +498,20 @@ def _cmd_make(args, stdin_text):
 # ----------------------------------------------------------------------
 
 
-def _add_common(sub):
+_SHARED = {
+    "--seed": dict(type=int, default=0),
+    "--tol": dict(type=float, default=config.SOLVER_TOL),
+    "--cap": dict(type=int, default=None, help="degree cap override"),
+    "--csv": dict(action="store_true", help="emit CSV instead of JSON"),
+}
+
+
+def _add_common(sub, *flags):
+    """--map, --indent and the named `_SHARED` flags: each subcommand takes
+    only the options its handler reads."""
     sub.add_argument("--map", "-m", required=True, help="map spec or '-' for stdin")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--tol", type=float, default=config.SOLVER_TOL)
-    sub.add_argument("--cap", type=int, default=None, help="degree cap override")
-    sub.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
+    for flag in flags:
+        sub.add_argument(flag, **_SHARED[flag])
     sub.add_argument("--indent", type=int, default=None, help="JSON indent")
 
 
@@ -531,29 +525,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp = ap.add_subparsers(dest="cmd", required=True)
 
     s = sp.add_parser("cycles", help="periodic cycles with multipliers")
-    _add_common(s)
+    _add_common(s, "--seed", "--tol", "--cap", "--csv")
     s.add_argument("--period", type=int, required=True)
     s.add_argument("--exact", action="store_true")
     s.set_defaults(fn=_cmd_cycles)
 
     s = sp.add_parser("spectrum", help="factored multiplier polynomials")
-    _add_common(s)
+    _add_common(s, "--cap", "--csv")
     s.add_argument("--max-period", type=int, required=True)
     s.set_defaults(fn=_cmd_spectrum)
 
     s = sp.add_parser("field-check", help="membership + integrality verdicts")
-    _add_common(s)
+    _add_common(s, "--cap")
     s.add_argument("--max-period", type=int, required=True)
     s.add_argument("--field", required=True, help="Q | quad:D | poly:...")
     s.set_defaults(fn=_cmd_field_check)
 
     s = sp.add_parser("classify", help="exceptional-map classification")
-    _add_common(s)
+    _add_common(s, "--seed", "--cap")
     s.add_argument("--max-period", type=int, default=3)
     s.set_defaults(fn=_cmd_classify)
 
     s = sp.add_parser("lyapunov", help="Lyapunov exponent estimates")
-    _add_common(s)
+    _add_common(s, "--seed", "--cap")
     s.add_argument("--samples", type=int, default=100000)
     s.add_argument("--burn", type=int, default=50)
     s.add_argument("--periodic", type=int, default=None,
@@ -561,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_lyapunov)
 
     s = sp.add_parser("equidist", help="weak-convergence discrepancy table")
-    _add_common(s)
+    _add_common(s, "--seed", "--cap", "--csv")
     s.add_argument("--periods", required=True, help="comma-separated periods")
     s.add_argument("--test-degree", type=int, default=2)
     s.add_argument("--samples", type=int, default=20000)
@@ -570,7 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sp.add_parser("homoclinic", help="periodic points approaching a "
                       "repelling point's exponent")
-    _add_common(s)
+    # --seed is read by no handler, but the bench passes it to every command
+    _add_common(s, "--seed", "--tol", "--csv")
     s.add_argument("--point", required=True)
     s.add_argument("--q", type=int, default=1)
     s.add_argument("--n-min", type=int, required=True)
@@ -579,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sp.add_parser("zdunik", help="characteristic exponents above the "
                       "Lyapunov exponent")
-    _add_common(s)
+    _add_common(s, "--seed", "--tol", "--cap", "--csv")
     s.add_argument("--max-period", type=int, required=True)
     s.add_argument("--samples", type=int, default=100000)
     s.add_argument("--burn", type=int, default=50)
@@ -592,22 +587,24 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--a", default="0")
     s.add_argument("--b", default="0")
     s.add_argument("--m", type=int, default=2)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--csv", action="store_true")
     s.add_argument("--indent", type=int, default=None)
     s.set_defaults(fn=_cmd_make)
     return ap
 
 
-def _apply_config_file(args):
-    if not getattr(args, "config", None):
-        return
+def _parse_with_config(argv, args):
+    """`argv` parsed again with the --config file's values as defaults of
+    the chosen subcommand's own options: flags win, other keys are ignored."""
     with open(args.config) as fh:
         data = json.load(fh)
-    for key, val in data.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) in (None, False):
-            setattr(args, attr, val)
+    if not isinstance(data, dict):
+        raise ValueError(f"{args.config} does not hold a JSON object")
+    own = set(vars(args)) - {"fn", "cmd", "config"}
+    data = {key.replace("-", "_"): val for key, val in data.items()}
+    ap = build_parser()
+    (commands,) = [a for a in ap._actions if a.dest == "cmd"]
+    commands.choices[args.cmd].set_defaults(**{k: v for k, v in data.items() if k in own})
+    return ap.parse_args(argv)
 
 
 def _emit_csv(rows) -> str:
@@ -615,11 +612,9 @@ def _emit_csv(rows) -> str:
     import io
 
     buf = io.StringIO()
-    if rows:
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for r in rows:
-            writer.writerow({k: r.get(k, "") for k in rows[0].keys()})
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -628,19 +623,26 @@ def run(argv: list[str], stdin_text: str | None = None, out=None, err=None) -> i
     stderr."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if args.config:
+            args = _parse_with_config(argv, args)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    try:
-        _apply_config_file(args)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         print(json.dumps({"error": {"code": "config", "message": str(e)}}), file=err)
         return 2
     t0 = time.perf_counter()
     try:
-        results, rows = args.fn(args, stdin_text)
+        if "map" in args:
+            try:
+                f = parse_map(args.map, stdin_text)
+            except OverflowError as e:  # from the float shadows of the coefficients
+                raise MapParseError(f"a coefficient is past the double range: {e}") from None
+            results, rows = args.fn(args, f)
+            results["map"] = _map_payload(f)
+        else:
+            results, rows = args.fn(args)
     except MapParseError as e:
         print(
             json.dumps(
@@ -659,13 +661,8 @@ def run(argv: list[str], stdin_text: str | None = None, out=None, err=None) -> i
     if getattr(args, "csv", False) and rows:
         out.write(_emit_csv(rows))
         return 0
-    seed = getattr(args, "seed", 0)
-    cfg = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("fn", "cmd", "config") and not callable(v)
-    }
-    report = run_report(args.cmd, cfg, results, seed, seconds)
+    cfg = {k: v for k, v in vars(args).items() if k not in ("fn", "cmd", "config")}
+    report = run_report(args.cmd, cfg, results, getattr(args, "seed", 0), seconds)
     out.write(render(report, indent=getattr(args, "indent", None)) + "\n")
     return 0
 

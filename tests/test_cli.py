@@ -257,6 +257,11 @@ def test_parse_errors_exit_2():
         (["cycles", "--map", "-", "--period", "1"], '{"num": ["x", 0, 1], "den": [1]}'),
         (["cycles", "--map", "-", "--period", "1"], '{"num": [NaN, 0, 1], "den": [1]}'),
         (["cycles", "--map", "-", "--period", "1"], '{"num": [1, 0, 1e400], "den": [1]}'),
+        # exact coefficients past the double range, once an OverflowError
+        # from the map's float shadows
+        ["spectrum", "--map", "10^400*z^2+1", "--max-period", "1"],
+        (["spectrum", "--map", "-", "--max-period", "1"], f'{{"num": [1, 0, {10**400}], "den": [1]}}'),
+        ["make", "lattes", "--a", "1e400"],
     ],
 )
 def test_bad_fields_and_periods_exit_2(argv):
@@ -394,6 +399,25 @@ def test_config_file_supplies_defaults(tmp_path):
     )
     assert rc == 0
     assert out.startswith("period,")  # csv default applied from the file
+
+
+def test_config_file_defaults_every_declared_option_and_flags_win(tmp_path):
+    # the file once applied only over None/False values: its tol never
+    # replaced the default 1e-12, and it replaced an explicit --seed 0
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"tol": 1e-6, "seed": 5, "samples": 10}))
+    rc, out, _ = run_cli(
+        ["--config", str(cfg), "cycles", "--map", "z^2", "--period", "1", "--seed", "0"]
+    )
+    assert rc == 0
+    rep = json.loads(out)
+    assert rep["config"]["tol"] == 1e-6 and rep["config"]["seed"] == rep["seed"] == 0
+    assert "samples" not in rep["config"]  # cycles declares no --samples
+    rc, out, _ = run_cli(["--config", str(cfg), "lyapunov", "--map", "z^2"])
+    assert rc == 0
+    rep = json.loads(out)
+    assert (rep["config"]["samples"], rep["seed"]) == (10, 5)
+    assert "tol" not in rep["config"]
 
 
 def test_homoclinic_subcommand():

@@ -20,9 +20,9 @@ ROOT = os.path.dirname(HERE)
 PKG = os.path.join(ROOT, "src", "ratdyn")
 CALLERS = (PKG, HERE, os.path.join(ROOT, "bench"))
 EXEMPT = {
-    # ROADMAP item 4 sweeps the postcritical depth and tolerance
-    "exceptional.classify(depth)": "the orbifold scan's depth, swept by item 4",
-    "exceptional.classify(tol)": "the orbifold scan's tolerance, swept by item 4",
+    # ROADMAP item 7 sweeps the postcritical depth and tolerance
+    "exceptional.classify(depth)": "the orbifold scan's depth, swept by item 7",
+    "exceptional.classify(tol)": "the orbifold scan's tolerance, swept by item 7",
 }
 
 
