@@ -7,8 +7,9 @@ Map specifications are either rational-coefficient expressions in z
 subcommand emits a single JSON report on stdout (CSV with --csv where a
 table makes sense); diagnostics go to stderr.
 
-Exit codes: 0 success, 2 parse/config error, 3 numeric failure (partial
-results attached when available), 4 degree cap exceeded.
+Exit codes: 0 success, 2 usage/parse/config error, 3 numeric failure
+(partial results attached when available), 4 degree cap exceeded.  Every
+error is one JSON line on stderr, argparse's own included.
 """
 
 from __future__ import annotations
@@ -515,8 +516,16 @@ def _add_common(sub, *flags):
     sub.add_argument("--indent", type=int, default=None, help="JSON indent")
 
 
+def _usage_error(parser, message):
+    raise argparse.ArgumentError(None, message)
+
+
+class _Parser(argparse.ArgumentParser):
+    error = _usage_error  # raise, so that `run` reports it on its own `err`
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="ratdyn",
         description="Multiplier data, exact spectra and ergodic diagnostics "
         "for rational maps on the Riemann sphere.",
@@ -584,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("family", choices=["power", "chebyshev", "lattes"])
     s.add_argument("--d", type=int, default=2)
     s.add_argument("--sign", choices=["+", "-"], default="+")
-    s.add_argument("--a", default="0")
+    s.add_argument("--a", default="-1")
     s.add_argument("--b", default="0")
     s.add_argument("--m", type=int, default=2)
     s.add_argument("--indent", type=int, default=None)
@@ -627,10 +636,11 @@ def run(argv: list[str], stdin_text: str | None = None, out=None, err=None) -> i
         args = build_parser().parse_args(argv)
         if args.config:
             args = _parse_with_config(argv, args)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    except (OSError, ValueError) as e:
-        print(json.dumps({"error": {"code": "config", "message": str(e)}}), file=err)
+    except SystemExit:  # --help
+        return 0
+    except (argparse.ArgumentError, OSError, ValueError) as e:
+        code = "usage" if isinstance(e, argparse.ArgumentError) else "config"
+        print(json.dumps({"error": {"code": code, "message": str(e)}}), file=err)
         return 2
     t0 = time.perf_counter()
     try:

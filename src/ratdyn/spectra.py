@@ -15,10 +15,10 @@ part s of the squarefree decomposition dyn = prod s_k^k:
   irreducible multiplier polynomials, of degree at most deg s / n) is found
   modulo word primes (Krylov elimination over F_p), lifted by CRT and
   rational reconstruction (or read off as integers once the residues stop
-  changing), and certified exactly on lambda as one element alpha^/E, E an
-  int: lambda itself is lifted in the z-basis of Q[z]/(s) alongside mu,
-  alpha^ Y_n^2 = E L^2 prod W is checked by one product, and mu(alpha^/E)
-  = 0 in Z[w]/(s~);
+  changing), and certified exactly at the first agreeing prime on lambda as
+  one element alpha^/E, E an int: lambda is lifted in the z-basis of
+  Q[z]/(s) alongside mu, one product checks alpha^ Y_n^2 = E L^2 prod W,
+  and about 2 sqrt(deg mu) check mu(alpha^/E) = 0 (Paterson & Stockmeyer);
 * mu is factored over Q by :func:`factor_spectrum`: rational roots by one
   small prime and Hensel lifting, and a cofactor of degree >= 4 proven
   irreducible by its factor degrees mod small primes; sympy sees only a
@@ -155,7 +155,7 @@ class FieldElt:
             return FieldElt(self.field, tuple(a * o for a in self.c))
         return self.field.elt(ipmul(self.c, o.c))
 
-    __rmul__ = __mul__
+    __radd__, __rmul__ = __add__, __mul__
 
     def __eq__(self, o):
         return self.c == o.c
@@ -190,10 +190,10 @@ def minimal_polynomial(num: FieldElt, den: FieldElt) -> list[Fraction]:
     bits than num and den.  Images of the largest degree seen are kept (a
     larger one restarts the lift) and combined by one CRT step per prime;
     residues that a step leaves unchanged are the candidate as integers,
-    else rational reconstruction gives it.  Two more agreeing primes send
-    it to the exact proof, else more primes follow (von zur Gathen &
-    Gerhard, Modern Computer Algebra, ch. 5; Monagan, ISSAC 2004).  A
-    candidate that fails the proof yet agrees at 20 primes is an error.
+    else rational reconstruction gives it (von zur Gathen & Gerhard, Modern
+    Computer Algebra, ch. 5; Monagan, ISSAC 2004).  The first agreeing prime
+    (one that leaves the residues unchanged agrees) sends it to the proof; a
+    candidate that fails it yet agrees at 20 primes is an error.
 
     The proof runs on lambda as one element alpha^/E, E an int: num over
     the scalar den, or alpha^ = sum D a_i L^(m-1-i) w^i over E = D L^(m-1),
@@ -225,7 +225,7 @@ def minimal_polynomial(num: FieldElt, den: FieldElt) -> list[Fraction]:
             cand, agree = (G, 1), 1
         elif not agree:
             cand = _rational_reconstruction(G, M)
-        elif agree >= 2 and cand != failed:
+        if agree and cand != failed:
             (P, D), k = cand, degree + 1
             if scalar:
                 alpha, E = num, den.c[0]
@@ -241,12 +241,13 @@ def minimal_polynomial(num: FieldElt, den: FieldElt) -> list[Fraction]:
 
 def _lambda_mod(num: FieldElt, den: FieldElt, p: int):
     """(F_p[w]/(q~) as an FpModulus, lambda = num/den mod p in it), or None
-    when den is not a unit mod (q~, p)."""
+    when den is not a unit mod (q~, p); a scalar den is inverted in F_p."""
     red = FpModulus(num.field.mod, p)
-    inv = red.inverse(fp_array(den.c, p))
-    if inv is None:
-        return None
-    return red, red.reduce(fp_mul(fp_array(num.c, p), inv, p))
+    if any(den.c[1:]):
+        inv = red.inverse(fp_array(den.c, p))
+    else:
+        inv = fp_array([pow(den.c[0], -1, p)], p) if den.c[0] % p else None
+    return None if inv is None else (red, red.reduce(fp_mul(fp_array(num.c, p), inv, p)))
 
 
 def _reduces_to(mu, mu_p, p: int) -> bool:
@@ -283,17 +284,31 @@ def _rational_reconstruction(G: list[int], M: int):
 
 def _certified(mu, degree: int, alpha, E) -> bool:
     """The proof that mu = P/D is the minimal polynomial mu_min of lambda =
-    alpha/E, alpha in Z[w]/(q~) and E an int (or an element):
-    P(lambda) = 0, checked as hom_eval(P, alpha, E) == 0 in Z[w]/(q~),
-    gives mu_min | mu.  At every prime p used, the orbit's Y_n^2 is a unit,
-    so lambda lies in Z_(p)[w]/(q~), a free Z_(p)-module of finite rank: it
-    is integral over Z_(p), and mu_min, a monic factor over Q of its monic
-    characteristic polynomial, has coefficients in Z_(p) (Gauss's lemma).
-    So mu_p divides mu_min mod p; hence deg mu == deg mu_p (= degree) <=
-    deg mu_min, and mu = mu_min.  :func:`minimal_polynomial` proves alpha/E
-    = lambda first.  Nothing here needs q irreducible."""
+    alpha/E, alpha in Z[w]/(q~), E a nonzero int (or a unit element).
+    :func:`_scaled_value` is E^(k-1-T) hom_eval(P, alpha, E); Z[w]/(q~) is a
+    free Z-module, so that factor is injective and the zero test is P(lambda)
+    = 0, which gives mu_min | mu.  At every prime p used, Y_n^2 is a unit, so
+    lambda lies in Z_(p)[w]/(q~), a free Z_(p)-module of finite rank: it is
+    integral over Z_(p), and mu_min, a monic factor over Q of its monic
+    characteristic polynomial, has coefficients in Z_(p) (Gauss's lemma).  So
+    mu_p divides mu_min mod p; hence deg mu == deg mu_p (= degree) <= deg
+    mu_min, and mu = mu_min.  Nothing here needs q irreducible; alpha/E =
+    lambda is proved by :func:`minimal_polynomial`."""
     P, _ = mu
-    return len(P) - 1 == degree and hom_eval(P, alpha, E).is_zero()
+    return len(P) - 1 == degree and _scaled_value(P, alpha, E).is_zero()
+
+
+def _scaled_value(P, alpha, E):
+    """E^(k-1-T) sum_i P_i alpha^i E^(D-i), D = deg P, k = isqrt(D), T = D % k,
+    in about 2 sqrt(D) products: alpha^2..alpha^k, each block of k terms an
+    int combination of them, hom_eval over the blocks (Paterson & Stockmeyer)."""
+    k = math.isqrt(len(P) - 1)
+    powers, scales = [1, alpha], [1, E]
+    for _ in range(k - 1):
+        powers, scales = powers + [powers[-1] * alpha], scales + [scales[-1] * E]
+    terms = [c * scales[k - 1 - i % k] * powers[i % k] for i, c in enumerate(P)]
+    blocks = [sum(terms[a + 1 : a + k], terms[a]) for a in range(0, len(P), k)]
+    return hom_eval(blocks, powers[k], scales[k])
 
 
 # ----------------------------------------------------------------------

@@ -190,6 +190,15 @@ def test_lattes_maps_build_for_every_multiplier():
     assert parse_map("lattes:-1:0:5").degree == 25
 
 
+def test_make_lattes_defaults_to_the_readme_map():
+    # the defaults a = b = 0 were a singular curve, so the bare command
+    # always exited 3 with singular-curve
+    rc, out, err = run_cli(["make", "lattes"])
+    assert (rc, err) == (0, "")
+    _, want, _ = run_cli(["make", "lattes", "--a", "-1", "--b", "0", "--m", "2"])
+    assert json.loads(out)["results"] == json.loads(want)["results"]
+
+
 def test_escaping_exact_critical_orbits_finish():
     # the critical point Infinity of (z^2-2)/(z^2+3) runs 1, -1/4, ... with
     # heights doubling at every step, so the postcritical scan iterates it
@@ -270,6 +279,27 @@ def test_bad_fields_and_periods_exit_2(argv):
     rc, out, err = run_cli(argv, stdin_text)
     assert (rc, out) == (2, "")
     assert json.loads(err)["error"]["code"] == "map-parse"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--map", "z^2", "--tol", "1e-4"], "unrecognized arguments: --tol 1e-4"),
+        (["cycles", "--map", "z^2"], "the following arguments are required: --period"),
+    ],
+    ids=["unrecognised-flag", "missing-period"],
+)
+def test_argparse_errors_go_to_err_as_json(capsys, argv, message):
+    # argparse once printed its usage text to the process's stderr and left
+    # the err stream that run was given empty
+    rc, out, err = run_cli(argv)
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": {"code": "usage", "message": message}}
+    assert capsys.readouterr().err == ""
+
+
+def test_help_exits_0():
+    assert run_cli(["classify", "--help"])[0] == 0
 
 
 def test_cap_exceeded_exit_4():

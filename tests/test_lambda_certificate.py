@@ -5,18 +5,23 @@ lambda itself, in the z-basis of Q[z]/(q), next to mu, proves the lift
 alpha^/E equal to num/den by one exact product and certifies mu on
 (alpha^, E).  The reference is ``certificate_reference.py``: the
 certificate on the projective pair (num, den), as the route ran before.
+The zero test itself evaluates mu by Paterson & Stockmeyer's scheme; its
+reference is ``sphere.hom_eval``, the plain Horner loop.
 """
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from ratdyn import build_map, spectra
 from ratdyn.errors import RatdynError
-from ratdyn.exceptional import LattesSpec, flexible_lattes
+from ratdyn.exceptional import LattesSpec, chebyshev_map, flexible_lattes, power_map
 from ratdyn.periodic import dynatomic_numerator
-from ratdyn.polys import FpModulus, fp_array, squarefree_decomposition
-from ratdyn.spectra import ResidueField, minimal_polynomial, multiplier_element
+from ratdyn.polys import FpModulus, fp_array, fp_mul, squarefree_decomposition, word_primes
+from ratdyn.spectra import FieldElt, ResidueField, minimal_polynomial, multiplier_element
+from ratdyn.sphere import hom_eval
 
 import certificate_reference as ref
 
@@ -74,9 +79,92 @@ def test_a_lift_that_is_not_lambda_is_refused(monkeypatch):
         minimal_polynomial(num, den)
 
 
+@pytest.mark.parametrize(
+    "f, n",
+    [(build_map([-1, 0, 1], [1]), 5), (RATIONAL, 3)],
+    ids=["z^2-1@5", "(z^2-2)/(z^2+3)@3"],
+)
+def test_the_paterson_stockmeyer_value_is_the_scaled_horner_value(f, n):
+    # E^(k-1-T) hom_eval(P, alpha, E), k = isqrt(D), T = D mod k: the same
+    # zero test, since a nonzero int power is injective on Z[w]/(q~)
+    rng = random.Random(n)
+    for s, _k in squarefree_decomposition(dynatomic_numerator(f, n)):
+        alpha, _den = multiplier_element(f, n, s)
+        for D in range(1, 33):
+            P = [rng.randint(-99, 99) for _ in range(D)] + [rng.choice((-1, 1)) * rng.randint(1, 99)]
+            k = math.isqrt(D)
+            for E in (1, 3, -7, 2**40 + 1):
+                want = hom_eval(P, alpha, E) * E ** (k - 1 - D % k)
+                assert spectra._scaled_value(P, alpha, E) == want, (D, E)
+
+
+POLYNOMIAL = (
+    ("z^2-1", build_map([-1, 0, 1], [1]), 4),
+    ("z^3-2z+1", build_map([1, -2, 0, 1], [1]), 3),
+    ("3z^2-1", build_map([-1, 0, 3], [1]), 3),
+    ("z^2", power_map(2), 3),
+    ("T3", chebyshev_map(3), 2),
+)
+
+
+@pytest.mark.parametrize("name, f, top", POLYNOMIAL, ids=[n for n, _, _ in POLYNOMIAL])
+def test_a_scalar_denominator_is_inverted_in_f_p(name, f, top):
+    # the orbit's Y_n^2 is a scalar on polynomial maps: lambda mod p is num
+    # times den_0^-1 mod p, the extended Euclid's value
+    primes = word_primes()
+    ps = [next(primes) for _ in range(5)]
+    for n in range(1, top + 1):
+        for s, _k in squarefree_decomposition(dynatomic_numerator(f, n)):
+            num, den = multiplier_element(f, n, s)
+            assert not any(den.c[1:]), (name, n)
+            for p in ps + [q for q in (2, 3) if den.c[0] % q == 0]:
+                red = FpModulus(num.field.mod, p)
+                inv = red.inverse(fp_array(den.c, p))
+                got = spectra._lambda_mod(num, den, p)
+                if inv is None:
+                    assert den.c[0] % p == 0 and got is None, (name, n, p)
+                    continue
+                want = red.reduce(fp_mul(fp_array(num.c, p), inv, p))
+                assert got[1].tolist() == want.tolist(), (name, n, p)
+    if name == "3z^2-1":  # den_0 is a power of 3: the prime 3 is refused
+        num, den = multiplier_element(f, 1, dynatomic_numerator(f, 1))
+        assert den.c[0] % 3 == 0 and spectra._lambda_mod(num, den, 3) is None
+
+
 # ----------------------------------------------------------------------
 # deterministic guards: operand sizes and prime counts, no timing
 # ----------------------------------------------------------------------
+
+
+def _count_products(monkeypatch):
+    """A one-entry list that counts, from now on, the full residue products:
+    a FieldElt times a non-constant FieldElt."""
+    real_mul, made = FieldElt.__mul__, [0]
+
+    def mul(self, o):
+        made[0] += isinstance(o, FieldElt) and any(o.c[1:])
+        return real_mul(self, o)
+
+    monkeypatch.setattr(FieldElt, "__mul__", mul)
+    return made
+
+
+def test_the_certificate_makes_about_two_sqrt_deg_mu_products(monkeypatch):
+    # z^2-1 at period 7: deg mu = 18, so 3 baby steps and 4 giant steps;
+    # hom_eval(P, alpha, E) made 17 full products
+    made, per_call, real = _count_products(monkeypatch), [], spectra._certified
+
+    def certified(mu, degree, alpha, E):
+        start = made[0]
+        ok = real(mu, degree, alpha, E)
+        per_call.append(made[0] - start)
+        return ok
+
+    monkeypatch.setattr(spectra, "_certified", certified)
+    f = build_map([-1, 0, 1], [1])
+    mu = minimal_polynomial(*multiplier_element(f, 7, dynatomic_numerator(f, 7)))
+    assert len(mu) - 1 == 18
+    assert per_call and max(per_call) <= 9
 
 
 def test_the_certificate_runs_on_one_element_over_an_int(monkeypatch):
@@ -94,6 +182,21 @@ def test_the_certificate_runs_on_one_element_over_an_int(monkeypatch):
     assert seen and all(type(E) is int for _alpha, E in seen)
     assert max(max(abs(c) for c in alpha.c).bit_length() for alpha, _E in seen) <= 1876 // 2
     assert max(abs(E).bit_length() for _alpha, E in seen) <= 1869 // 2
+
+
+def test_no_degree_makes_more_products_than_horner(monkeypatch):
+    # below deg 4 (k = 1) the scheme is Horner itself: the exceptional maps'
+    # integer multipliers give such small mu on moduli of degree up to 1020
+    made = _count_products(monkeypatch)
+    f = build_map([-1, 0, 1], [1])
+    alpha, _den = multiplier_element(f, 5, dynatomic_numerator(f, 5))
+    for D in range(1, 33):
+        P = list(range(1, D + 2))
+        made[0] = 0
+        hom_eval(P, alpha, 3)
+        horner, made[0] = made[0], 0
+        spectra._scaled_value(P, alpha, 3)
+        assert made[0] <= horner, D
 
 
 @pytest.mark.parametrize(
@@ -117,4 +220,4 @@ def test_an_integer_mu_is_lifted_to_the_integer_bound_only(monkeypatch, f, n):
         mu = minimal_polynomial(*multiplier_element(f, n, s))
         monkeypatch.setattr(spectra, "_crt_extend", real)
         assert all(c.denominator == 1 for c in mu)
-        assert 0 < len(lifted) <= 8
+        assert 0 < len(lifted) <= 6
