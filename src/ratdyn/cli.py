@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import ast
 import cmath
+import contextlib
 import json
 import sys
 import time
@@ -483,6 +484,9 @@ def _cmd_zdunik(args, f):
     }, rows
 
 
+_MAKE_OPTIONS = {"power": ("d", "sign"), "chebyshev": ("d", "sign"), "lattes": ("a", "b", "m")}
+
+
 def _cmd_make(args):
     if args.family == "lattes":
         f = _builder_map(f"lattes:{args.a}:{args.b}:{args.m}")
@@ -633,9 +637,10 @@ def run(argv: list[str], stdin_text: str | None = None, out=None, err=None) -> i
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = build_parser().parse_args(argv)
-        if args.config:
-            args = _parse_with_config(argv, args)
+        with contextlib.redirect_stdout(out):  # --help prints to sys.stdout
+            args = build_parser().parse_args(argv)
+            if args.config:
+                args = _parse_with_config(argv, args)
     except SystemExit:  # --help
         return 0
     except (argparse.ArgumentError, OSError, ValueError) as e:
@@ -672,6 +677,8 @@ def run(argv: list[str], stdin_text: str | None = None, out=None, err=None) -> i
         out.write(_emit_csv(rows))
         return 0
     cfg = {k: v for k, v in vars(args).items() if k not in ("fn", "cmd", "config")}
+    if args.cmd == "make":  # only the options the family reads
+        cfg = {k: cfg[k] for k in ("family", *_MAKE_OPTIONS[args.family], "indent")}
     report = run_report(args.cmd, cfg, results, getattr(args, "seed", 0), seconds)
     out.write(render(report, indent=getattr(args, "indent", None)) + "\n")
     return 0

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all ratdyn modules.
 
-Every error carries a short machine-readable ``code`` used by the CLI when
-mapping failures to exit statuses and JSON diagnostics.
+Every error carries a short machine-readable ``code``, used by the CLI when
+mapping failures to exit statuses and JSON diagnostics, and a message that
+states any number behind it; ``MapParseError`` also keeps the ``position``
+that the CLI prints.
 """
 
 from __future__ import annotations
@@ -12,16 +14,12 @@ class RatdynError(Exception):
 
     code = "error"
 
-    def __init__(self, message: str, **info):
-        super().__init__(message)
-        self.info = info
-
 
 class MapParseError(RatdynError):
     code = "map-parse"
 
-    def __init__(self, message: str, position: int | None = None, **info):
-        super().__init__(message, position=position, **info)
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message)
         self.position = position
 
 
@@ -39,10 +37,6 @@ class DegreeCapExceeded(RatdynError):
 
 class RootFindingFailed(RatdynError):
     code = "root-finding"
-
-    def __init__(self, message: str, unconverged: int = 0, **info):
-        super().__init__(message, unconverged=unconverged, **info)
-        self.unconverged = unconverged
 
 
 class InexactDivision(RatdynError):
@@ -78,27 +72,15 @@ class InPostcriticalSet(RatdynError):
 class NoReturnFound(RatdynError):
     code = "no-return"
 
-    def __init__(self, message: str, search_depth: int = 0, **info):
-        super().__init__(message, search_depth=search_depth, **info)
-        self.search_depth = search_depth
-
 
 class NewtonDiverged(RatdynError):
     code = "newton-diverged"
-
-    def __init__(self, message: str, n: int = 0, **info):
-        super().__init__(message, n=n, **info)
-        self.n = n
 
 
 class PeriodCollision(RatdynError):
     """A refined point collapsed onto a proper-divisor period; the seed is bad."""
 
     code = "period-collision"
-
-    def __init__(self, message: str, n: int = 0, **info):
-        super().__init__(message, n=n, **info)
-        self.n = n
 
 
 class SpectrumNotRational(RatdynError):

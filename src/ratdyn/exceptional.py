@@ -2,10 +2,14 @@
 power maps, Chebyshev maps and Lattès maps.
 
 The classifier combines the canonical orbifold signature of a
-postcritically finite map with exact multiplier data: a map is only
-declared not exceptional on an exact certificate (a multiplier factor that
-cannot sit inside the integers of Q or of any single imaginary quadratic
-field); inconclusive evidence yields Undetermined, never a guess.
+postcritically finite map with exact multiplier data, in this order:
+power and Chebyshev signatures decide alone; every other map then takes
+one exact walk over the multiplier factors of periods 1..max_period, and
+a Lattès signature reads its flexible/rigid split from that same walk.  A
+map is only declared not exceptional on an exact certificate (a
+multiplier factor that cannot sit inside the integers of Q or of any
+single imaginary quadratic field; Milnor, *On Lattès maps*, 2006);
+inconclusive evidence yields Undetermined, never a guess.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DegreeCapExceeded, RatdynError, SingularCurve
-from .polys import pmul, pscale, psub
+from .errors import RatdynError, SingularCurve
+from .polys import pmul, poly_to_str, pscale, psub
 from .sphere import (
     ProjPoint,
     RationalMap,
@@ -250,37 +254,43 @@ class ExceptionalClass:
         return self.kind + (f": {self.reason}" if self.reason else "")
 
 
-def _exact_field_violation(f: RationalMap, max_period: int, cap=None, seed=0):
-    """An exact certificate that the multipliers cannot all lie in Z or in
-    the integers of one imaginary quadratic field, or None.  Periods are
-    factored one at a time, up to the first violation; an error at a period
-    (the exact cap included) ends the search with None, so a violation at a
-    lower period stands."""
+def _exact_field_violation(f: RationalMap, max_period: int, cap=None):
+    """(violation, linear): the one exact walk of the classifier.
+
+    ``violation`` is an exact certificate (n, q, why) that the multipliers
+    cannot all lie in Z or in the integers of one imaginary quadratic field,
+    or None.  Without one, ``linear`` says whether every factor up to
+    max_period was linear (every multiplier a rational integer); otherwise
+    every factor is linear or an integral quadratic of one imaginary field.
+    Periods are factored one at a time, up to the first violation; an error
+    at a period (the exact cap included) or a parabolic period ends the walk
+    with (None, None), so a violation at a lower period stands."""
     from .spectra import multiplier_factors
 
-    d0 = None
+    d0, linear = None, True
     for n in range(1, max_period + 1):
         try:
-            factors = multiplier_factors(f, n, cap=cap, seed=seed).factors
+            factors = multiplier_factors(f, n, cap=cap).factors
         except RatdynError:
-            return None
+            return None, None
         if any(m % n for _q, m in factors):
-            return None  # not whole cycles (parabolic degeneracy)
+            return None, None  # not whole cycles (parabolic degeneracy)
         for q, _m in factors:
             degq = len(q) - 1
             if any(c.denominator != 1 for c in q):
-                return (n, q, "factor is not an algebraic integer")
+                return (n, q, "factor is not an algebraic integer"), None
             if degq >= 3:
-                return (n, q, "irreducible factor of degree >= 3")
+                return (n, q, "irreducible factor of degree >= 3"), None
             if degq == 2:
+                linear = False
                 disc = int(q[1] * q[1] - 4 * q[0])
                 if disc > 0:
-                    return (n, q, "real quadratic multiplier")
+                    return (n, q, "real quadratic multiplier"), None
                 # Q(sqrt d0) = Q(sqrt disc) iff d0 disc is a square
                 d0 = disc if d0 is None else d0
                 if math.isqrt(d0 * disc) ** 2 != d0 * disc:
-                    return (n, q, "multipliers span two imaginary quadratic fields")
-    return None
+                    return (n, q, "multipliers span two imaginary quadratic fields"), None
+    return None, linear
 
 
 def classify(
@@ -291,37 +301,27 @@ def classify(
     cap: int | None = None,
     seed: int = 0,
 ) -> ExceptionalClass:
-    """Signature-plus-spectra decision tree.
-
-    (inf, inf) -> power; (2, 2, inf) -> chebyshev; the four Lattès
-    signatures -> Lattès, flexible iff the exact spectra up to max_period
-    are rational integers.  Anything else is not-exceptional only on an
-    exact multiplier-field violation, else undetermined.
+    """Signature-plus-spectra decision tree, in this order: (inf, inf) ->
+    power and (2, 2, inf) -> chebyshev from the signature alone; every other
+    map takes the one exact walk (:func:`_exact_field_violation`), and a
+    factor outside Z and the integers of every imaginary quadratic field ->
+    not-exceptional; then the four Lattès signatures -> lattes-flexible when
+    the walk found every factor linear, lattes-rigid when it found an
+    imaginary quadratic one, and numeric multipliers decide where the walk
+    has no evidence; anything else -> undetermined.
     """
     sig = orbifold_signature(f, depth=depth, tol=tol)
+    key = sig.key() if sig is not None else None
     evidence: dict = {"signature": str(sig) if sig else "NotPCF"}
-    if sig is not None:
-        key = sig.key()
-        if key == (math.inf, math.inf):
-            s = _fix_or_swap_sign(f, sig, math.inf, tol)
-            return ExceptionalClass(
-                "power", sign=s, degree=f.degree, evidence=evidence
-            )
-        if key == (2.0, 2.0, math.inf):
-            if f.degree % 2 == 0:
-                s = "+"
-            else:
-                s = _fix_or_swap_sign(f, sig, 2, tol)
-            return ExceptionalClass(
-                "chebyshev", sign=s, degree=f.degree, evidence=evidence
-            )
-        if key in _LATTES_SIGNATURES:
-            return _classify_lattes(f, max_period, evidence, cap=cap, seed=seed)
-    viol = _exact_field_violation(f, max_period, cap=cap, seed=seed)
+    if key == (math.inf, math.inf):
+        s = _fix_or_swap_sign(f, sig, math.inf, tol)
+        return ExceptionalClass("power", sign=s, degree=f.degree, evidence=evidence)
+    if key == (2.0, 2.0, math.inf):
+        s = "+" if f.degree % 2 == 0 else _fix_or_swap_sign(f, sig, 2, tol)
+        return ExceptionalClass("chebyshev", sign=s, degree=f.degree, evidence=evidence)
+    viol, linear = _exact_field_violation(f, max_period, cap=cap)
     if viol is not None:
         n, q, why = viol
-        from .polys import poly_to_str
-
         evidence["violation"] = {
             "period": n,
             "factor": poly_to_str(list(q), "λ"),
@@ -333,6 +333,8 @@ def classify(
             reason=f"period-{n} factor violates every candidate field",
             evidence=evidence,
         )
+    if key in _LATTES_SIGNATURES:
+        return _classify_lattes(f, max_period, evidence, linear, seed=seed)
     reason = (
         "postcritical set did not close within depth"
         if sig is None
@@ -358,31 +360,16 @@ def _fix_or_swap_sign(f: RationalMap, sig, weight, tol: float) -> str:
     return "+"
 
 
-def _classify_lattes(f, max_period, evidence, cap=None, seed=0) -> ExceptionalClass:
-    from .spectra import SpectrumNotRational, algebraic_spectrum, integrality
-
+def _classify_lattes(f, max_period, evidence, linear, seed=0) -> ExceptionalClass:
+    """The flexible/rigid split of a Lattès signature, read from the exact
+    walk's ``linear`` (no violation found), else from numeric multipliers."""
+    if linear is not None:
+        evidence["integrality"] = "AllRationalIntegers" if linear else "AllAlgebraicIntegers"
+        kind = "lattes-flexible" if linear else "lattes-rigid"
+        return ExceptionalClass(kind, degree=f.degree, evidence=evidence)
     if f.exact:
-        try:
-            spec = algebraic_spectrum(f, max_period, cap=cap, seed=seed)
-            verdict = integrality(spec)
-            evidence["integrality"] = verdict.describe()
-            if verdict.all_rational_integers:
-                return ExceptionalClass(
-                    "lattes-flexible", degree=f.degree, evidence=evidence
-                )
-            if verdict.all_algebraic_integers:
-                return ExceptionalClass(
-                    "lattes-rigid", degree=f.degree, evidence=evidence
-                )
-            return ExceptionalClass(
-                "undetermined",
-                degree=f.degree,
-                reason="Lattès signature but non-integral spectra",
-                evidence=evidence,
-            )
-        except (SpectrumNotRational, DegreeCapExceeded) as e:
-            evidence["spectra"] = f"unavailable: {e}"
-    # float map: numeric multipliers decide rigid vs undetermined
+        evidence["spectra"] = "unavailable: exact cap, Q(i) coefficients or a parabolic period"
+    # no exact evidence: numeric multipliers decide rigid vs undetermined
     from .periodic import cycles_of_period
 
     gaussian_like = True

@@ -175,10 +175,7 @@ def find_seed(
             found = (depth, int(hits[0]))
             break
     if found is None:
-        raise NoReturnFound(
-            f"no preimage re-entered V within depth {SEARCH_DEPTH}",
-            search_depth=SEARCH_DEPTH,
-        )
+        raise NoReturnFound(f"no preimage re-entered V within depth {SEARCH_DEPTH}")
     l, idx = found
     chain = []
     for depth in range(l, 0, -1):
@@ -312,7 +309,7 @@ def _close_orbit(F: RationalMap, orbit):
         orbit = [(u + step, in_z) for (u, in_z), step in zip(orbit, du)]
         if size <= NEWTON_STEP:
             return orbit
-    raise NewtonDiverged(f"Newton did not converge for n = {n}", n=n)
+    raise NewtonDiverged(f"Newton did not converge for n = {n}")
 
 
 def _cycle_entry(F: RationalMap, orbit, tol: float) -> SequenceEntry:
@@ -325,9 +322,7 @@ def _cycle_entry(F: RationalMap, orbit, tol: float) -> SequenceEntry:
     xy = [(u, 1.0) if in_z else (1.0, u) for u, in_z in orbit]
     for k in _divisors(n)[:-1]:
         if chordal_xy(*xy[0], *xy[k]) < 10 * tol:
-            raise PeriodCollision(
-                f"refined point has period dividing {k} < {n}: bad seed", n=n
-            )
+            raise PeriodCollision(f"refined point has period dividing {k} < {n}: bad seed")
     X, Y = xy[0]
     return SequenceEntry(
         n=n,

@@ -428,8 +428,7 @@ def periodic_points(
     if unconverged > 0 and len(pts) < expected:
         raise RootFindingFailed(
             f"period-{n} solve left {unconverged} starts unconverged "
-            f"({len(pts)}/{expected} points found)",
-            unconverged=unconverged,
+            f"({len(pts)}/{expected} points found)"
         )
     return pts, report
 

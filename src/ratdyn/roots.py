@@ -259,10 +259,7 @@ def aberth(
     ratio = newton_ratio_from_coeffs(c)
     roots, ok = aberth_ratio(ratio, starts, tol=tol, seed=seed)
     if not ok.all():
-        raise RootFindingFailed(
-            f"{int((~ok).sum())} of {D} roots unconverged",
-            unconverged=int((~ok).sum()),
-        )
+        raise RootFindingFailed(f"{int((~ok).sum())} of {D} roots unconverged")
     return np.concatenate([zeros, roots])
 
 

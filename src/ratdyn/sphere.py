@@ -544,10 +544,7 @@ def critical_points(
     if inf_mult > 0:
         out.append((INF, inf_mult))
     elif inf_mult < 0:
-        raise RootFindingFailed(
-            f"critical point multiplicities add to {found} > {total}",
-            unconverged=found - total,
-        )
+        raise RootFindingFailed(f"critical point multiplicities add to {found} > {total}")
     return out
 
 

@@ -24,6 +24,7 @@ from ratdyn import (
     power_map,
     spectra,
 )
+from ratdyn.exceptional import OrbifoldSignature
 from ratdyn.polys import padd, pmul, pscale, pstrip
 from ratdyn.spectra import PeriodFactors
 from ratdyn.sphere import RationalMap, critical_points, postcritical_truncation
@@ -235,15 +236,15 @@ def test_the_field_violation_names_non_integral_and_cubic_factors():
     half = build_map([Fraction(-1, 3), 0, Fraction(1, 2)], [1])
     q = (Fraction(-2, 3), Fraction(-2), Fraction(1))
     assert exceptional._exact_field_violation(half, 1) == (
-        1, q, "factor is not an algebraic integer")
+        (1, q, "factor is not an algebraic integer"), None)
     verdict = spectra.integrality(spectra.algebraic_spectrum(half, 1))
     assert verdict.first_violation == (1, q)
     assert verdict.describe() == "FirstViolation(period=1, factor=λ^2-2λ-2/3)"
     assert not verdict.all_algebraic_integers
     cubic = build_map([1, -2, 0, 1], [1])
     assert exceptional._exact_field_violation(cubic, 1) == (
-        1, (Fraction(71), Fraction(21), Fraction(-12), Fraction(1)),
-        "irreducible factor of degree >= 3")
+        (1, (Fraction(71), Fraction(21), Fraction(-12), Fraction(1)),
+         "irreducible factor of degree >= 3"), None)
 
 
 def test_classify_stable_under_exact_conjugation():
@@ -307,7 +308,7 @@ def test_the_field_violation_compares_discriminants_by_squares(
     got = exceptional._exact_field_violation(power_map(2, 1), len(quadratics))
     assert time.perf_counter() - start < 0.1
     want = (2, (*quadratics[1], 1), "multipliers span two imaginary quadratic fields")
-    assert got == (want if two_fields else None)
+    assert got == ((want, None) if two_fields else (None, False))
 
 
 @pytest.mark.parametrize(
@@ -358,3 +359,49 @@ def test_the_field_violation_stops_at_the_first_violating_period(monkeypatch):
     res = classify(build_map([1, -2, 0, 1], [1]), max_period=6)
     assert res.evidence["violation"]["period"] == 1
     assert calls == [1]
+
+
+# x([sqrt(-2)] P) on y^2 = x^3 + 4x^2 + 2x (Silverman, *Advanced Topics*,
+# II.2.3.1): a degree-2 Lattès map over Q with multipliers in Z[sqrt(-2)]
+SQRT_M2_LATTES = build_map([-2, -4, -1], [0, 2])
+
+
+def test_the_walk_reads_the_lattes_split():
+    flexible = flexible_lattes(LattesSpec(-1, 0, 2))
+    assert exceptional._exact_field_violation(flexible, 2) == (None, True)
+    assert exceptional._exact_field_violation(SQRT_M2_LATTES, 3) == (None, False)
+    res = classify(flexible, max_period=2)
+    assert (res.kind, res.evidence["integrality"]) == ("lattes-flexible", "AllRationalIntegers")
+    res = classify(SQRT_M2_LATTES, max_period=3)
+    assert (res.kind, res.evidence) == (
+        "lattes-rigid", {"signature": "(2,2,2,2)", "integrality": "AllAlgebraicIntegers"})
+
+
+def test_the_walk_has_no_evidence_past_the_cap_or_on_a_float_map():
+    # degree 4: 4^2 + 1 = 17 fits the cap 20, 4^3 + 1 = 65 does not
+    flexible = flexible_lattes(LattesSpec(-1, 0, 2))
+    assert exceptional._exact_field_violation(flexible, 3, cap=20) == (None, None)
+    assert exceptional._exact_field_violation(cm_lattes_fixture(), 1) == (None, None)
+    res = classify(flexible, max_period=3, cap=20)
+    assert res.evidence["spectra"].startswith("unavailable: ")
+    assert "numeric-multipliers" in res.evidence
+
+
+@pytest.mark.parametrize(
+    "coeffs, why",
+    [
+        ([-1, 0, 1], "real quadratic multiplier"),
+        ([1, -2, 0, 1], "irreducible factor of degree >= 3"),
+        ([Fraction(-1, 3), 0, Fraction(1, 2)], "factor is not an algebraic integer"),
+    ],
+    ids=["z^2-1", "z^3-2z+1", "z^2/2-1/3"],
+)
+def test_a_lattes_signature_does_not_override_the_exact_walk(monkeypatch, coeffs, why):
+    # with the signature forced to (2,2,2,2) the exact multipliers still
+    # decide; a looser "all algebraic integers" rule once read the first two
+    # as lattes-rigid and the third as undetermined
+    monkeypatch.setattr(exceptional, "orbifold_signature",
+                        lambda f, **kw: OrbifoldSignature(weights=(2, 2, 2, 2)))
+    res = classify(build_map(coeffs, [1]), max_period=3)
+    assert res.kind == "not-exceptional"
+    assert (res.evidence["violation"]["period"], res.evidence["violation"]["why"]) == (1, why)

@@ -20,10 +20,14 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ratdyn.cli import parse_map
+from ratdyn.errors import RatdynError
 from ratdyn.exceptional import LattesSpec, flexible_lattes
 from ratdyn.spectra import multiplier_factors
+from ratdyn.sphere import build_map
 
 X = sympy.Symbol("x")
 
@@ -73,3 +77,32 @@ def test_a_parabolic_fixed_point_is_skipped():
     # superattracting fixed point Infinity, whose term 1/(1 - 0) is all
     # that is left
     assert index_sum(parse_map("z^2+1/4"), 1) == (1, 1)
+
+
+COEFFS = st.lists(st.integers(-3, 3), min_size=3, max_size=4)
+# the skipped pairs measured over the maps drawn below (derandomized)
+MAX_SKIPPED = 35
+
+
+def test_random_integer_maps_satisfy_the_holomorphic_index_formula():
+    # degree 2 at periods 1..3 and degree 3 at periods 1..2; a pair with a
+    # root-of-unity multiplier is skipped and counted, every other (f, n)
+    # gives I_n = 1 exactly
+    maps, skipped = set(), []
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(COEFFS, COEFFS)
+    def check(num, den):
+        try:
+            f = build_map(num, den)
+        except RatdynError:
+            assume(False)
+        maps.add((tuple(num), tuple(den)))
+        for n in range(1, {2: 4, 3: 3}[f.degree]):
+            total, skips = index_sum(f, n)
+            assert skips or total == 1, (num, den, n)
+            skipped.append(skips)
+
+    check()
+    assert len(maps) >= 200
+    assert sum(skipped) <= MAX_SKIPPED
