@@ -3,10 +3,12 @@ power maps, Chebyshev maps and Lattès maps.
 
 The classifier combines the canonical orbifold signature of a
 postcritically finite map with exact multiplier data, in this order:
-power and Chebyshev signatures decide alone; every other map then takes
-one exact walk over the multiplier factors of periods 1..max_period, and
-a Lattès signature reads its flexible/rigid split from that same walk.  A
-map is only declared not exceptional on an exact certificate (a
+every map takes one exact walk over the multiplier factors of periods
+1..max_period, which alone can declare it not exceptional (the float
+signature cannot tell a tiny exact perturbation of z^d or T_d from the map
+itself); otherwise the signature names the kind, and a Lattès signature
+reads its flexible/rigid split from that same walk.  A map is only
+declared not exceptional on an exact certificate (a
 multiplier factor that cannot sit inside the integers of Q or of any
 single imaginary quadratic field; Milnor, *On Lattès maps*, 2006);
 inconclusive evidence yields Undetermined, never a guess.
@@ -25,7 +27,6 @@ from .sphere import (
     RationalMap,
     build_map,
     chordal,
-    critical_points,
     postcritical_truncation,
 )
 
@@ -177,7 +178,7 @@ def _orbifold_weights(f: RationalMap, depth: int, tol: float):
     trunc = postcritical_truncation(f, depth, tol)
     if not trunc.closed:
         return None
-    crit = critical_points(f, tol)
+    crit = trunc.critical
     reps: list[ProjPoint] = []
 
     def rep_index(p: ProjPoint) -> int:
@@ -301,24 +302,19 @@ def classify(
     cap: int | None = None,
     seed: int = 0,
 ) -> ExceptionalClass:
-    """Signature-plus-spectra decision tree, in this order: (inf, inf) ->
-    power and (2, 2, inf) -> chebyshev from the signature alone; every other
-    map takes the one exact walk (:func:`_exact_field_violation`), and a
-    factor outside Z and the integers of every imaginary quadratic field ->
-    not-exceptional; then the four Lattès signatures -> lattes-flexible when
-    the walk found every factor linear, lattes-rigid when it found an
+    """Signature-plus-spectra decision tree.  Every map first takes the one
+    exact walk (:func:`_exact_field_violation`): a factor outside Z and the
+    integers of every imaginary quadratic field -> not-exceptional, whatever
+    the float signature says (it cannot tell z^3 + 3e-20 z from z^3).
+    Otherwise the signature names the kind: (inf, inf) -> power and
+    (2, 2, inf) -> chebyshev; the four Lattès signatures -> lattes-flexible
+    when the walk found every factor linear, lattes-rigid when it found an
     imaginary quadratic one, and numeric multipliers decide where the walk
     has no evidence; anything else -> undetermined.
     """
     sig = orbifold_signature(f, depth=depth, tol=tol)
     key = sig.key() if sig is not None else None
     evidence: dict = {"signature": str(sig) if sig else "NotPCF"}
-    if key == (math.inf, math.inf):
-        s = _fix_or_swap_sign(f, sig, math.inf, tol)
-        return ExceptionalClass("power", sign=s, degree=f.degree, evidence=evidence)
-    if key == (2.0, 2.0, math.inf):
-        s = "+" if f.degree % 2 == 0 else _fix_or_swap_sign(f, sig, 2, tol)
-        return ExceptionalClass("chebyshev", sign=s, degree=f.degree, evidence=evidence)
     viol, linear = _exact_field_violation(f, max_period, cap=cap)
     if viol is not None:
         n, q, why = viol
@@ -333,6 +329,12 @@ def classify(
             reason=f"period-{n} factor violates every candidate field",
             evidence=evidence,
         )
+    if key == (math.inf, math.inf):
+        s = _fix_or_swap_sign(f, sig, math.inf, tol)
+        return ExceptionalClass("power", sign=s, degree=f.degree, evidence=evidence)
+    if key == (2.0, 2.0, math.inf):
+        s = "+" if f.degree % 2 == 0 else _fix_or_swap_sign(f, sig, 2, tol)
+        return ExceptionalClass("chebyshev", sign=s, degree=f.degree, evidence=evidence)
     if key in _LATTES_SIGNATURES:
         return _classify_lattes(f, max_period, evidence, linear, seed=seed)
     reason = (

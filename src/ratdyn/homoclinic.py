@@ -41,7 +41,6 @@ from .sphere import (
     chart_steps,
     chordal,
     chordal_xy,
-    critical_points,
     postcritical_truncation,
     spherical_norm,
 )
@@ -182,7 +181,7 @@ def find_seed(
         chain.append(complex(level_pts[depth][idx]))
         idx = parents[depth][idx]
     chain.append(z0c)  # chain = [z_l, ..., z_1, z_0]
-    crit = [complex(p.z) for p, _ in critical_points(f) if not p.is_infinity]
+    crit = [complex(p.z) for p, _ in trunc.critical if not p.is_infinity]
     if crit:
         d_crit = min(min(abs(zj - c) for c in crit) for zj in chain[:-1])
     else:

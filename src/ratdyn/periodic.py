@@ -26,6 +26,7 @@ from .errors import (
 )
 from .polys import (
     Poly,
+    hom_eval,
     idivexact,
     iprimitive,
     pexactdiv,
@@ -44,7 +45,6 @@ from .sphere import (
     chart_steps,
     chordal,
     chordal_xy,
-    hom_eval,
     near_pairs,
     normalize_xy,
     points_to_xy,

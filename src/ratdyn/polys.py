@@ -22,12 +22,12 @@ Four coefficient domains, all ascending [a0, a1, ...]:
   and :func:`fp_gcd` is Euclid with one vector update per elimination
   step.
 
-:func:`peval` is the one Horner loop for dehomogenized polynomials: the
-coefficients and the point may be int, Fraction, Qi or complex (Python or
-numpy), anything whose ``+`` and ``*`` mix with ints.
-:class:`Poly` wraps a coefficient list as a ring element, so that the
-homogeneous Horner loop ``sphere.hom_eval`` can compose and substitute
-polynomials.
+:func:`hom_eval` is the one Horner loop: it evaluates a homogeneous form
+at (X, Y), and a polynomial p at x as ``hom_eval(p, x, 1)``.  X and Y may
+be int, Fraction, Qi or complex (Python or numpy, scalars or arrays),
+residue-field elements (``spectra.FieldElt``) or :class:`Poly`, which wraps
+a coefficient list as a ring element, so that the same loop composes and
+substitutes polynomials.
 """
 
 from __future__ import annotations
@@ -88,12 +88,33 @@ def pmul(a, b):
     return pstrip(out)
 
 
-def peval(p, x):
-    """p(x) by Horner from the leading coefficient; the zero poly gives 0."""
-    acc = 0
-    for c in reversed(pstrip(p)):
-        acc = acc * x + c
-    return acc
+def hom_eval(coeffs, X, Y, partials: bool = False):
+    """Sum c[i] X^i Y^(d-i), d = len(coeffs) - 1, by Horner in X; with
+    ``partials`` the triple (value, d/dX, d/dY).
+
+    Only ``+`` and ``*`` are used (ints enter as factors only), so one loop
+    serves numpy arrays, exact scalars and ring elements alike: int
+    coefficients over ``FieldElt`` or int :class:`Poly` arguments keep every
+    result in Z, and :class:`Poly` arguments compose or substitute
+    polynomials (``f^n`` in ``periodic.compose_hom``, Moebius conjugation
+    in ``sphere.conjugate``).  Float operation order is fixed: Y^k is built
+    by repeated ``* Y`` starting from 1, and each derivative weight
+    multiplies its coefficient before the power of Y.
+    """
+    d = len(coeffs) - 1
+    val, Yp = coeffs[d], 1
+    if partials:
+        vx, vy = d * coeffs[d], 0
+    for i in range(d - 1, -1, -1):
+        Yn = Yp * Y
+        val = val * X + coeffs[i] * Yn
+        if partials:
+            if i > 0:
+                # degree d-1 form: exactly d-1 Horner multiplies (i = d-1..1)
+                vx = vx * X + i * coeffs[i] * Yn
+            vy = vy * X + (d - i) * coeffs[i] * Yp
+        Yp = Yn
+    return (val, vx, vy) if partials else val
 
 
 class Poly:
@@ -164,11 +185,6 @@ def pgcd(a, b):
 def ppad(p, length: int, zero=0):
     """p as a list of exactly `length` coefficients, padded with `zero`."""
     return list(p) + [zero] * (length - len(p))
-
-
-def preverse(p, length: int):
-    """Coefficients of z^(length-1) * p(1/z); pads p to `length` first."""
-    return pstrip(list(reversed(ppad(p, length))))
 
 
 # ----------------------------------------------------------------------
@@ -285,12 +301,13 @@ def rational_roots(p):
     Algebra, ch. 15)."""
     p = pstrip(p)
     lc, dp, q = p[-1], pderiv(p), next(_good_primes(p))
-    roots, mod = [r for r in range(q) if peval(p, r) % q == 0], q
+    roots, mod = [r for r in range(q) if hom_eval(p, r, 1) % q == 0], q
     while mod <= 4 * max(map(abs, p)):
         mod *= mod
-        roots = [(r - peval(p, r) * pow(peval(dp, r), -1, mod)) % mod for r in roots]
+        roots = [(r - hom_eval(p, r, 1) * pow(hom_eval(dp, r, 1), -1, mod)) % mod
+                 for r in roots]
     out = [Fraction(a - mod if 2 * a > mod else a, lc) for a in (lc * r % mod for r in roots)]
-    return sorted(r for r in out if peval(p, r) == 0)
+    return sorted(r for r in out if hom_eval(p, r, 1) == 0)
 
 
 def proven_irreducible(p) -> bool:

@@ -65,6 +65,7 @@ from .polys import (
     fp_gcd,
     fp_mul,
     fractions_to_int_primitive,
+    hom_eval,
     idivexact,
     int_poly_irreducible,
     ipmul,
@@ -80,7 +81,7 @@ from .polys import (
     squarefree_decomposition,
     word_primes,
 )
-from .sphere import RationalMap, hom_eval
+from .sphere import RationalMap
 
 # ----------------------------------------------------------------------
 # the residue ring Z[w]/(q~)

@@ -5,14 +5,17 @@ numeric kernels work on normalized homogeneous pairs (X, Y) so Infinity is
 an ordinary point.  Maps carry exact Gaussian-rational coefficients when
 possible and always keep complex-float shadows for the numeric paths.
 
-:func:`hom_eval` is the one Horner loop for homogeneous forms: X and Y may
-be numpy complex arrays, Qi, residue-field elements (``spectra.FieldElt``)
-or polynomial ring elements (``polys.Poly``), with coefficients that
-multiply them (int, Fraction, Qi, Python or numpy complex).
+Every evaluation of a map, float or exact, in homogeneous form or in a
+chart, is a call of ``polys.hom_eval`` on one of the map's homogeneous
+pairs (exact ``num``/``den`` or the float ``_nf``/``_df``); the charts keep
+no coefficients of their own.
 
 :func:`chart_orbit` and :func:`chart_steps` are the one walk of a cycle's
 chart steps (z chart for |z| <= 1, else w = 1/z): cycle multipliers and the
 homoclinic Newton both take them, exact or float for the whole cycle.
+:func:`chart_step` reads a step's value and derivative from ``hom_eval``'s
+X-partial at (u, 1), on the pair as it is in the z chart and reversed in
+the w chart.
 """
 
 from __future__ import annotations
@@ -28,16 +31,15 @@ from .errors import DegenerateMap, DegreeTooLow, RootFindingFailed
 from .polys import (
     Poly,
     fractions_to_int_primitive,
+    hom_eval,
     pdeg,
     pderiv,
     pexactdiv,
     pgcd,
-    peval,
     pmul,
     ppad,
     pstrip,
     psub,
-    preverse,
     qi_poly_to_fractions,
 )
 from .scalars import Qi
@@ -187,40 +189,6 @@ def normalize_xy(X, Y):
 
 
 # ----------------------------------------------------------------------
-# scalar helpers shared by exact and float paths
-# ----------------------------------------------------------------------
-
-
-def hom_eval(coeffs, X, Y, partials: bool = False):
-    """Sum c[i] X^i Y^(d-i), d = len(coeffs) - 1, by Horner in X; with
-    ``partials`` the triple (value, d/dX, d/dY).
-
-    Only ``+`` and ``*`` are used (ints enter as factors only), so one loop
-    serves numpy arrays, exact scalars and ring elements alike: int
-    coefficients over ``FieldElt`` or int ``Poly`` arguments keep every
-    result in Z, and ``Poly`` arguments compose or substitute polynomials
-    (``f^n`` in ``periodic.compose_hom``, Moebius conjugation in
-    :func:`conjugate`).  Float operation order is
-    fixed: Y^k is built by repeated ``* Y`` starting from 1, and each
-    derivative weight multiplies its coefficient before the power of Y.
-    """
-    d = len(coeffs) - 1
-    val, Yp = coeffs[d], 1
-    if partials:
-        vx, vy = d * coeffs[d], 0
-    for i in range(d - 1, -1, -1):
-        Yn = Yp * Y
-        val = val * X + coeffs[i] * Yn
-        if partials:
-            if i > 0:
-                # degree d-1 form: exactly d-1 Horner multiplies (i = d-1..1)
-                vx = vx * X + i * coeffs[i] * Yn
-            vy = vy * X + (d - i) * coeffs[i] * Yp
-        Yp = Yn
-    return (val, vx, vy) if partials else val
-
-
-# ----------------------------------------------------------------------
 # Möbius transformations
 # ----------------------------------------------------------------------
 
@@ -316,9 +284,9 @@ class RationalMap:
             df[i] = complex(c)
         self._coeffs_c = (nf, df)  # complex num, den padded to d + 1
         scale = max(np.abs(nf).max(), np.abs(df).max())
-        self._nf = nf / scale
-        self._df = df / scale
-        self._charts = {}  # chart_step's polynomials, filled on use
+        # lists: chart_step reads them one coefficient at a time
+        self._nf = list(nf / scale)
+        self._df = list(df / scale)
         self._wronskian_f = np.polynomial.polynomial.polysub(
             np.polynomial.polynomial.polymul(
                 np.polynomial.polynomial.polyder(self._nf), self._df
@@ -562,13 +530,16 @@ def _cluster_points(points: list[ProjPoint], tol: float):
 
 
 class PostcriticalTruncation:
-    """Union of f^k(critical set) for 1 <= k <= depth, deduplicated at tol."""
+    """Union of f^k(critical set) for 1 <= k <= depth, deduplicated at tol;
+    ``critical`` is the float :func:`critical_points` list it started from."""
 
-    def __init__(self, points: list[ProjPoint], depth: int, closed: bool, tol: float):
+    def __init__(self, points: list[ProjPoint], depth: int, closed: bool, tol: float,
+                 critical: list[tuple[ProjPoint, int]]):
         self.points = points
         self.depth = depth
         self.closed = closed
         self.tol = tol
+        self.critical = critical
 
     def min_chordal(self, p: ProjPoint | complex) -> float:
         if not self.points:
@@ -595,7 +566,8 @@ def postcritical_truncation(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    crit = [p for p, _ in critical_points(f, tol)]
+    critical = critical_points(f, tol)
+    crit = [p for p, _ in critical]
     pts: list[ProjPoint] = []
     frontier = crit
     for _ in range(depth):
@@ -614,15 +586,15 @@ def postcritical_truncation(
         exact_crit = _try_exact_points(f, crit)
         if exact_crit is not None:
             try:
-                return _postcritical_exact(f, exact_crit, depth)
+                return _postcritical_exact(f, exact_crit, depth, critical)
             except OverflowError:
                 # the exact orbit is still escaping: the numeric closure was
                 # an attracting-cycle artifact, not PCF
                 closed = False
-    return PostcriticalTruncation(pts, depth, closed, tol)
+    return PostcriticalTruncation(pts, depth, closed, tol, critical)
 
 
-def _postcritical_exact(f: RationalMap, crit: list[ProjPoint], depth: int):
+def _postcritical_exact(f: RationalMap, crit: list[ProjPoint], depth: int, critical):
     size_cap = 1 << 512
 
     def small(p: ProjPoint) -> bool:
@@ -646,7 +618,7 @@ def _postcritical_exact(f: RationalMap, crit: list[ProjPoint], depth: int):
         if not frontier:
             break
     closed = all(f.evaluate(p) in pts for p in pts)
-    return PostcriticalTruncation(pts, depth, closed, 0.0)
+    return PostcriticalTruncation(pts, depth, closed, 0.0, critical)
 
 
 def _try_exact_points(f: RationalMap, pts: list[ProjPoint]):
@@ -662,7 +634,7 @@ def _try_exact_points(f: RationalMap, pts: list[ProjPoint]):
         if cand is None:
             return None
         # verify exactly: w(cand) == 0
-        if peval(w, cand):
+        if hom_eval(w, cand, 1):
             return None
         out.append(ProjPoint.finite(cand))
     return out
@@ -710,22 +682,18 @@ def chart_orbit(points, exact: bool) -> list[tuple]:
 def chart_step(f: RationalMap, u, in_z: bool, out_z: bool, exact: bool):
     """(image, derivative) of chart_out o f o chart_in^(-1) at the chart
     value u, where in_z/out_z pick the z chart (True) or the w = 1/z chart.
-    The chart polynomials and their derivatives are built once per map,
-    exactness and chart."""
-    if (exact, in_z) not in f._charts:
+    The chart polynomials P, Q and their derivatives at u are the values
+    and X-partials of f's homogeneous pair at (u, 1): the pair as it is in
+    the z chart, reversed in the w chart."""
+    if exact:
         d = f.degree
-        if exact:
-            num, den = ppad(f.num, d + 1, Qi(0)), ppad(f.den, d + 1, Qi(0))
-        else:
-            num, den = list(f._nf), list(f._df)
-        if in_z:
-            P, Q = pstrip(num), pstrip(den)
-        else:
-            P, Q = preverse(num, d + 1), preverse(den, d + 1)
-        f._charts[exact, in_z] = (P, Q, pderiv(P), pderiv(Q))
-    P, Q, dP, dQ = f._charts[exact, in_z]
-    Pu, Qu = peval(P, u), peval(Q, u)
-    dPu, dQu = peval(dP, u), peval(dQ, u)
+        num, den = ppad(f.num, d + 1, Qi(0)), ppad(f.den, d + 1, Qi(0))
+    else:
+        num, den = f._nf, f._df
+    if not in_z:
+        num, den = num[::-1], den[::-1]
+    Pu, dPu, _ = hom_eval(num, u, 1, partials=True)
+    Qu, dQu, _ = hom_eval(den, u, 1, partials=True)
     if out_z:
         return Pu / Qu, (dPu * Qu - Pu * dQu) / (Qu * Qu)
     return Qu / Pu, (dQu * Pu - Qu * dPu) / (Pu * Pu)

@@ -6,7 +6,7 @@ field Q[z]/(q) with q made monic over Q, the homogeneous orbit of (z, 1)
 under the map's integer pair, lambda = prod W * (Y_n^2)^(-1) by the
 extended Euclid algorithm over Q, and the first linear dependency among
 1, lambda, lambda^2, ... by elimination over Q.  It shares no arithmetic
-with the production route beyond ``sphere.hom_eval`` and the pmul / pdivmod
+with the production route beyond ``polys.hom_eval`` and the pmul / pdivmod
 loops of ``polys``.
 """
 

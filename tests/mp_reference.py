@@ -12,7 +12,7 @@ precision.  ``test_modular_split`` also uses the refinement.
 
 import mpmath as mp
 
-from ratdyn.polys import peval, ppad
+from ratdyn.polys import hom_eval, ppad
 from ratdyn.scalars import Qi
 from ratdyn.sphere import RationalMap
 
@@ -48,8 +48,8 @@ def _mp_step(charts, u, in_z: bool, z_chart):
     (image, derivative between the charts, image chart), where the image
     lands in the z chart iff z_chart(P, Q) for its homogeneous (P, Q)."""
     A, B, dA, dB = charts[in_z]
-    P, Q = peval(A, u), peval(B, u)
-    dP, dQ = peval(dA, u), peval(dB, u)
+    P, Q = hom_eval(A, u, 1), hom_eval(B, u, 1)
+    dP, dQ = hom_eval(dA, u, 1), hom_eval(dB, u, 1)
     if z_chart(P, Q):
         return P / Q, (dP * Q - P * dQ) / (Q * Q), True
     return Q / P, (dQ * P - Q * dP) / (P * P), False

@@ -158,7 +158,7 @@ def _has_zero_divisor(text):
     )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(st.recursive(_ATOMS, _expressions, max_leaves=8))
 def test_the_grammar_agrees_with_sympy(text):
     expr = sympy_parse_expr(text, transformations=_SYMPY)

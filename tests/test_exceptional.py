@@ -230,6 +230,25 @@ def test_classify_not_exceptional_needs_exact_violation():
     assert res.evidence["violation"]["factor"] == "λ^2-2λ-4"
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [0, Fraction(3, 10**20), 0, 1],
+        [0, -3 + Fraction(1, 10**20), 0, 1],
+        [0, Fraction(1, 10**30), 0, 0, 1],
+    ],
+    ids=["z^3+3e-20z", "T3+1e-20z", "z^4+1e-30z"],
+)
+def test_a_power_or_chebyshev_signature_does_not_override_the_exact_walk(coeffs):
+    # the float signature of these maps is that of z^3, T3 or z^4, and their
+    # critical points do not snap to Q(i), so only the walk tells them apart
+    res = classify(build_map(coeffs, [1]))
+    assert res.kind == "not-exceptional"
+    assert res.evidence["violation"]["period"] == 1
+    assert res.reason == "period-1 factor violates every candidate field"
+    assert res.evidence["violation"]["why"] == "factor is not an algebraic integer"
+
+
 def test_the_field_violation_names_non_integral_and_cubic_factors():
     # z^2/2 - 1/3 fixes two points with multipliers the roots of
     # λ^2 - 2λ - 2/3; z^3 - 2z + 1 has an irreducible cubic at period 1

@@ -2,7 +2,7 @@
 
 A rational map is scaled once to its primitive integer pair; composition,
 dynatomic division and the residue orbits then run on ints through
-``sphere.hom_eval``.  The copies below are the composition loop over
+``polys.hom_eval``.  The copies below are the composition loop over
 Qi/complex and the hand-written residue loop of the per-cluster
 certificate (now kept in ``two_route_reference.py``); the multiplier
 element over ``Fraction`` coefficients is ``fraction_reference.py``.

@@ -6,7 +6,7 @@ alpha^/E equal to num/den by one exact product and certifies mu on
 (alpha^, E).  The reference is ``certificate_reference.py``: the
 certificate on the projective pair (num, den), as the route ran before.
 The zero test itself evaluates mu by Paterson & Stockmeyer's scheme; its
-reference is ``sphere.hom_eval``, the plain Horner loop.
+reference is ``polys.hom_eval``, the plain Horner loop.
 """
 
 import math

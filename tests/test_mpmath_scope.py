@@ -47,7 +47,7 @@ def test_an_import_inside_a_function_is_found():
     sources = {
         "scratch": "def f():\n    import mpmath as mp\n    return mp.mpf(1)\n",
         "other": "from mpmath.libmp import mpf_add\n",
-        "clean": "import math\nfrom .polys import peval\n",
+        "clean": "import math\nfrom .polys import hom_eval\n",
         "homoclinic": "import mpmath as mp\n",
     }
     assert mpmath_importers(sources) == ["homoclinic", "other", "scratch"]

@@ -8,20 +8,28 @@ from ratdyn import (
     INF,
     DegenerateMap,
     DegreeTooLow,
+    LattesSpec,
     MoebiusMap,
     ProjPoint,
     Qi,
     build_map,
     chordal,
+    classify,
     conjugate,
     critical_points,
     evaluate,
+    exceptional,
+    find_seed,
+    flexible_lattes,
+    homoclinic,
     postcritical_truncation,
+    sphere,
     spherical_norm,
 )
 from ratdyn.homoclinic import iterate_map
+from ratdyn.polys import pderiv, ppad, pstrip
 from ratdyn.spectra import ResidueField
-from ratdyn.sphere import hom_eval, normalize_xy
+from ratdyn.sphere import chart_step, hom_eval, normalize_xy
 
 Z2 = build_map([0, 0, 1], [1])
 BASILICA = build_map([-1, 0, 1], [1])
@@ -164,6 +172,30 @@ def test_postcritical_truncation_examples():
     assert finite == pytest.approx([1.0, 2.0])
 
 
+@pytest.mark.parametrize(
+    "run, calls",
+    [
+        (lambda: classify(BASILICA), 1),
+        (lambda: find_seed(BASILICA, (1 + 5**0.5) / 2), 2),
+    ],
+    ids=["classify", "find_seed"],
+)
+def test_each_postcritical_walk_solves_the_critical_points_once(monkeypatch, run, calls):
+    # classify's signature and find_seed's disk radii read the critical
+    # points the truncation solved; find_seed makes two truncations
+    seen, real = [], sphere.critical_points
+
+    def spy(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
+    for module in (sphere, exceptional, homoclinic):
+        if getattr(module, "critical_points", None) is real:
+            monkeypatch.setattr(module, "critical_points", spy)
+    run()
+    assert len(seen) == calls
+
+
 def test_chordal_metric_basics():
     assert chordal(INF, INF) == 0.0
     assert abs(chordal(0, INF) - 1.0) < 1e-15
@@ -294,3 +326,73 @@ def test_hom_eval_matches_the_replaced_exact_loops(d):
         ]
         want = _scalar_hom_loop(coeffs, X, Y, one_coeff=lambda c: fld.elt([c]))
         assert hom_eval(coeffs, X, Y) == want
+
+
+def _peval(p, x):
+    acc = 0
+    for c in reversed(pstrip(p)):
+        acc = acc * x + c
+    return acc
+
+
+def _cached_chart_step(f, u, in_z, out_z, exact):
+    # the chart step that chart_step replaced: dehomogenized chart
+    # polynomials (reversed for the w chart), their derivatives by pderiv,
+    # each evaluated by its own Horner loop
+    d = f.degree
+    if exact:
+        num, den = ppad(f.num, d + 1, Qi(0)), ppad(f.den, d + 1, Qi(0))
+    else:
+        num, den = list(f._nf), list(f._df)
+    if not in_z:
+        num, den = num[::-1], den[::-1]
+    P, Q = pstrip(num), pstrip(den)
+    Pu, Qu = _peval(P, u), _peval(Q, u)
+    dPu, dQu = _peval(pderiv(P), u), _peval(pderiv(Q), u)
+    if out_z:
+        return Pu / Qu, (dPu * Qu - Pu * dQu) / (Qu * Qu)
+    return Qu / Pu, (dQu * Pu - Qu * dPu) / (Pu * Pu)
+
+
+def _outcome(step, *args):
+    try:
+        with np.errstate(all="ignore"):
+            return step(*args)
+    except ZeroDivisionError as exc:  # exact steps onto a pole
+        return type(exc)
+
+
+CHART_MAPS = {
+    "lattes": flexible_lattes(LattesSpec(-1, 0, 2)),
+    "z^2-1": BASILICA,
+    "1/(z^2-1)": build_map([1], [-1, 0, 1]),  # 0 -> -1 -> inf -> 0
+    "(z^3+1)/z^2": build_map([1, 0, 0, 1], [0, 0, 1]),
+    "float": build_map([0.1 + 0.2j, 0, 1], [1]),
+}
+
+
+@pytest.mark.parametrize("name", list(CHART_MAPS))
+def test_chart_step_is_bitwise_the_cached_chart_polynomials(name):
+    f = CHART_MAPS[name]
+    rng = np.random.default_rng(7)
+    disk = np.sqrt(rng.random(40)) * np.exp(2j * np.pi * rng.random(40))
+    floats = [0j, -0j, 1, -1, 1j, -1j, 0.6 + 0.8j, -0.8 - 0.6j, *disk]
+    floats = [complex(u) for u in floats]
+    exact = [Qi(0), Qi(1), Qi(-1), Qi(0, 1), Qi(0, -1),
+             Qi(Fraction(3, 5), Fraction(4, 5)), Qi(Fraction(-4, 5), Fraction(-3, 5))]
+    exact += [Qi(Fraction(int(a), 7), Fraction(int(b), 7))
+              for a, b in rng.integers(-4, 5, size=(20, 2))]
+    cases = [(u, False) for u in floats]
+    if f.exact:
+        cases += [(u, True) for u in exact]
+    for u, is_exact in cases:
+        for in_z in (True, False):
+            for out_z in (True, False):
+                args = (f, u, in_z, out_z, is_exact)
+                got, want = _outcome(chart_step, *args), _outcome(_cached_chart_step, *args)
+                if is_exact or isinstance(want, type):
+                    assert got == want
+                    continue
+                for g, w in zip(got, want):
+                    assert _bits(np.array([g], dtype=complex)).tolist() == _bits(
+                        np.array([w], dtype=complex)).tolist()
