@@ -17,10 +17,13 @@ Four coefficient domains, all ascending [a0, a1, ...]:
 * residues mod a prime p < 2^30 as numpy int64 arrays, for the modular
   minimal polynomials and point counts of the exact spectra:
   :func:`fp_mul` multiplies by a float FFT on 15-bit limbs,
-  :class:`FpModulus` reduces by Barrett's method, inverts by the extended
+  :class:`FpModulus` reduces by Barrett's method (its inverse series is
+  built at the first reduction that needs one), inverts by the extended
   Euclid algorithm and finds minimal polynomials by Krylov elimination,
-  and :func:`fp_gcd` is Euclid with one vector update per elimination
-  step.
+  taking all but the first few powers as one product with the
+  multiplication matrix (:func:`fp_vecmat`, exact on 10-bit limbs for m <
+  2^13), and :func:`fp_gcd` is Euclid with one vector update per
+  elimination step.
 
 :func:`hom_eval` is the one Horner loop: it evaluates a homogeneous form
 at (X, Y), and a polynomial p at x as ``hom_eval(p, x, 1)``.  X and Y may
@@ -33,6 +36,7 @@ substitutes polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd as _igcd, isqrt
 from operator import mul
 
@@ -466,6 +470,21 @@ def fp_mul(a, b, p: int):
     return (c[0] + (c[1] << 15) + c[2] * (2**30 % p)) % p
 
 
+_LIMB_SHIFTS = np.array([[0], [10], [20]])
+
+
+def fp_vecmat(v, mat, p: int):
+    """v mat over F_p, for residues v (int64) and a float64 matrix of
+    residues with at least len(v) rows.  v is split into three 10-bit
+    limbs, so every float sum of the one matrix product is an integer below
+    len(v) 2^40 < 2^53 and exact in any summation order; longer v raises."""
+    if len(v) >= 1 << 13:
+        raise ValueError(f"{len(v)} rows overflow the exact float sums")
+    limbs = (v >> _LIMB_SHIFTS & 0x3FF).astype(np.float64)
+    c = (limbs @ mat[: len(v)]).astype(np.int64) % p
+    return (c << _LIMB_SHIFTS).sum(axis=0) % p
+
+
 def fp_gcd(a, b, p: int):
     """Monic gcd over F_p by Euclid; each elimination step is one vector
     update, so a gcd of degree-m inputs costs O(m) numpy operations."""
@@ -481,23 +500,41 @@ def fp_gcd(a, b, p: int):
     return a * pow(int(a[-1]), -1, p) % p if len(a) else a
 
 
+def _matrix_step_from(m: int) -> int:
+    """The first power that :meth:`FpModulus.minimal_polynomial` takes by
+    the multiplication matrix of a modulus of degree m.  Building it costs
+    about as much as one or two products below m = 128 (and taken from
+    power 2 it spares the Barrett series), and about m / 40 products above.
+    So the products spent before it match its cost (ski rental), and deg
+    mu <= 3 at m >= 128 never builds it."""
+    return max(2, m // 32)
+
+
 class FpModulus:
-    """Reduction modulo an integer polynomial f over F_p (p must not divide
-    lc f): f made monic mod p, and the inverse power series of its reversal
-    precomputed by Newton iteration, so that a remainder costs two products
-    (Barrett; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9)."""
+    """Arithmetic modulo an integer polynomial f over F_p (p must not
+    divide lc f), f made monic mod p.  A remainder of a product costs two
+    more products (Barrett; von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 9) with :attr:`rinv`, built lazily: a modulus that never
+    reduces a product longer than m never pays for it.  Minimal polynomials
+    take most powers by the multiplication matrix instead, one
+    :func:`fp_vecmat` each, exact on 10-bit limbs for m < 2^13."""
 
     def __init__(self, f, p: int):
         f = fp_array(f, p)
         self.p, self.m = p, len(f) - 1
         self.f = f * pow(int(f[-1]), -1, p) % p
-        rev, inv, t = self.f[::-1], np.ones(1, dtype=np.int64), 1
+
+    @cached_property
+    def rinv(self):
+        """The inverse power series of the reversal of f to m - 1 terms, by
+        Newton iteration."""
+        p, rev, inv, t = self.p, self.f[::-1], np.ones(1, dtype=np.int64), 1
         while t < self.m - 1:
             t = min(2 * t, self.m - 1)
             e = -fp_mul(rev[:t], inv, p)[:t] % p
             e[0] = (e[0] + 2) % p
             inv = fp_mul(inv, e, p)[:t]
-        self.rinv = inv
+        return inv
 
     def reduce(self, a):
         """a mod f, for len(a) <= max(2m - 1, 2)."""
@@ -529,13 +566,31 @@ class FpModulus:
             r0, r1, s0, s1 = r1, fp_strip(r[: lb - 1]), s1, fp_strip(s % p)
         return s0 * pow(int(r0[0]), -1, p) % p if len(r0) == 1 else None
 
+    def multiplication_matrix(self, a):
+        """The m x m matrix of multiplication by a (len(a) <= m) in
+        F_p[w]/(f), as float64: row i is w^i a mod f, each row the last
+        shifted up by one with its top coefficient times f subtracted."""
+        p, m, f = self.p, self.m, self.f[: self.m]
+        mat = np.zeros((m, m), dtype=np.int64)
+        mat[0, : len(a)] = a
+        for prev, row in zip(mat, mat[1:]):
+            row[1:] = prev[:-1]
+            row -= prev[-1] * f
+            row %= p
+        return mat.astype(np.float64)
+
     def minimal_polynomial(self, a):
         """Monic minimal polynomial over F_p of a in F_p[z]/(f), ascending:
         Krylov elimination on 1, a, a^2, ..., which stops at the first power
         that depends on the earlier ones.  Each row carries the combination
-        of powers it stands for, so the dependency is read off directly."""
-        p, m = self.p, self.m
-        rows, pivots, power = [], [], np.ones(1, dtype=np.int64)
+        of powers it stands for, so the dependency is read off directly.
+
+        The first powers are products reduced by Barrett; from power
+        :func:`_matrix_step_from` on, each is one exact :func:`fp_vecmat`
+        with the multiplication matrix of a, built once.  At m >= 2^13 that
+        step raises rather than round."""
+        p, m, switch = self.p, self.m, _matrix_step_from(self.m)
+        rows, pivots, power, mat = [], [], np.ones(1, dtype=np.int64), None
         for k in range(m + 1):
             v = np.zeros(2 * m + 1, dtype=np.int64)
             v[: len(power)], v[m + k] = power, 1
@@ -547,7 +602,12 @@ class FpModulus:
                 return v[m : m + k + 1]
             rows.append(v * pow(int(v[nz[0]]), -1, p) % p)
             pivots.append(nz[0])
-            power = self.reduce(fp_mul(power, a, p))
+            if k + 1 < switch:
+                power = self.reduce(fp_mul(power, a, p))
+                continue
+            if mat is None:
+                mat = self.multiplication_matrix(a)
+            power = fp_vecmat(power, mat, p)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,8 @@ part s of the squarefree decomposition dyn = prod s_k^k:
   Z[w]/(s~), lambda Y_n^2 = L^2 prod W along the homogeneous orbit;
 * its minimal polynomial mu over Q (the product of the distinct
   irreducible multiplier polynomials, of degree at most deg s / n) is found
-  modulo word primes (Krylov elimination over F_p), lifted by CRT and
+  modulo word primes (Krylov elimination over F_p, all but the first
+  few powers taken by one multiplication matrix), lifted by CRT and
   rational reconstruction (or read off as integers once the residues stop
   changing), and certified exactly at the first agreeing prime on lambda as
   one element alpha^/E, E an int: lambda is lifted in the z-basis of
@@ -24,10 +25,10 @@ part s of the squarefree decomposition dyn = prod s_k^k:
   irreducible by its factor degrees mod small primes; sympy sees only a
   cofactor left unproven (one whose Galois group has no n-cycle);
 * one word prime counts the roots of s behind each factor mu_i: lambda
-  mod p, by the reduction and inverse the lift uses, gives the count
-  bound deg gcd(s~, mu_i(lambda)) in F_p[w]; the prime is accepted only
-  when the bounds sum to deg s, which proves every count.  The counts are
-  then scaled by the exponent k.
+  mod p, the lift's own at that prime (memoized per ring), gives the
+  count bound deg gcd(s~, mu_i(lambda)) in F_p[w]; the prime is accepted
+  only when the bounds sum to deg s, which proves every count.  The counts
+  are then scaled by the exponent k.
 
 Here s~ = L^(m-1) s(w/L) is the modulus made monic over Z by the
 substitution z = w/L, L its lead, so no exact step divides: every residue
@@ -102,6 +103,7 @@ class ResidueField:
         m, self.lead = len(q) - 1, q[-1]
         self.mod = tuple(c * self.lead ** (m - 1 - i) for i, c in enumerate(q[:-1])) + (1,)
         self.degree = m
+        self.at_prime = {}  # (num.c, den.c, p) -> _lambda_mod(num, den, p)
 
     def elt(self, coeffs) -> "FieldElt":
         """The residue of a polynomial: exactly `degree` coefficients."""
@@ -242,13 +244,18 @@ def minimal_polynomial(num: FieldElt, den: FieldElt) -> list[Fraction]:
 
 def _lambda_mod(num: FieldElt, den: FieldElt, p: int):
     """(F_p[w]/(q~) as an FpModulus, lambda = num/den mod p in it), or None
-    when den is not a unit mod (q~, p); a scalar den is inverted in F_p."""
-    red = FpModulus(num.field.mod, p)
-    if any(den.c[1:]):
-        inv = red.inverse(fp_array(den.c, p))
-    else:
-        inv = fp_array([pow(den.c[0], -1, p)], p) if den.c[0] % p else None
-    return None if inv is None else (red, red.reduce(fp_mul(fp_array(num.c, p), inv, p)))
+    when den is not a unit mod (q~, p); a scalar den is inverted in F_p.
+    Memoized on the ring, so the lift and the point counts of one
+    squarefree part build each prime's modulus, inverse and product once."""
+    memo, key = num.field.at_prime, (num.c, den.c, p)
+    if key not in memo:
+        red = FpModulus(num.field.mod, p)
+        if any(den.c[1:]):
+            inv = red.inverse(fp_array(den.c, p))
+        else:
+            inv = fp_array([pow(den.c[0], -1, p)], p) if den.c[0] % p else None
+        memo[key] = None if inv is None else (red, red.reduce(fp_mul(fp_array(num.c, p), inv, p)))
+    return memo[key]
 
 
 def _reduces_to(mu, mu_p, p: int) -> bool:
