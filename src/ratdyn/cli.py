@@ -19,6 +19,7 @@ import ast
 import cmath
 import contextlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -197,6 +198,9 @@ def parse_map(spec: str, stdin_text: str | None = None) -> RationalMap:
     return build_map(rf.num, rf.den)
 
 
+_SIGNS = {"": 1, "+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
+
+
 def _builder_map(spec: str) -> RationalMap:
     from .exceptional import LattesSpec, chebyshev_map, flexible_lattes, power_map
 
@@ -204,8 +208,10 @@ def _builder_map(spec: str) -> RationalMap:
     kind = parts[0].lower()
     try:
         if kind in ("power", "chebyshev"):
-            sign = 1 if len(parts) < 3 or parts[2] in ("+", "", "+1", "1") else -1
-            return (power_map if kind == "power" else chebyshev_map)(int(parts[1]), sign)
+            _, d, sign = parts + [""] * (3 - len(parts))
+            if sign not in _SIGNS:
+                raise ValueError(f"sign {sign!r} is not one of {sorted(_SIGNS)}")
+            return (power_map if kind == "power" else chebyshev_map)(int(d), _SIGNS[sign])
         if kind == "lattes":
             _, a, b, m = parts
             return flexible_lattes(LattesSpec(Fraction(a), Fraction(b), int(m)))
@@ -236,7 +242,9 @@ def parse_field(text: str):
                     raise MapParseError("field polynomial must have integer coefficients")
                 coeffs = [int(c) for c in coeffs_fr]
             return NumberFieldSpec(coeffs)
-    except ValueError as e:
+    except MapParseError:
+        raise
+    except (ValueError, RatdynError) as e:  # RatdynError: NumberFieldSpec refuses it
         raise MapParseError(f"bad field spec {text!r}: {e}") from None
     raise MapParseError(f"bad field spec {text!r} (use Q | quad:D | poly:...)")
 
@@ -287,8 +295,6 @@ def _cmd_cycles(args, f):
     from .periodic import cycles_of_period
     from .spectra import multiplier_factors
 
-    if args.period < 1:
-        raise MapParseError("period must be >= 1")
     cycles, rep = cycles_of_period(
         f, args.period, tol=args.tol, seed=args.seed, cap=args.cap
     )
@@ -390,8 +396,6 @@ def _cmd_classify(args, f):
 def _cmd_lyapunov(args, f):
     from .ergodic import backward_orbit_sample, lyapunov, lyapunov_from_periodic
 
-    if args.periodic is not None and args.periodic < 1:
-        raise MapParseError("periodic average needs a period >= 1")
     cloud = backward_orbit_sample(f, args.samples, burn_in=args.burn, seed=args.seed)
     mc = lyapunov(f, cloud)
     out = {"monte_carlo": to_jsonable(mc)}
@@ -509,6 +513,19 @@ _SHARED = {
     "--cap": dict(type=int, default=None, help="degree cap override"),
     "--csv": dict(action="store_true", help="emit CSV instead of JSON"),
 }
+
+
+# the least value of each integer option that has one
+_AT_LEAST = {"period": 1, "max_period": 1, "periodic": 1, "q": 1, "samples": 1,
+             "test_degree": 1, "burn": 0, "seed": 0}
+
+
+def _check_ranges(args):
+    for name, low in _AT_LEAST.items():
+        if getattr(args, name, None) is not None and getattr(args, name) < low:
+            raise MapParseError(f"--{name.replace('_', '-')} must be >= {low}")
+    if "tol" in args and not 0 < args.tol < math.inf:
+        raise MapParseError(f"--tol must be finite and > 0, not {args.tol}")
 
 
 def _add_common(sub, *flags):
@@ -649,6 +666,7 @@ def run(argv: list[str], stdin_text: str | None = None, out=None, err=None) -> i
         return 2
     t0 = time.perf_counter()
     try:
+        _check_ranges(args)
         if "map" in args:
             try:
                 f = parse_map(args.map, stdin_text)

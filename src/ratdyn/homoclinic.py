@@ -279,7 +279,7 @@ def _orbit_exponent(F: RationalMap, orbit):
     and the mean log modulus of the step derivatives, and the largest step
     residual."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        rs, ds = chart_steps(F, orbit, False)
+        rs, ds = chart_steps(F, orbit)
         chi = sum(math.log(abs(d)) if d else -math.inf for d in ds) / len(ds)
         return complex(math.prod(ds)), chi, float(np.max(np.abs(rs)))
 
@@ -294,7 +294,7 @@ def _close_orbit(F: RationalMap, orbit):
     n = len(orbit)
     for _ in range(NEWTON_SWEEPS):
         with np.errstate(divide="ignore", invalid="ignore"):
-            rs, ds = chart_steps(F, orbit, False)
+            rs, ds = chart_steps(F, orbit)
             inv, t = 1.0, 0j
             for d, r in zip(ds, rs):
                 inv = inv / d

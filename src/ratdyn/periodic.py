@@ -31,7 +31,6 @@ from .polys import (
     iprimitive,
     pexactdiv,
     pmul,
-    ppad,
     pstrip,
     psub,
 )
@@ -93,18 +92,12 @@ def compose_hom(f: RationalMap, n: int):
     """(N, D) with f^n = N/D, via homogeneous substitution (coprime stays
     coprime, so no gcd cleanup is needed).
 
-    Rational maps compose over their primitive integer pair, so N and D are
-    int lists scaled by f.int_scale^((d^n - 1)/(d - 1)) against the
-    composition of f.num/f.den; Q(i) maps compose over Qi and float maps
-    over complex."""
-    d = f.degree
-    if f.int_pair is not None:
-        A, B = f.int_pair
-    elif f.exact:
-        A, B = ppad(f.num, d + 1, Qi(0)), ppad(f.den, d + 1, Qi(0))
-    else:
-        A = ppad([complex(c) for c in f.num], d + 1, 0j)
-        B = ppad([complex(c) for c in f.den], d + 1, 0j)
+    Exact maps compose over ``f.exact_pair``: for a rational map that is
+    the primitive integer pair, so N and D are int lists scaled by
+    f.int_scale^((d^n - 1)/(d - 1)) against the composition of
+    f.num/f.den; Q(i) maps compose over Qi.  Float maps compose over
+    complex, on ``f._coeffs_c``."""
+    A, B = f.exact_pair or (p.tolist() for p in f._coeffs_c)
     N, D = Poly(A), Poly(B)
     for _ in range(n - 1):
         N, D = hom_eval(A, N, D), hom_eval(B, N, D)
@@ -301,17 +294,20 @@ def _tree_starts(f: RationalMap, count: int, seed: int) -> np.ndarray:
 def infinity_exact_period(f: RationalMap, n_cap: int) -> tuple[int | None, list[ProjPoint]]:
     """(exact period of Infinity, its orbit) if it is periodic within n_cap.
 
-    Exact maps iterate exactly; float maps at tolerance."""
-    orbit = [INF]
-    p = INF
+    Exact maps iterate (X, Y) = (1, 0) on ``f.exact_pair``, in plain ints
+    for a rational map: the first Y = 0 gives the period.  Float maps
+    evaluate f at tolerance."""
+    pair, orbit, p, X, Y = f.exact_pair, [INF], INF, 1, 0
     for k in range(1, n_cap + 1):
-        p = f.evaluate(p)
-        if f.exact:
-            if p == INF:
-                return k, orbit
-        else:
+        if pair is None:
+            p = f.evaluate(p)
             if p.is_infinity or chordal(p, INF) < 1e-11:
                 return k, orbit
+        else:
+            X, Y = hom_eval(pair[0], X, Y), hom_eval(pair[1], X, Y)
+            if not Y:
+                return k, orbit
+            p = ProjPoint.finite(Qi.coerce(X) / Y)
         orbit.append(p)
     return None, []
 
@@ -462,7 +458,7 @@ def multiplier(f: RationalMap, orbit: list[ProjPoint | complex]):
             raise NotACycle(
                 f"orbit breaks at index {i}: f(p_i) is {chordal(q, target):.3g} away"
             )
-    ds = chart_steps(f, chart_orbit(pts, exact), exact)[1]
+    ds = chart_steps(f, chart_orbit(pts, exact))[1]
     return math.prod(ds, start=Qi(1) if exact else 1.0 + 0j)
 
 
@@ -554,7 +550,7 @@ def group_cycles(
             if (gaps > 1e-6).any():
                 k = int(np.argmax(gaps > 1e-6))
                 raise NotACycle(f"orbit breaks at index {k}: f(p_i) is {gaps[k]:.3g} away")
-            ds = chart_steps(f, chart_orbit(orbit, False), False)[1]
+            ds = chart_steps(f, chart_orbit(orbit, False))[1]
             lam = math.prod(ds, start=1.0 + 0j)
         lam_c = complex(lam) if isinstance(lam, Qi) else lam
         chi = characteristic_exponent(lam, n)

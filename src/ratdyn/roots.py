@@ -114,6 +114,24 @@ def _median(x: np.ndarray) -> float:
     return float(np.mean(np.sort(x)[(x.size - 1) // 2 : x.size // 2 + 1]))
 
 
+def _step(ratio_fn, za: np.ndarray, S: np.ndarray, tol: float):
+    """One Aberth correction of the iterates za against their repulsion
+    sums S: (new iterates, lock mask).  A non-finite ratio means the
+    iterate is lost (underflow basin, pole, ...): it must not lock."""
+    with np.errstate(all="ignore"):
+        N = ratio_fn(za)
+        bad = ~np.isfinite(N)
+        N = np.where(bad, 0.0, N)
+        corr = N / (1.0 - N * S)
+        corr = np.where(np.isfinite(corr), corr, N)
+        # clamp: one huge correction must not fling the iterate away
+        lim = 0.5 * (1.0 + np.abs(za))
+        mag = np.abs(corr)
+        corr = np.where(mag > lim, corr * (lim / np.maximum(mag, 1e-300)), corr)
+        za = za - corr
+        return za, (np.abs(corr) <= tol * (1.0 + np.abs(za))) & ~bad
+
+
 def aberth_ratio(
     ratio_fn: Callable[[np.ndarray], np.ndarray],
     starts: np.ndarray,
@@ -140,25 +158,7 @@ def aberth_ratio(
     for round_ in range(restarts + 1):
         for _ in range(max_iter):
             act = np.nonzero(~locked)[0]
-            za = z[act]
-            with np.errstate(all="ignore"):
-                N = ratio_fn(za)
-            # a non-finite ratio means the iterate is lost (underflow basin,
-            # pole, ...): it must not lock, and gets redrawn at restart
-            bad = ~np.isfinite(N)
-            N = np.where(bad, 0.0, N)
-            S = _repulsion_rows(z, act)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                corr = N / (1.0 - N * S)
-            corr = np.where(np.isfinite(corr), corr, N)
-            # clamp: one huge correction must not fling the iterate away
-            lim = 0.5 * (1.0 + np.abs(za))
-            mag = np.abs(corr)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                corr = np.where(mag > lim, corr * (lim / np.maximum(mag, 1e-300)), corr)
-            za = za - corr
-            z[act] = za
-            locked[act] = (np.abs(corr) <= tol * (1.0 + np.abs(za))) & ~bad
+            z[act], locked[act] = _step(ratio_fn, z[act], _repulsion_rows(z, act), tol)
             if locked.all():
                 break
         if locked.all():
@@ -183,31 +183,17 @@ def aberth_ratio(
     # (far-field steps are only |z|/degree); repel against locked roots only
     idx = np.nonzero(~locked)[0]
     if idx.size and idx.size <= max(8, n // 20):
-        zi = z[idx]
-        done = np.zeros(idx.size, dtype=bool)
+        zl = z[locked]
         for _ in range(4 * n + 300):
-            with np.errstate(all="ignore"):
-                N = ratio_fn(zi)
-            bad = ~np.isfinite(N)
-            N = np.where(bad, 0.0, N)
+            act = idx[~locked[idx]]
+            if not act.size:
+                break
+            zi = z[act]
             S = np.zeros(zi.size, dtype=complex)
-            zl = z[locked]
             for lo in range(0, zl.size, _CHUNK):
                 with np.errstate(all="ignore"):
                     S += (1.0 / (zi[:, None] - zl[None, lo : lo + _CHUNK])).sum(axis=1)
-            with np.errstate(all="ignore"):
-                corr = N / (1.0 - N * S)
-            corr = np.where(np.isfinite(corr), corr, N)
-            lim = 0.5 * (1.0 + np.abs(zi))
-            mag = np.abs(corr)
-            corr = np.where(mag > lim, corr * (lim / np.maximum(mag, 1e-300)), corr)
-            corr = np.where(done, 0.0, corr)
-            zi = zi - corr
-            done = done | ((np.abs(corr) <= tol * (1.0 + np.abs(zi))) & ~bad)
-            if done.all():
-                break
-        z[idx] = zi
-        locked[idx] = done
+            z[act], locked[act] = _step(ratio_fn, zi, S, tol)
     return z, locked
 
 

@@ -7,15 +7,15 @@ possible and always keep complex-float shadows for the numeric paths.
 
 Every evaluation of a map, float or exact, in homogeneous form or in a
 chart, is a call of ``polys.hom_eval`` on one of the map's homogeneous
-pairs (exact ``num``/``den`` or the float ``_nf``/``_df``); the charts keep
-no coefficients of their own.
+pairs: the exact ``exact_pair`` (plain integers for a rational map) or the
+float ``_nf``/``_df``; the charts keep no coefficients of their own.
 
 :func:`chart_orbit` and :func:`chart_steps` are the one walk of a cycle's
 chart steps (z chart for |z| <= 1, else w = 1/z): cycle multipliers and the
-homoclinic Newton both take them, exact or float for the whole cycle.
-:func:`chart_step` reads a step's value and derivative from ``hom_eval``'s
-X-partial at (u, 1), on the pair as it is in the z chart and reversed in
-the w chart.
+homoclinic Newton both take them, exact (Qi chart values) or float
+(complex) for the whole cycle.  :func:`chart_step` reads a step's value and
+derivative from ``hom_eval``'s X-partial at (u, 1), on the pair as it is in
+the z chart and reversed in the w chart.
 """
 
 from __future__ import annotations
@@ -188,6 +188,18 @@ def normalize_xy(X, Y):
     return X / s, Y / s
 
 
+def _exact_image(pair, p: ProjPoint) -> ProjPoint:
+    """The image of p under an exact homogeneous pair (F, G), ascending
+    int or Qi coefficients: F/G at (p, 1), or at (1, 0) for Infinity."""
+    X, Y = (1, 0) if p.is_infinity else (Qi.coerce(p.z), 1)
+    F, G = hom_eval(pair[0], X, Y), hom_eval(pair[1], X, Y)
+    if G:
+        return ProjPoint.finite(Qi.coerce(F) / G)
+    if not F:
+        raise DegenerateMap("common root met in exact evaluation")
+    return INF
+
+
 # ----------------------------------------------------------------------
 # Möbius transformations
 # ----------------------------------------------------------------------
@@ -219,19 +231,12 @@ class MoebiusMap:
         if not isinstance(p, ProjPoint):
             p = ProjPoint.finite(p)
         a, b, c, d = self.a, self.b, self.c, self.d
-        if not self.exact:
-            X, Y = p.xy()
-        elif p.is_infinity:
-            X, Y = Qi(1), Qi(0)
-        else:
-            X, Y = Qi.coerce(p.z), Qi(1)
+        if self.exact:
+            return _exact_image(([b, a], [d, c]), p)
+        X, Y = p.xy()
         nx = a * X + b * Y
         ny = c * X + d * Y
-        if (isinstance(ny, Qi) and ny.is_zero()) or (
-            not isinstance(ny, Qi) and ny == 0
-        ):
-            return INF
-        return ProjPoint.finite(nx / ny)
+        return INF if ny == 0 else ProjPoint.finite(nx / ny)
 
     def __repr__(self):
         return f"MoebiusMap({self.a}, {self.b}, {self.c}, {self.d})"
@@ -259,7 +264,9 @@ class RationalMap:
     coefficients also carries ``int_pair``: the primitive integer pair
     (A, B), padded to length d+1, with A = int_scale * num and
     B = int_scale * den for a rational ``int_scale``; both are None for
-    Q(i) and float maps.
+    Q(i) and float maps.  ``exact_pair`` is the homogeneous pair every
+    exact evaluation reads: ``int_pair`` for a rational map, ``num``/``den``
+    padded with Qi(0) for a Q(i) map, None for a float map.
     """
 
     def __init__(self, num, den, exact: bool):
@@ -276,6 +283,9 @@ class RationalMap:
             )
             self.int_pair = (flat[: d + 1], ppad(flat[d + 1 :], d + 1))
             self.int_scale = 1 / scale
+        self.exact_pair = self.int_pair or (
+            (ppad(self.num, d + 1, Qi(0)), ppad(self.den, d + 1, Qi(0))) if exact else None
+        )
         nf = np.zeros(d + 1, dtype=complex)
         df = np.zeros(d + 1, dtype=complex)
         for i, c in enumerate(num):
@@ -307,7 +317,7 @@ class RationalMap:
         if not isinstance(p, ProjPoint):
             p = ProjPoint.finite(p)
         if self.exact and p.is_exact:
-            return self._evaluate_exact(p)
+            return _exact_image(self.exact_pair, p)
         return self.evaluate_float(p)
 
     def evaluate_float(self, p: ProjPoint) -> ProjPoint:
@@ -316,20 +326,6 @@ class RationalMap:
         X, Y = p.xy()
         Xa, Ya = self.eval_hom(np.array([X]), np.array([Y]))
         return xy_to_points(Xa, Ya)[0]
-
-    def _evaluate_exact(self, p: ProjPoint) -> ProjPoint:
-        d = self.degree
-        if p.is_infinity:
-            X, Y = Qi(1), Qi(0)
-        else:
-            X, Y = Qi.coerce(p.z), Qi(1)
-        F = hom_eval(ppad(self.num, d + 1, Qi(0)), X, Y)
-        G = hom_eval(ppad(self.den, d + 1, Qi(0)), X, Y)
-        if G.is_zero():
-            if F.is_zero():
-                raise DegenerateMap("common root met in exact evaluation")
-            return INF
-        return ProjPoint.finite(F / G)
 
     def eval_hom(self, X, Y):
         """Homogeneous step (F(X,Y), G(X,Y)), normalized output."""
@@ -460,14 +456,11 @@ def spherical_norm(f: RationalMap, p: ProjPoint | complex) -> float:
 
 def conjugate(f: RationalMap, phi: MoebiusMap) -> RationalMap:
     """phi o f o phi^(-1) as a reduced RationalMap of the same degree."""
-    d = f.degree
     if f.exact and phi.exact:
-        num = ppad(f.num, d + 1, Qi(0))
-        den = ppad(f.den, d + 1, Qi(0))
+        num, den = f.exact_pair
         a, b, c, dd = phi.a, phi.b, phi.c, phi.d
     else:
-        num = ppad([complex(c) for c in f.num], d + 1, 0j)
-        den = ppad([complex(c) for c in f.den], d + 1, 0j)
+        num, den = (p.tolist() for p in f._coeffs_c)
         a, b, c, dd = (complex(phi.a), complex(phi.b), complex(phi.c), complex(phi.d))
     # inverse of phi acts on (X, Y) by the adjugate matrix;
     # dehomogenized linear forms (X -> z, Y -> 1), ascending
@@ -533,12 +526,11 @@ class PostcriticalTruncation:
     """Union of f^k(critical set) for 1 <= k <= depth, deduplicated at tol;
     ``critical`` is the float :func:`critical_points` list it started from."""
 
-    def __init__(self, points: list[ProjPoint], depth: int, closed: bool, tol: float,
+    def __init__(self, points: list[ProjPoint], depth: int, closed: bool,
                  critical: list[tuple[ProjPoint, int]]):
         self.points = points
         self.depth = depth
         self.closed = closed
-        self.tol = tol
         self.critical = critical
 
     def min_chordal(self, p: ProjPoint | complex) -> float:
@@ -591,7 +583,7 @@ def postcritical_truncation(
                 # the exact orbit is still escaping: the numeric closure was
                 # an attracting-cycle artifact, not PCF
                 closed = False
-    return PostcriticalTruncation(pts, depth, closed, tol, critical)
+    return PostcriticalTruncation(pts, depth, closed, critical)
 
 
 def _postcritical_exact(f: RationalMap, crit: list[ProjPoint], depth: int, critical):
@@ -610,15 +602,16 @@ def _postcritical_exact(f: RationalMap, crit: list[ProjPoint], depth: int, criti
         frontier = [f.evaluate(p) for p in frontier]
         if not all(small(p) for p in frontier):
             raise OverflowError("exact orbit values grew past the size cap")
-        fresh = [p for p in frontier if p not in pts]
-        for p in fresh:
+        fresh = []
+        for p in frontier:
             if p not in pts:
                 pts.append(p)
+                fresh.append(p)
         frontier = fresh
         if not frontier:
             break
     closed = all(f.evaluate(p) in pts for p in pts)
-    return PostcriticalTruncation(pts, depth, closed, 0.0, critical)
+    return PostcriticalTruncation(pts, depth, closed, critical)
 
 
 def _try_exact_points(f: RationalMap, pts: list[ProjPoint]):
@@ -679,17 +672,15 @@ def chart_orbit(points, exact: bool) -> list[tuple]:
     ]
 
 
-def chart_step(f: RationalMap, u, in_z: bool, out_z: bool, exact: bool):
+def chart_step(f: RationalMap, u, in_z: bool, out_z: bool):
     """(image, derivative) of chart_out o f o chart_in^(-1) at the chart
     value u, where in_z/out_z pick the z chart (True) or the w = 1/z chart.
     The chart polynomials P, Q and their derivatives at u are the values
     and X-partials of f's homogeneous pair at (u, 1): the pair as it is in
-    the z chart, reversed in the w chart."""
-    if exact:
-        d = f.degree
-        num, den = ppad(f.num, d + 1, Qi(0)), ppad(f.den, d + 1, Qi(0))
-    else:
-        num, den = f._nf, f._df
+    the z chart, reversed in the w chart.  A Qi chart value takes the step
+    exactly on ``f.exact_pair`` (whose scale cancels in both results), a
+    complex one in floats on ``f._nf``/``f._df``."""
+    num, den = f.exact_pair if isinstance(u, Qi) else (f._nf, f._df)
     if not in_z:
         num, den = num[::-1], den[::-1]
     Pu, dPu, _ = hom_eval(num, u, 1, partials=True)
@@ -699,15 +690,16 @@ def chart_step(f: RationalMap, u, in_z: bool, out_z: bool, exact: bool):
     return Qu / Pu, (dQu * Pu - Qu * dPu) / (Pu * Pu)
 
 
-def chart_steps(f: RationalMap, orbit, exact: bool):
+def chart_steps(f: RationalMap, orbit):
     """Step residuals r_j = f(z_j) - z_(j+1) and derivatives d_j of a
-    :func:`chart_orbit` (j mod n), both in the chart of z_(j+1).  The
-    product of the d_j is the cycle's multiplier: the chart changes
-    telescope.  In floats, where f(z_j) is the pole of that chart, r_j is
-    infinite (callers silence numpy's warnings)."""
+    :func:`chart_orbit` (j mod n), both in the chart of z_(j+1); exact when
+    the chart values are Qi, float when they are complex.  The product of
+    the d_j is the cycle's multiplier: the chart changes telescope.  In
+    floats, where f(z_j) is the pole of that chart, r_j is infinite
+    (callers silence numpy's warnings)."""
     rs, ds = [], []
     for (u, in_z), (v, out_z) in zip(orbit, orbit[1:] + orbit[:1]):
-        image, d = chart_step(f, u, in_z, out_z, exact)
+        image, d = chart_step(f, u, in_z, out_z)
         rs.append(image - v)
         ds.append(d)
     return rs, ds

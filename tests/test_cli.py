@@ -273,6 +273,32 @@ def test_parse_errors_exit_2():
         ["spectrum", "--map", "10^400*z^2+1", "--max-period", "1"],
         (["spectrum", "--map", "-", "--max-period", "1"], f'{{"num": [1, 0, {10**400}], "den": [1]}}'),
         ["make", "lattes", "--a", "1e400"],
+        # out-of-range options, once a traceback (exit 1), an empty run
+        # (exit 0) or a quiet empty result
+        ["homoclinic", "--map", "z^2-1", "--point", "1.618033988749895", "--q", "0",
+         "--n-min", "9", "--n-max", "14"],
+        ["homoclinic", "--map", "z^2-1", "--point", "1.618033988749895", "--q", "-1",
+         "--n-min", "9", "--n-max", "14"],
+        ["cycles", "--map", "z^2-1", "--period", "1", "--tol", "nan"],
+        ["cycles", "--map", "z^2-1", "--period", "1", "--tol", "-1"],
+        ["cycles", "--map", "z^2-1", "--period", "1", "--tol", "inf"],
+        ["spectrum", "--map", "z^2-1", "--max-period", "0"],
+        ["field-check", "--map", "z^2-1", "--max-period", "0", "--field", "Q"],
+        ["classify", "--map", "z^2-1", "--max-period", "0"],
+        ["zdunik", "--map", "z^2-1", "--max-period", "0", "--samples", "100"],
+        ["lyapunov", "--map", "z^2-1", "--samples", "0"],
+        ["equidist", "--map", "z^2-1", "--periods", "1", "--samples", "0"],
+        ["zdunik", "--map", "z^2-1", "--max-period", "1", "--samples", "0"],
+        ["equidist", "--map", "z^2-1", "--periods", "1", "--test-degree", "0"],
+        ["lyapunov", "--map", "z^2-1", "--samples", "100", "--burn", "-5"],
+        ["lyapunov", "--map", "z^2-1", "--samples", "100", "--seed", "-1"],
+        # builder signs other than + and -, and a tail past the sign
+        ["cycles", "--map", "power:2:x", "--period", "1"],
+        ["cycles", "--map", "chebyshev:3:2", "--period", "1"],
+        ["cycles", "--map", "power:2:+:extra", "--period", "1"],
+        # field specs NumberFieldSpec refuses, once exit 3
+        *(["field-check", "--map", "z^2-1", "--max-period", "1", "--field", field]
+          for field in ("quad:0", "quad:1", "quad:4", "poly:x^2-4", "poly:2*x^2-1", "poly:1")),
     ],
 )
 def test_bad_fields_and_periods_exit_2(argv):
