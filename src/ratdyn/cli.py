@@ -517,7 +517,7 @@ _SHARED = {
 
 # the least value of each integer option that has one
 _AT_LEAST = {"period": 1, "max_period": 1, "periodic": 1, "q": 1, "samples": 1,
-             "test_degree": 1, "burn": 0, "seed": 0}
+             "test_degree": 1, "cap": 1, "burn": 0, "seed": 0, "indent": 0}
 
 
 def _check_ranges(args):

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import RatdynError, SingularCurve
+from .errors import MapParseError, RatdynError, SingularCurve
 from .polys import pmul, poly_to_str, pscale, psub
 from .sphere import (
     ProjPoint,
@@ -38,7 +38,7 @@ from .sphere import (
 def power_map(d: int, sign: int = 1) -> RationalMap:
     """z -> z^d (sign +1) or z -> z^(-d) (sign -1), exact."""
     if d < 2:
-        raise RatdynError("power map needs d >= 2")
+        raise MapParseError("power map needs d >= 2")
     mono = [0] * d + [1]
     if sign >= 0:
         return build_map(mono, [1])
@@ -49,7 +49,7 @@ def chebyshev_polynomial(d: int) -> list[int]:
     """Monic integer T_d with T_d(z + 1/z) = z^d + z^(-d), ascending
     coefficients, via T_0 = 2, T_1 = w, T_(k+1) = w T_k - T_(k-1)."""
     if d < 0:
-        raise RatdynError("need d >= 0")
+        raise MapParseError("need d >= 0")
     t0, t1 = [2], [0, 1]
     if d == 0:
         return t0
@@ -61,7 +61,7 @@ def chebyshev_polynomial(d: int) -> list[int]:
 def chebyshev_map(d: int, sign: int = 1) -> RationalMap:
     """+T_d or -T_d as an exact polynomial map."""
     if d < 2:
-        raise RatdynError("Chebyshev map needs d >= 2")
+        raise MapParseError("Chebyshev map needs d >= 2")
     T = chebyshev_polynomial(d)
     if sign < 0:
         T = [-c for c in T]
@@ -113,7 +113,7 @@ def flexible_lattes(spec: LattesSpec) -> RationalMap:
     x - E g_(m-1) g_(m+1) / g_m^2 for odd m."""
     a, b, m = spec.a, spec.b, spec.m
     if m < 2:
-        raise RatdynError("multiplier m must be >= 2")
+        raise MapParseError("multiplier m must be >= 2")
     if 4 * a**3 + 27 * b**2 == 0:
         raise SingularCurve(f"discriminant vanishes for a={a}, b={b}")
     g, E = _division_polys(a, b, m + 2), [b, a, 0, 1]

@@ -28,7 +28,7 @@ Four coefficient domains, all ascending [a0, a1, ...]:
 :func:`hom_eval` is the one Horner loop: it evaluates a homogeneous form
 at (X, Y), and a polynomial p at x as ``hom_eval(p, x, 1)``.  X and Y may
 be int, Fraction, Qi or complex (Python or numpy, scalars or arrays),
-residue-field elements (``spectra.FieldElt``) or :class:`Poly`, which wraps
+elements of Q[z]/(s) (``spectra.FieldElt``) or :class:`Poly`, which wraps
 a coefficient list as a ring element, so that the same loop composes and
 substitutes polynomials.
 """
@@ -98,8 +98,9 @@ def hom_eval(coeffs, X, Y, partials: bool = False):
 
     Only ``+`` and ``*`` are used (ints enter as factors only), so one loop
     serves numpy arrays, exact scalars and ring elements alike: int
-    coefficients over ``FieldElt`` or int :class:`Poly` arguments keep every
-    result in Z, and :class:`Poly` arguments compose or substitute
+    coefficients keep every result in Z[z] over int :class:`Poly`
+    arguments and ints over one int denominator over ``FieldElt`` ones,
+    and :class:`Poly` arguments compose or substitute
     polynomials (``f^n`` in ``periodic.compose_hom``, Moebius conjugation
     in ``sphere.conjugate``).  Float operation order is fixed: Y^k is built
     by repeated ``* Y`` starting from 1, and each derivative weight

@@ -10,34 +10,33 @@ comes from one route, with no factoring in z and no numerics.  For each
 part s of the squarefree decomposition dyn = prod s_k^k:
 
 * the multiplier lambda of the roots of s is one element of the algebra
-  Z[w]/(s~), lambda Y_n^2 = L^2 prod W along the homogeneous orbit;
+  Q[z]/(s), lambda Y_n^2 = prod W along the homogeneous orbit of (z, 1);
 * its minimal polynomial mu over Q (the product of the distinct
   irreducible multiplier polynomials, of degree at most deg s / n) is found
   modulo word primes (Krylov elimination over F_p, all but the first
   few powers taken by one multiplication matrix), lifted by CRT and
   rational reconstruction (or read off as integers once the residues stop
   changing), and certified exactly at the first agreeing prime on lambda as
-  one element alpha^/E, E an int: lambda is lifted in the z-basis of
-  Q[z]/(s) alongside mu, one product checks alpha^ Y_n^2 = E L^2 prod W,
-  and about 2 sqrt(deg mu) check mu(alpha^/E) = 0 (Paterson & Stockmeyer);
+  one element alpha, lifted alongside mu: one product checks alpha Y_n^2 =
+  prod W, and about 2 sqrt(deg mu) check mu(alpha) = 0 (Paterson &
+  Stockmeyer);
 * mu is factored over Q by :func:`factor_spectrum`: rational roots by one
   small prime and Hensel lifting, and a cofactor of degree >= 4 proven
   irreducible by its factor degrees mod small primes; sympy sees only a
   cofactor left unproven (one whose Galois group has no n-cycle);
 * one word prime counts the roots of s behind each factor mu_i: lambda
   mod p, the lift's own at that prime (memoized per ring), gives the
-  count bound deg gcd(s~, mu_i(lambda)) in F_p[w]; the prime is accepted
+  count bound deg gcd(s, mu_i(lambda)) in F_p[z]; the prime is accepted
   only when the bounds sum to deg s, which proves every count.  The counts
   are then scaled by the exponent k.
 
-Here s~ = L^(m-1) s(w/L) is the modulus made monic over Z by the
-substitution z = w/L, L its lead, so no exact step divides: every residue
-stays int.  Every multiplier comes from one homogeneous orbit loop,
+No exact step builds a Fraction: an element of Q[z]/(s) is ints over one
+int denominator.  Every multiplier comes from one homogeneous orbit loop,
 :meth:`ResidueField.multiplier_orbit`, so cycles through poles or Infinity
 need no special conjugation.  Infinity itself is the root 0 of the pair
 swapped and reversed, (B(Y, X), A(Y, X)): its multiplier is the same loop
-in Z[w]/(w) = Z.  Each period's :class:`PeriodFactors` records the route
-of every factor ("infinity" or "algebra") and how many points it carries.
+in Q[z]/(z) = Q.  Each period's :class:`PeriodFactors` records the route of
+every factor ("infinity" or "algebra") and how many points it carries.
 
 Membership of the multipliers in a number field K is exact for every K:
 the square class of the discriminant decides over quadratic fields, with
@@ -85,51 +84,54 @@ from .polys import (
 from .sphere import RationalMap
 
 # ----------------------------------------------------------------------
-# the residue ring Z[w]/(q~)
+# the residue ring Q[z]/(q)
 # ----------------------------------------------------------------------
 
 
 class ResidueField:
-    """Z[w]/(q~) for an integer polynomial q of degree m and lead L, where
-    q~(w) = L^(m-1) q(w/L) is monic over Z and its roots are L times those
-    of q (an order of the number field Q[z]/(q) when q is irreducible).
-
-    Reduction by a monic integer modulus never divides, so elements built
-    from ints stay int: nothing in the exact spectra path needs Fraction.
-    """
+    """Q[z]/(q) for an integer polynomial q of degree m and lead L (a
+    number field when q is irreducible).  :meth:`elt` reduces by exact
+    pseudo-division (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R): each step
+    scales what is left, and the denominator, by L / gcd(L, c), c the top
+    coefficient, so no step leaves Z, and sums and products of int
+    polynomials have denominators that divide powers of L (1 if q is monic)."""
 
     def __init__(self, modulus):
-        q = pstrip(list(modulus))
-        m, self.lead = len(q) - 1, q[-1]
-        self.mod = tuple(c * self.lead ** (m - 1 - i) for i, c in enumerate(q[:-1])) + (1,)
-        self.degree = m
-        self.at_prime = {}  # (num.c, den.c, p) -> _lambda_mod(num, den, p)
+        self.mod = tuple(pstrip(list(modulus)))
+        self.degree, self.lead = len(self.mod) - 1, self.mod[-1]
+        self.at_prime = {}  # (num, den, p) -> _lambda_mod(num, den, p)
 
-    def elt(self, coeffs) -> "FieldElt":
-        """The residue of a polynomial: exactly `degree` coefficients."""
-        out, g, m = list(coeffs), self.mod, self.degree
+    def elt(self, coeffs, d: int = 1) -> "FieldElt":
+        """The residue of the polynomial coeffs / d (d a nonzero int)."""
+        out, q, m, L = list(coeffs), self.mod, self.degree, self.lead
         for k in range(len(out) - 1 - m, -1, -1):
             c = out[k + m]
             if c:
-                out[k : k + m] = [x - c * y for x, y in zip(out[k : k + m], g)]
-        return FieldElt(self, tuple(ppad(out[:m], m)))
+                if L != 1:
+                    g = math.gcd(c, L)
+                    c, a = c // g, L // g
+                    if a != 1:
+                        out, d = [a * x for x in out[: k + m]], d * a
+                out[k : k + m] = [x - c * y for x, y in zip(out[k : k + m], q)]
+        out = ppad(out[:m], m)
+        if d != 1:
+            g = math.gcd(d, *out) if d > 0 else -math.gcd(d, *out)
+            out, d = [x // g for x in out], d // g
+        return FieldElt(self, tuple(out), d)
 
     def gen(self):
         return self.elt([0, 1])
 
     def multiplier_orbit(self, pair, n: int):
-        """(L^2 prod_j W(X_j, Y_j), Y_n^2) along the homogeneous orbit
-        (X_j, Y_j) of (w, L), i.e. of a root z = w/L of the modulus, under
-        the integer pair (A, B), W = A'B - AB'.
-
-        det J(X, Y) = d W(X, Y) and the Y-chart scalings telescope, so every
-        root of the modulus has multiplier lambda with lambda Y_n^2 = L^2
-        prod W (the start's scale L leaves the factor L^2), orbits through
-        Infinity and derivative poles included."""
+        """(prod_j W(X_j, Y_j), Y_n^2) along the homogeneous orbit (X_j,
+        Y_j) of (z, 1), z a root of the modulus, under the integer pair (A,
+        B), W = A'B - AB'.  det J(X, Y) = d W(X, Y) and the Y-chart scalings
+        telescope, so every root has multiplier lambda with lambda Y_n^2 =
+        prod W, orbits through Infinity and derivative poles included."""
         A, B = pair
-        d, L = len(A) - 1, self.lead
+        d = len(A) - 1
         W = ppad(psub(pmul(pderiv(A), B), pmul(A, pderiv(B))), 2 * d - 1)
-        X, Y, acc = self.gen(), self.elt([L]), self.elt([L * L])
+        X, Y, acc = self.gen(), self.elt([1]), 1
         for _ in range(n):
             acc = acc * hom_eval(W, X, Y)
             X, Y = hom_eval(A, X, Y), hom_eval(B, X, Y)
@@ -137,74 +139,75 @@ class ResidueField:
 
 
 class FieldElt:
-    """An element of Z[w]/(q~): exactly `degree` int coefficients."""
+    """c / d in Q[z]/(q): `degree` int coefficients c over an int d > 0
+    prime to their content, so equal elements have equal (c, d)."""
 
-    __slots__ = ("field", "c")
+    __slots__ = ("field", "c", "d")
 
-    def __init__(self, field: ResidueField, c: tuple):
-        self.field = field
-        self.c = c
+    def __init__(self, field: ResidueField, c: tuple, d: int = 1):
+        self.field, self.c, self.d = field, c, d
 
     def is_zero(self) -> bool:
         return not any(self.c)
 
     def __add__(self, o):
         if not isinstance(o, FieldElt):
-            return FieldElt(self.field, (self.c[0] + o,) + self.c[1:])
-        return FieldElt(self.field, tuple(a + b for a, b in zip(self.c, o.c)))
+            return FieldElt(self.field, (self.c[0] + o * self.d,) + self.c[1:], self.d)
+        if self.d == o.d == 1:
+            return FieldElt(self.field, tuple(a + b for a, b in zip(self.c, o.c)))
+        d = math.lcm(self.d, o.d)
+        u, v = d // self.d, d // o.d
+        return self.field.elt([u * a + v * b for a, b in zip(self.c, o.c)], d)
 
     def __mul__(self, o):
-        if not isinstance(o, FieldElt):
+        if isinstance(o, FieldElt):
+            return self.field.elt(ipmul(self.c, o.c), self.d * o.d)
+        if self.d == 1:
             return FieldElt(self.field, tuple(a * o for a in self.c))
-        return self.field.elt(ipmul(self.c, o.c))
+        return self.field.elt([a * o for a in self.c], self.d)
 
     __radd__, __rmul__ = __add__, __mul__
 
     def __eq__(self, o):
-        return self.c == o.c
+        return self.c == o.c and self.d == o.d
 
     def __repr__(self):
-        return f"FieldElt({list(self.c)})"
+        return f"FieldElt({list(self.c)}, {self.d})"
 
 
 # ----------------------------------------------------------------------
-# the multiplier in Z[w]/(q~) and its minimal polynomial: word primes,
+# the multiplier in Q[z]/(q) and its minimal polynomial: word primes,
 # CRT, rational reconstruction and an exact certificate
 # ----------------------------------------------------------------------
 
 
 def multiplier_element(f: RationalMap, n: int, q) -> tuple[FieldElt, FieldElt]:
     """The multiplier lambda of the period-n points annihilated by q, as the
-    pair (L^2 prod W, Y_n^2) in Z[w]/(q~) with lambda Y_n^2 = L^2 prod W:
+    pair (prod W, Y_n^2) in Q[z]/(q) with lambda Y_n^2 = prod W:
     ResidueField.multiplier_orbit run on the map's integer pair."""
     return ResidueField(q).multiplier_orbit(f.int_pair, n)
 
 
 def minimal_polynomial(num: FieldElt, den: FieldElt) -> list[Fraction]:
-    """Monic minimal polynomial over Q of lambda = num/den in Z[w]/(q~),
+    """Monic minimal polynomial over Q of lambda = num/den in Q[z]/(q),
     found modulo word primes and certified exactly.  q need not be
     irreducible: on a squarefree q the result is the product of the
     distinct minimal polynomials of lambda at the roots of q.
 
-    At each word prime p at which den is a unit mod (q~, p), FpModulus
-    gives lambda mod p and its minimal polynomial mu_p.  Unless den is a
-    scalar, lambda itself is lifted with mu, in the z-basis of Q[z]/(q)
-    (z = w/L: the i-th coefficient times L^i mod p), where it has far fewer
-    bits than num and den.  Images of the largest degree seen are kept (a
-    larger one restarts the lift) and combined by one CRT step per prime;
-    residues that a step leaves unchanged are the candidate as integers,
-    else rational reconstruction gives it (von zur Gathen & Gerhard, Modern
-    Computer Algebra, ch. 5; Monagan, ISSAC 2004).  The first agreeing prime
-    (one that leaves the residues unchanged agrees) sends it to the proof; a
-    candidate that fails it yet agrees at 20 primes is an error.
-
-    The proof runs on lambda as one element alpha^/E, E an int: num over
-    the scalar den, or alpha^ = sum D a_i L^(m-1-i) w^i over E = D L^(m-1),
-    equal to lambda by the exact product alpha^ den = E num, since den =
-    Y_n^2 is a unit in Q[w]/(q~) (every root is a finite point with f^n(z)
-    = z).  :func:`_certified` then proves mu on (alpha^, E)."""
-    lead, m = num.field.lead, num.field.degree
-    scalar = not any(den.c[1:])
+    At each word prime p at which _lambda_mod gives lambda mod p, mu_p is
+    its minimal polynomial.  Unless den is a scalar, lambda itself, with
+    far fewer bits than num and den, is lifted with mu.  Images of the
+    largest degree seen are kept (a larger one restarts the lift) and
+    combined by one CRT step per prime; residues that a step leaves
+    unchanged are the candidate as integers, else rational reconstruction
+    gives it (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5;
+    Monagan, ISSAC 2004).  The first agreeing prime (one that leaves the
+    residues unchanged agrees) sends it to :func:`_certified`, on alpha =
+    num over the scalar den or the lift sum a_i z^i, equal to lambda by the
+    exact product alpha den = num, as den = Y_n^2 is a unit in Q[z]/(q)
+    (every root is a finite point with f^n(z) = z).  A candidate that fails
+    yet agrees at 20 primes is an error."""
+    fld, scalar = num.field, not any(den.c[1:])
     degree, G, M, cand, agree, failed, misses = -1, [], 1, None, 0, None, 0
     for p in word_primes():
         at_p = _lambda_mod(num, den, p)
@@ -219,7 +222,7 @@ def minimal_polynomial(num: FieldElt, den: FieldElt) -> list[Fraction]:
             continue
         image = [int(c) for c in mu_p]
         if not scalar:
-            image += ppad([int(c) * pow(lead, i, p) % p for i, c in enumerate(lam)], m)
+            image += ppad([int(c) for c in lam], fld.degree)
         if len(mu_p) - 1 > degree:
             degree, G, M, cand = len(mu_p) - 1, [0] * len(image), 1, None
         agree = agree + 1 if cand is not None and _reduces_to(cand, image, p) else 0
@@ -231,11 +234,10 @@ def minimal_polynomial(num: FieldElt, den: FieldElt) -> list[Fraction]:
         if agree and cand != failed:
             (P, D), k = cand, degree + 1
             if scalar:
-                alpha, E = num, den.c[0]
+                alpha = fld.elt([c * den.d for c in num.c], num.d * den.c[0])
             else:
-                alpha = num.field.elt([a * lead ** (m - 1 - i) for i, a in enumerate(P[k:])])
-                E = D * lead ** (m - 1)
-            if (scalar or alpha * den == num * E) and _certified((P[:k], D), degree, alpha, E):
+                alpha = fld.elt(P[k:], D)
+            if (scalar or alpha * den == num) and _certified((P[:k], D), degree, alpha):
                 return [Fraction(c, D) for c in P[:k]]
             failed = cand
         elif agree == 20:
@@ -243,18 +245,23 @@ def minimal_polynomial(num: FieldElt, den: FieldElt) -> list[Fraction]:
 
 
 def _lambda_mod(num: FieldElt, den: FieldElt, p: int):
-    """(F_p[w]/(q~) as an FpModulus, lambda = num/den mod p in it), or None
-    when den is not a unit mod (q~, p); a scalar den is inverted in F_p.
-    Memoized on the ring, so the lift and the point counts of one
-    squarefree part build each prime's modulus, inverse and product once."""
-    memo, key = num.field.at_prime, (num.c, den.c, p)
+    """(F_p[z]/(q) as an FpModulus, lambda = num/den mod p in it), or None
+    when p divides the lead L of q or den is not a unit mod (q, p).  The
+    denominators of num and den divide powers of L.  Memoized on the ring:
+    the lift and the point counts of one squarefree part build each prime's
+    modulus, inverse and product once."""
+    memo, key = num.field.at_prime, (num.c, num.d, den.c, den.d, p)
     if key not in memo:
-        red = FpModulus(num.field.mod, p)
-        if any(den.c[1:]):
-            inv = red.inverse(fp_array(den.c, p))
-        else:
-            inv = fp_array([pow(den.c[0], -1, p)], p) if den.c[0] % p else None
-        memo[key] = None if inv is None else (red, red.reduce(fp_mul(fp_array(num.c, p), inv, p)))
+        memo[key] = inv = None
+        if num.field.lead % p:
+            red = FpModulus(num.field.mod, p)
+            if any(den.c[1:]):
+                inv = red.inverse(fp_array(den.c, p))
+            elif den.c[0] % p:
+                inv = fp_array([pow(den.c[0], -1, p)], p)
+        if inv is not None:
+            inv = inv * (den.d * pow(num.d, -1, p) % p) % p
+            memo[key] = (red, red.reduce(fp_mul(fp_array(num.c, p), inv, p)))
     return memo[key]
 
 
@@ -290,55 +297,54 @@ def _rational_reconstruction(G: list[int], M: int):
     return [r * (D // s) for r, s in out], D
 
 
-def _certified(mu, degree: int, alpha, E) -> bool:
+def _certified(mu, degree: int, alpha) -> bool:
     """The proof that mu = P/D is the minimal polynomial mu_min of lambda =
-    alpha/E, alpha in Z[w]/(q~), E a nonzero int (or a unit element).
-    :func:`_scaled_value` is E^(k-1-T) hom_eval(P, alpha, E); Z[w]/(q~) is a
-    free Z-module, so that factor is injective and the zero test is P(lambda)
-    = 0, which gives mu_min | mu.  At every prime p used, Y_n^2 is a unit, so
-    lambda lies in Z_(p)[w]/(q~), a free Z_(p)-module of finite rank: it is
-    integral over Z_(p), and mu_min, a monic factor over Q of its monic
-    characteristic polynomial, has coefficients in Z_(p) (Gauss's lemma).  So
-    mu_p divides mu_min mod p; hence deg mu == deg mu_p (= degree) <= deg
-    mu_min, and mu = mu_min.  Nothing here needs q irreducible; alpha/E =
-    lambda is proved by :func:`minimal_polynomial`."""
+    alpha in Q[z]/(q): the exact zero test P(lambda) = 0 gives mu_min | mu.
+    At every prime p used, p does not divide the lead L of q, so q / L is
+    monic over Z_(p), Z_(p)[z]/(q) is a free Z_(p)-module of finite rank,
+    and num, den (over powers of L) lie in it, den a unit, being one mod p.
+    So lambda lies in it, integral over Z_(p), and mu_min, a monic factor
+    over Q of its monic characteristic polynomial, has coefficients in
+    Z_(p) (Gauss's lemma).  So mu_p divides mu_min mod p; hence deg mu ==
+    deg mu_p (= degree) <= deg mu_min, and mu = mu_min.  Nothing here needs
+    q irreducible; alpha = lambda is proved by :func:`minimal_polynomial`."""
     P, _ = mu
-    return len(P) - 1 == degree and _scaled_value(P, alpha, E).is_zero()
+    return len(P) - 1 == degree and _value(P, alpha).is_zero()
 
 
-def _scaled_value(P, alpha, E):
-    """E^(k-1-T) sum_i P_i alpha^i E^(D-i), D = deg P, k = isqrt(D), T = D % k,
-    in about 2 sqrt(D) products: alpha^2..alpha^k, each block of k terms an
-    int combination of them, hom_eval over the blocks (Paterson & Stockmeyer)."""
+def _value(P, alpha):
+    """sum_i P_i alpha^i, D = deg P, k = isqrt(D), in about 2 sqrt(D)
+    products: alpha^2..alpha^k, each block of k terms an int combination of
+    them, hom_eval in alpha^k over the blocks (Paterson & Stockmeyer)."""
     k = math.isqrt(len(P) - 1)
-    powers, scales = [1, alpha], [1, E]
+    powers = [1, alpha]
     for _ in range(k - 1):
-        powers, scales = powers + [powers[-1] * alpha], scales + [scales[-1] * E]
-    terms = [c * scales[k - 1 - i % k] * powers[i % k] for i, c in enumerate(P)]
+        powers.append(powers[-1] * alpha)
+    terms = [c * powers[i % k] for i, c in enumerate(P)]
     blocks = [sum(terms[a + 1 : a + k], terms[a]) for a in range(0, len(P), k)]
-    return hom_eval(blocks, powers[k], scales[k])
+    return hom_eval(blocks, powers[k], 1)
 
 
 # ----------------------------------------------------------------------
-# points per factor: one gcd in F_p[w]/(s~) for each factor of mu
+# points per factor: one gcd in F_p[z]/(s) for each factor of mu
 # ----------------------------------------------------------------------
 
 
 def _point_counts(num: FieldElt, den: FieldElt, qs: list[list[int]]) -> list[int]:
     """How many roots of the squarefree s have their multiplier among the
     roots of each q in qs, the distinct irreducible factors (primitive, over
-    Z) of the certified minimal polynomial of lambda = num/den in Z[w]/(s~).
+    Z) of the certified minimal polynomial of lambda = num/den in Q[z]/(s).
 
     Every root's multiplier is a root of exactly one q, so the counts k_q
-    sum to deg s.  Let g_q be the monic factor of s~ whose roots are the
-    k_q roots counted for q; it lies in Z[w] (Gauss's lemma), as s~ is
-    monic.  At a word prime p at which den is a unit mod (s~, p), q(lambda)
-    has a representative in Z_(p)[w] that vanishes at the roots of g_q, so
-    g_q divides it there, and g_q mod p divides both s~ and q(lambda_p),
-    lambda_p = lambda mod p as in :func:`minimal_polynomial`.  Hence k_q <=
-    deg gcd(s~, q(lambda_p)) over F_p, and a prime at which these degrees
-    sum to deg s proves every count; a prime where distinct multipliers
-    meet mod p over-counts and is skipped."""
+    sum to deg s.  Let g_q be the monic factor over Q of s whose roots are
+    the k_q roots counted for q.  At a prime p where :func:`_lambda_mod`
+    gives lambda_p, p does not divide the lead L of s, so g_q, a factor of
+    the monic s / L, lies in Z_(p)[z] (Gauss's lemma) and divides there a
+    representative of q(lambda), which vanishes at its roots; so g_q mod p
+    divides s and q(lambda_p).  Hence k_q <= deg gcd(s, q(lambda_p)) over
+    F_p, and a prime at which these degrees sum to deg s proves every
+    count; a prime where distinct multipliers meet mod p over-counts and is
+    skipped."""
     m = num.field.degree
     if len(qs) == 1:
         return [m]
@@ -356,7 +362,7 @@ def _point_counts(num: FieldElt, den: FieldElt, qs: list[list[int]]) -> list[int
 
 
 def _fp_value(red: FpModulus, q, a):
-    """q(a) in F_p[w]/(red.f), for an integer polynomial q, by Horner."""
+    """q(a) in F_p[z]/(red.f), for an integer polynomial q, by Horner."""
     out = a[:0]
     for c in reversed(q):
         out = ppad([int(x) for x in red.reduce(fp_mul(out, a, red.p))], 1)
@@ -401,10 +407,7 @@ def _ensure_exact_rational(f: RationalMap):
 
 
 def multiplier_factors(
-    f: RationalMap,
-    n: int,
-    cap: int | None = None,
-    seed: int = 0,
+    f: RationalMap, n: int, cap: int | None = None, seed: int = 0
 ) -> PeriodFactors:
     """Irreducible factorization of the multiplier polynomial P_n over Q.
 
@@ -414,14 +417,12 @@ def multiplier_factors(
     cap = cap if cap is not None else config.EXACT_DEGREE_CAP
     d = f.degree
     if d**n + 1 > cap:
-        raise DegreeCapExceeded(
-            f"d^n + 1 = {d ** n + 1} exceeds exact cap {cap}"
-        )
+        raise DegreeCapExceeded(f"d^n + 1 = {d ** n + 1} exceeds exact cap {cap}")
     dyn = dynatomic_numerator(f, n, cap=max(cap, d**n + 2))
     routes: list[tuple[tuple[Fraction, ...], int, str]] = []
     total_points = max(pdeg(dyn), 0)
     if infinity_exact_period(f, n)[0] == n:
-        # Infinity of (A, B) is 0 of (B(Y, X), A(Y, X))
+        # Infinity of (A, B) is 0 of (B(Y, X), A(Y, X)); z is monic: over 1
         A, B = f.int_pair
         num, den = ResidueField([0, 1]).multiplier_orbit((B[::-1], A[::-1]), n)
         routes.append(((-Fraction(num.c[0], den.c[0]), Fraction(1)), 1, "infinity"))
@@ -434,17 +435,11 @@ def multiplier_factors(
     factors: dict[tuple[Fraction, ...], int] = {}
     for key, points, _route in routes:
         factors[key] = factors.get(key, 0) + points // (len(key) - 1)
-    pf = PeriodFactors(
-        period=n,
-        factors=sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0])),
-        point_count=total_points,
-        routes=routes,
-    )
+    pf = PeriodFactors(n, sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0])),
+                       total_points, routes)
     got = sum(m * (len(k) - 1) for k, m in pf.factors)
     if got != total_points:
-        raise RatdynError(
-            f"multiplier bookkeeping lost roots: {got} != {total_points}"
-        )
+        raise RatdynError(f"multiplier bookkeeping lost roots: {got} != {total_points}")
     return pf
 
 

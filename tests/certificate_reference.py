@@ -6,8 +6,9 @@ The modular search shares the production reduction, CRT and Wang
 reconstruction from ``ratdyn.spectra``, but nothing of lambda is lifted and
 no integer candidate is taken from stable residues: mu = P/D is
 reconstructed until two more primes agree, then certified by
-hom_eval(P, num, den) == 0 in Z[w]/(q~), with num and den carrying every
-power of the lead L that the orbit builds.  Its Krylov step,
+hom_eval(P, num, den) == 0 in Q[z]/(q), on the orbit's num and den
+themselves, each ints over a denominator that divides a power of the lead
+of q.  Its Krylov step,
 :func:`krylov_minimal_polynomial`, is the product loop that
 ``FpModulus.minimal_polynomial`` ran before its multiplication matrix: every
 power a product reduced by Barrett.
@@ -29,7 +30,7 @@ from ratdyn.sphere import hom_eval
 
 
 def minimal_polynomial(num, den) -> list[Fraction]:
-    """Monic minimal polynomial over Q of lambda = num/den in Z[w]/(q~),
+    """Monic minimal polynomial over Q of lambda = num/den in Q[z]/(q),
     certified on (num, den)."""
     degree, G, M, mu, agree, failed, misses = -1, [], 1, None, 0, None, 0
     for p in word_primes():

@@ -15,12 +15,12 @@ from ratdyn.sphere import hom_eval
 
 
 class PrimeResidueRing(ResidueField):
-    """F_p[z]/(g), p not dividing lc(g), with g made monic mod p (lead 1),
-    so :meth:`ResidueField.multiplier_orbit` runs mod p from (z, 1).
+    """F_p[z]/(g), p not dividing lc(g), with g made monic mod p, so
+    :meth:`ResidueField.multiplier_orbit` runs mod p from (z, 1).
     Elements hold numpy int64 residues; products use the kernels of polys."""
 
     def __init__(self, modulus, p: int):
-        self.p, self.lead = p, 1
+        self.p = p
         self.red = FpModulus(modulus, p)
         self.degree = self.red.m
 

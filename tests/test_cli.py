@@ -299,6 +299,18 @@ def test_parse_errors_exit_2():
         # field specs NumberFieldSpec refuses, once exit 3
         *(["field-check", "--map", "z^2-1", "--max-period", "1", "--field", field]
           for field in ("quad:0", "quad:1", "quad:4", "poly:x^2-4", "poly:2*x^2-1", "poly:1")),
+        # builder degrees and multipliers the builders refuse, once exit 3
+        ["make", "power", "--d", "1"],
+        ["make", "chebyshev", "--d", "0"],
+        ["make", "lattes", "--m", "1"],
+        ["cycles", "--map", "power:1", "--period", "1"],
+        ["cycles", "--map", "lattes:-1:0:0", "--period", "1"],
+        # a cap below 1, once a degree-cap failure (exit 4), and a negative
+        # indent, once accepted
+        ["cycles", "--map", "z^2-1", "--period", "1", "--cap", "0"],
+        ["cycles", "--map", "z^2-1", "--period", "1", "--cap", "-5"],
+        ["spectrum", "--map", "z^2-1", "--max-period", "1", "--indent", "-1"],
+        ["make", "power", "--indent", "-1"],
     ],
 )
 def test_bad_fields_and_periods_exit_2(argv):

@@ -1,6 +1,6 @@
 """The generic route: the multiplier of an irreducible dynatomic factor q as
-the pair (L^2 prod W, Y_n^2) in Z[w]/(q~), q~ = L^(m-1) q(w/L) monic over Z,
-and its minimal polynomial found modulo word primes, lifted by CRT and
+the pair (prod W, Y_n^2) in Q[z]/(q), q as dyn gives it, and its minimal
+polynomial found modulo word primes, lifted by CRT and
 rational reconstruction and certified exactly.
 
 The reference is ``fraction_reference.py``: the residue field over
@@ -11,6 +11,7 @@ squarefree parts of dyn (``test_one_route.py``).
 """
 
 import importlib.util
+import math
 import os
 import sys
 from fractions import Fraction
@@ -79,6 +80,18 @@ def _lifted_primes(monkeypatch):
     return lifted
 
 
+def _fractions(x):
+    """The coefficients of the element x of Q[z]/(q) as Fractions."""
+    return [Fraction(c, x.d) for c in x.c]
+
+
+def _divides_a_power(d, L):
+    """Whether every prime factor of d divides L."""
+    while (g := math.gcd(d, L)) > 1:
+        d //= g
+    return d == 1
+
+
 # ----------------------------------------------------------------------
 # against the Fraction reference
 # ----------------------------------------------------------------------
@@ -92,20 +105,24 @@ def _lifted_primes(monkeypatch):
 def test_every_generic_field_matches_the_fraction_reference(monkeypatch, f, leads):
     # z^2-1 has no generic field at period 2 (one 2-cycle, multiplier 0, on
     # the fast path); the factors of (z^2-2)/(z^2+3) beyond period 1 are not
-    # monic, so their orbits run from (w, L) with lambda Y_n^2 = L^2 prod W
+    # monic, yet their orbits run in Q[z]/(q) itself, from (z, 1), and
+    # equal the reference's orbit with no change of basis
     fields = _generic_fields(monkeypatch, f, (1, 2, 3, 4))
     assert [q[-1] for _n, q in fields] == leads
     for n, q in fields:
         num, den = multiplier_element(f, n, q)
-        assert num.field.lead == q[-1] and num.field.mod[-1] == 1
+        assert num.field.mod == tuple(q)
+        wide = ref.FractionField(q)
+        lam = ref.multiplier_element(f, n, q)
+        assert wide.elt(_fractions(num)) == lam * wide.elt(_fractions(den))
         mu = minimal_polynomial(num, den)
         assert mu == ref.minimal_polynomial(ref.multiplier_element(f, n, q))
         assert all(type(c) is Fraction for c in mu)
 
 
 def test_a_prime_where_y_n_squared_is_no_unit_is_skipped(monkeypatch):
-    # the fixed points of (z^2-2)/(z^2+3): Res(q~, Y_1^2) = 5^4, so Y_1^2
-    # is a zero divisor mod (q~, 5) and a unit mod every other prime
+    # the fixed points of (z^2-2)/(z^2+3): Res(q, Y_1^2) = 5^4, so Y_1^2
+    # is a zero divisor mod (q, 5) and a unit mod every other prime
     [(q, _m)] = factor_int_poly(dynatomic_numerator(RATIONAL, 1))[1]
     num, den = multiplier_element(RATIONAL, 1, q)
     units = {p: FpModulus(num.field.mod, p).inverse(fp_array(den.c, p)) is not None
@@ -146,8 +163,8 @@ def test_a_stable_image_of_the_wrong_degree_fails_the_certificate(monkeypatch):
     certified = []
     real = spectra._certified
 
-    def spy(mu, degree, num_, den_):
-        certified.append((mu, real(mu, degree, num_, den_)))
+    def spy(mu, degree, alpha):
+        certified.append((mu, real(mu, degree, alpha)))
         return certified[-1][1]
 
     monkeypatch.setattr(spectra, "_certified", spy)
@@ -159,13 +176,17 @@ def test_a_stable_image_of_the_wrong_degree_fails_the_certificate(monkeypatch):
 
 def test_the_certificate_needs_both_the_root_and_the_degree():
     fld = ResidueField([-2, 0, 1])
-    num, den = fld.gen(), fld.elt([1])  # lambda = sqrt(2), mu = x^2 - 2
-    assert spectra._certified(([-2, 0, 1], 1), 2, num, den)
-    assert not spectra._certified(([-3, 0, 1], 1), 2, num, den)
+    alpha = fld.gen()  # lambda = sqrt(2), mu = x^2 - 2
+    assert spectra._certified(([-2, 0, 1], 1), 2, alpha)
+    assert not spectra._certified(([-3, 0, 1], 1), 2, alpha)
     # a multiple of mu vanishes at lambda too, but its degree is too large
-    assert not spectra._certified((pmul([-2, 0, 1], [-1, 1]), 1), 2, num, den)
-    # lambda = sqrt(2)/3: 9 x^2 - 2 = 0, as P/D with D = 9
-    assert spectra._certified(([-2, 0, 9], 9), 2, num, fld.elt([3]))
+    assert not spectra._certified((pmul([-2, 0, 1], [-1, 1]), 1), 2, alpha)
+    # lambda = sqrt(2)/3, one element over the denominator 3: 9 x^2 - 2 = 0,
+    # as P/D with D = 9
+    third = fld.elt([0, 1], 3)
+    assert (third.c, third.d) == ((0, 1), 3)
+    assert spectra._certified(([-2, 0, 9], 9), 2, third)
+    assert not spectra._certified(([-2, 0, 1], 1), 2, third)
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +198,9 @@ def test_the_certificate_needs_both_the_root_and_the_degree():
 def test_no_fraction_is_built_on_the_exact_kernels(monkeypatch, f, n):
     # The orbit pair, the modular search with its certificate and the
     # point counts build no Fraction: the only ones are the coefficients
-    # minimal_polynomial returns.  Every residue stays int.
+    # minimal_polynomial returns.  Every residue is ints over an int
+    # denominator, and on the orbit one that divides a power of the
+    # modulus's lead.
     built, active, returned = [], [], []
     new = Fraction.__new__
 
@@ -200,12 +223,13 @@ def test_no_fraction_is_built_on_the_exact_kernels(monkeypatch, f, n):
 
         return run
 
-    residues = []
+    residues, dens = [], []
     init = FieldElt.__init__
 
-    def spy_init(self, field, c):
+    def spy_init(self, field, c, d=1):
         residues.extend(c)
-        init(self, field, c)
+        dens.append((d, field.lead, active[-1] if active else None))
+        init(self, field, c, d)
 
     monkeypatch.setattr(Fraction, "__new__", spy_new)
     monkeypatch.setattr(FieldElt, "__init__", spy_init)
@@ -216,6 +240,10 @@ def test_no_fraction_is_built_on_the_exact_kernels(monkeypatch, f, n):
     assert returned and len(built) == len(returned)
     assert all(a is b for a, b in zip(built, returned))
     assert residues and all(type(c) is int for c in residues)
+    assert all(type(d) is int and d > 0 for d, _L, _fn in dens)
+    orbit = [(d, L) for d, L, fn in dens if fn is multiplier_element]
+    assert orbit and all(_divides_a_power(d, L) for d, L in orbit)
+    assert (f is BASILICA) == all(d == 1 for d, _L in orbit)
 
 
 # ----------------------------------------------------------------------

@@ -72,6 +72,17 @@ def test_the_spectra_satisfy_the_holomorphic_index_formula(f, periods):
         assert index_sum(f, n) == (1, 0), n
 
 
+@pytest.mark.parametrize(
+    "spec, n",
+    [("(z^2-2)/(z^2+3)", 5), ("(z^2-2)/(z^2+3)", 6), ("z*(z+3)/(2*z+1)", 6),
+     ("z*(z-5)/(7*z+1)", 6), ("(2+5*z^3)/(3*z+z^2)", 4)],
+)
+def test_non_monic_spectra_satisfy_the_formula_at_higher_periods(spec, n):
+    # non-monic dynatomic factors at the periods where the certificate
+    # once ran in a monic substitute basis and took seconds to minutes
+    assert index_sum(parse_map(spec), n) == (1, 0)
+
+
 def test_a_parabolic_fixed_point_is_skipped():
     # z^2 + 1/4 has the double fixed point 1/2 with multiplier 1 and the
     # superattracting fixed point Infinity, whose term 1/(1 - 0) is all

@@ -273,8 +273,8 @@ def test_certificate_agrees_with_the_old_residue_loop(monkeypatch, f, periods):
 
 
 def test_certificate_orbit_stays_in_the_integers(monkeypatch):
-    # the Lattes clusters are not monic: their orbits run in Z[w]/(g~) from
-    # (w, lc g), still over int
+    # the Lattes clusters are not monic: their orbits run in Q[z]/(g) from
+    # (z, 1), as ints over denominators that divide powers of lc g
     lattes = flexible_lattes(LattesSpec(-1, 0, 2))
     for f, periods, leads in ((chebyshev_map(4), (2, 3), [1] * 4),
                               (lattes, (1, 2, 3), [3, 5, 3, 7])):
@@ -283,56 +283,74 @@ def test_certificate_orbit_stays_in_the_integers(monkeypatch):
         made = []
         init = FieldElt.__init__
 
-        def spy(self, field, c):
-            made.append(c)
-            init(self, field, c)
+        def spy(self, field, c, d=1):
+            made.append((c, d, field.lead))
+            init(self, field, c, d)
 
         monkeypatch.setattr(FieldElt, "__init__", spy)
         for n, g, c in clusters:
             assert two_route._certify_integer_multiplier(f, n, g, c)
         monkeypatch.undo()
-        assert made and all(type(x) is int for c in made for x in c)
+        assert made and all(type(x) is int for c, _d, _L in made for x in c)
+        assert all(type(d) is int and _divides_a_power(d, L) for _c, d, L in made)
+        assert (leads[0] == 1) == all(d == 1 for _c, d, _L in made)
+
+
+def _divides_a_power(d, L):
+    """Whether d > 0 and every prime factor of d divides L."""
+    while d > 0 and (g := math.gcd(d, L)) > 1:
+        d //= g
+    return d == 1
+
+
+def _fractions(x):
+    """The coefficients of the element x of Q[z]/(q) as Fractions."""
+    return [Fraction(c, x.d) for c in x.c]
 
 
 def test_multiplier_element_is_scale_free():
-    # the orbit of the integer pair in Z[w]/(q~) and that of f.num/f.den in
-    # Q[z]/(q) (test-only, over Fraction) give the same multiplier lambda:
-    # lambda = sum a_i z^i = sum (a_i / L^i) w^i for w = L z, and
-    # lambda Y_n^2 = L^2 prod W in Z[w]/(q~)
+    # the orbit of the integer pair in Q[z]/(q) and that of f.num/f.den in
+    # Q[z]/(q) (test-only, over Fraction) give the same multiplier lambda,
+    # in the same basis: lambda Y_n^2 = prod W coefficient by coefficient
     for name in ("(z^2-2)/(z^2+3)", "z^2-1/3", "lattes(-1,0,2)"):
         f, _ = RATIONAL_MAPS[name]
         for n in (1, 2):
             for q, _m in spectra.factor_int_poly(dynatomic_numerator(f, n))[1]:
                 num, den = multiplier_element(f, n, q)
                 lam = fraction_reference.multiplier_element(f, n, q, _fraction_pair(f))
-                L = q[-1]
-                wide = fraction_reference.FractionField(num.field.mod)
-                lam_w = wide.elt([a / L**i for i, a in enumerate(lam.c)])
-                assert wide.elt(num.c) == lam_w * wide.elt(den.c)
+                wide = fraction_reference.FractionField(q)
+                assert wide.elt(_fractions(num)) == lam * wide.elt(_fractions(den))
 
 
-def test_every_modulus_is_monic_over_z_and_elements_stay_int():
-    monic = ResidueField([-1, -1, 0, 1])  # z^3 - z - 1: already monic
+def test_every_modulus_is_q_itself_and_elements_stay_int():
+    monic = ResidueField([-1, -1, 0, 1])  # z^3 - z - 1
     assert monic.mod == (-1, -1, 0, 1) and monic.lead == 1
     x = monic.gen()
     y = 3 * (x * x + x) * x + monic.elt([2])
-    assert all(type(c) is int for c in y.c)
+    assert all(type(c) is int for c in y.c) and y.d == 1
     assert y == monic.elt([5, 3, 3])  # 3 z^3 + 3 z^2 + 2 = 3 z^2 + 3 z + 5
-    # 6 z^3 - 5 z^2 + 3: w = 6 z is a root of w^3 - 5 w^2 + 108
+    # 6 z^3 - 5 z^2 + 3 is kept as it is: z^3 = (5 z^2 - 3) / 6 and
+    # z^4 = (25 z^2 - 18 z - 15) / 36, in lowest terms
     q = [3, 0, -5, 6]
     fld = ResidueField(q)
-    assert fld.mod == (108, 0, -5, 1) and fld.lead == 6
-    w = fld.gen()
-    assert all(type(c) is int for c in (w * w * w * w).c)
-    assert w * w * w == fld.elt([-108, 0, 5])
+    assert fld.mod == (3, 0, -5, 6) and fld.lead == 6
+    z = fld.gen()
+    z3, z4 = z * z * z, z * z * z * z
+    assert (z3.c, z3.d) == ((-3, 0, 5), 6)
+    assert (z4.c, z4.d) == ((-15, -18, 25), 36)
+    assert all(type(c) is int for c in z4.c)
+    # the common factor 3 of 12 z^3 = 10 z^2 - 6 and of its denominator
+    # cancels, as does all of 6
+    assert 12 * z3 == fld.elt([-6, 0, 10]) and (12 * z3).d == 1
+    assert fld.elt([3, 0, 6], 9) == fld.elt([1, 0, 2], 3)
     # every dynatomic factor of a non-monic map, and its orbit pair
     f, _ = RATIONAL_MAPS["(z^2-2)/(z^2+3)"]
     for n in (1, 2, 3):
         for q, _m in spectra.factor_int_poly(dynatomic_numerator(f, n))[1]:
             num, den = multiplier_element(f, n, q)
-            assert num.field.mod[-1] == 1 and all(type(c) is int for c in num.field.mod)
+            assert num.field.mod == tuple(q)
             assert all(type(c) is int for c in num.c + den.c)
-
+            assert all(_divides_a_power(x.d, q[-1]) for x in (num, den))
 
 
 @pytest.mark.parametrize("la, lb", [(1, 40), (15, 15), (16, 16), (16, 200), (57, 31), (120, 90)])

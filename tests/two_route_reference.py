@@ -5,12 +5,12 @@ the whole-algebra minimal polynomial.
   integer multiplier c and how many finite period-n points carry it; the
   factor g_c = gcd(dyn, prod W - c Y_n^2) is found in F_p[z] at word
   primes, lifted by CRT up to the Mignotte bound, and certified by exact
-  division plus the residue identity L^2 prod W = c Y_n^2 in Z[w]/(g~).
+  division plus the residue identity prod W = c Y_n^2 in Q[z]/(g).
 * The generic route: whatever remains is factored over Z (sympy), and each
   irreducible factor q contributes the minimal polynomial of its
-  multiplier in Z[w]/(q~).
+  multiplier in Q[z]/(q).
 
-It shares Z[w]/(q~), the F_p kernels, ``minimal_polynomial`` and the CRT
+It shares Q[z]/(q), the F_p kernels, ``minimal_polynomial`` and the CRT
 step with the production route, and F_p[z]/(g) (``PrimeResidueRing``) with
 ``galois_reference``; the split in z, the numeric proposal and the
 per-cluster certificate are its own.  The names it uses from
@@ -64,7 +64,7 @@ class TwoRoutePeriod:
 
 def _certify_integer_multiplier(f, n, g, c) -> bool:
     """Exact check that every root of g has multiplier exactly c:
-    L^2 prod W(X_j, Y_j) == c * Y_n^2 in Z[w]/(g~), all over int."""
+    prod W(X_j, Y_j) == c * Y_n^2 in Q[z]/(g), ints over int denominators."""
     acc, y2 = ResidueField(g).multiplier_orbit(f.int_pair, n)
     return acc == y2 * c
 
