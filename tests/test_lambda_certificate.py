@@ -85,8 +85,8 @@ def test_a_lift_that_is_not_lambda_is_refused(monkeypatch):
     [(build_map([-1, 0, 1], [1]), 5), (RATIONAL, 3)],
     ids=["z^2-1@5", "(z^2-2)/(z^2+3)@3"],
 )
-def test_the_paterson_stockmeyer_value_is_the_horner_value(f, n):
-    # on the orbit's prod W, and on it over denominators E, so that the
+def test_the_paterson_stockmeyer_value_is_the_scaled_horner_value(f, n):
+    # on the orbit's prod W, and on it scaled over denominators E, so that the
     # blocks add terms over distinct powers of E
     rng = random.Random(n)
     for s, _k in squarefree_decomposition(dynatomic_numerator(f, n)):
